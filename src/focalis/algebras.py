@@ -1,4 +1,8 @@
-"""Matrix Lie algebra bases, structure constants and the Killing inner product."""
+"""Matrix Lie algebra bases, structure constants and the Killing inner product.
+
+Everything is derived from one coefficient map, the pseudo-inverse of the
+stacked basis, and checked as tensor identities in coefficient space.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ _PAULI = [
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Commutator; broadcasts over leading axes of stacked matrices."""
     return x @ y - y @ x
 
 
@@ -58,6 +63,7 @@ class LieAlgebraBasis:
     basis: tuple                 # matrices spanning the algebra
     structure: np.ndarray        # c[i, j, k]: [e_i, e_j] = sum_k c_ijk e_k
     gram: np.ndarray             # inner products from the (-1)-Killing form
+    coef_map: np.ndarray         # (dim, m*m) pseudo-inverse of the stacked basis
 
     @property
     def dim(self) -> int:
@@ -73,76 +79,42 @@ class LieAlgebraBasis:
         return float(cx @ self.gram @ cy)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of a matrix in this basis (least squares)."""
-        cols = np.stack([b.ravel() for b in self.basis], axis=1)
-        coef, *_ = np.linalg.lstsq(cols, x.ravel(), rcond=None)
-        return coef.real
+        """Expansion coefficients of a matrix, or of a stack of matrices along
+        the last two axes, in this basis (least squares)."""
+        x = np.asarray(x)
+        return (x.reshape(*x.shape[:-2], -1) @ self.coef_map.T).real
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
-        return sum(ci * b for ci, b in zip(c, self.basis))
+        """Matrix of coefficient vector c; a stack for c of shape (..., dim)."""
+        return np.tensordot(np.asarray(c), np.stack(self.basis), axes=1)
 
     def orthonormal_basis(self) -> List[np.ndarray]:
         """Basis orthonormal with respect to the (-1)-Killing inner product."""
-        li = np.linalg.inv(np.linalg.cholesky(self.gram))
-        return [sum(li[i, j] * self.basis[j] for j in range(self.dim))
-                for i in range(self.dim)]
-
-
-def _structure_constants(basis) -> np.ndarray:
-    n = len(basis)
-    cols = np.stack([b.ravel() for b in basis], axis=1)
-    pinv = np.linalg.pinv(cols)
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            coef = pinv @ bracket(basis[i], basis[j]).ravel()
-            c[i, j] = coef.real
-    return c
-
-
-def _killing_gram(basis) -> np.ndarray:
-    """gram[i, j] = -tr(ad e_i ad e_j) computed from the adjoint matrices."""
-    n = len(basis)
-    cols = np.stack([b.ravel() for b in basis], axis=1)
-    pinv = np.linalg.pinv(cols)
-    ad = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            ad[i, :, j] = (pinv @ bracket(basis[i], basis[j]).ravel()).real
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = -np.trace(ad[i] @ ad[j])
-    return gram
+        return list(self.from_coefficients(np.linalg.inv(np.linalg.cholesky(self.gram))))
 
 
 def _verify(alg: LieAlgebraBasis, tol: float = 1e-12):
-    n = alg.dim
-    c = alg.structure
-    for i in range(n):
-        for j in range(n):
-            rec = alg.from_coefficients(c[i, j])
-            if np.max(np.abs(rec - bracket(alg.basis[i], alg.basis[j]))) > tol:
-                raise ValidationError("structure constants do not reproduce brackets")
+    """Check that structure constants reproduce every bracket in matrix space,
+    then the identities of c and gram in coefficient space."""
+    b = np.stack(alg.basis)
+    rec = np.tensordot(alg.structure, b, axes=1)
+    if np.max(np.abs(rec - bracket(b[:, None], b[None]))) > tol:
+        raise ValidationError("structure constants do not reproduce brackets")
+    _verify_identities(alg.structure, alg.gram, tol)
+
+
+def _verify_identities(c: np.ndarray, gram: np.ndarray, tol: float = 1e-12):
+    """Antisymmetry, Jacobi as ad[e_i, e_j] = [ad_i, ad_j], and ad-invariance
+    <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> = 0 of the inner product."""
     if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > tol:
         raise ValidationError("structure constants not antisymmetric")
-    # Jacobi identity on basis triples
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = (bracket(alg.basis[i], bracket(alg.basis[j], alg.basis[k]))
-                     + bracket(alg.basis[j], bracket(alg.basis[k], alg.basis[i]))
-                     + bracket(alg.basis[k], bracket(alg.basis[i], alg.basis[j])))
-                if np.max(np.abs(s)) > tol:
-                    raise ValidationError("Jacobi identity violated")
-    # ad-invariance of the inner product on basis triples
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = (alg.inner(bracket(alg.basis[i], alg.basis[j]), alg.basis[k])
-                     + alg.inner(alg.basis[j], bracket(alg.basis[i], alg.basis[k])))
-                if abs(r) > 1e-9 * (1.0 + np.abs(alg.gram).max()):
-                    raise ValidationError("inner product not ad-invariant")
+    ad = np.swapaxes(c, 1, 2)            # ad[i] @ v = coefficients of [e_i, v]
+    for i in range(len(c)):              # chunked over i: O(dim^3) memory
+        if np.max(np.abs(np.tensordot(c[i], ad, axes=1) - bracket(ad[i], ad))) > tol:
+            raise ValidationError("Jacobi identity violated")
+    cg = c @ gram
+    if np.max(np.abs(cg + np.swapaxes(cg, 1, 2))) > 1e-9 * (1.0 + np.abs(gram).max()):
+        raise ValidationError("inner product not ad-invariant")
 
 
 def load_algebra(name: str) -> LieAlgebraBasis:
@@ -154,9 +126,13 @@ def load_algebra(name: str) -> LieAlgebraBasis:
     family, n = m.group(1), int(m.group(2))
     if n < 2 or (family == "so" and n < 3):
         raise ValidationError(f"unsupported algebra '{name}'")
-    basis = _su_basis(n) if family == "su" else _so_basis(n)
-    gram = _killing_gram(basis)
-    alg = LieAlgebraBasis(name=f"{family}{n}", basis=tuple(basis),
-                          structure=_structure_constants(basis), gram=gram)
+    b = np.stack(_su_basis(n) if family == "su" else _so_basis(n))
+    dim = len(b)
+    coef_map = np.linalg.pinv(b.reshape(dim, -1).T)
+    c = (bracket(b[:, None], b[None]).reshape(dim * dim, -1) @ coef_map.T).real
+    c = c.reshape(dim, dim, dim)
+    gram = -np.einsum("iba,jab->ij", c, c)      # -tr(ad_i ad_j), ad_i = c[i]^T
+    alg = LieAlgebraBasis(name=f"{family}{n}", basis=tuple(b), structure=c,
+                          gram=gram, coef_map=coef_map)
     _verify(alg)
     return alg

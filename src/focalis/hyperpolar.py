@@ -13,31 +13,23 @@ import numpy as np
 
 from .algebras import LieAlgebraBasis, bracket, load_algebra
 from .errors import ValidationError
-from .roots import restricted_root_decomposition
-from .transport import _expm_antiherm
+from .roots import involution, restricted_root_decomposition
+from .transport import expm_antiherm
 
 
-def _hs_inner(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.real(np.sum(np.conj(x) * y)))
+def _hs_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real Hilbert-Schmidt pairings <x_i, y_j> of two matrix stacks."""
+    return np.einsum("iab,jab->ij", np.conj(x), y).real
 
 
-def _fixed_subalgebra(alg: LieAlgebraBasis, data) -> list:
+def _fixed_subalgebra(alg: LieAlgebraBasis, data) -> np.ndarray:
     """Basis of the (+1)-eigenspace of theta, complementary to p in the onb."""
-    onb = list(data.onb)
-    from .roots import involution
-
-    th = involution(data.theta_name, alg.matrix_size)
-    mats = []
-    for m in onb:
-        k_part = (m + th(m)) / 2.0
-        if np.max(np.abs(k_part)) > 1e-12:
-            mats.append(k_part)
-    cols = np.stack([m.ravel() for m in mats], axis=1)
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-10
-    q = q[:, keep]
-    n = alg.matrix_size
-    return [q[:, j].reshape(n, n) for j in range(q.shape[1])]
+    onb = np.stack(data.onb)
+    k_part = (onb + involution(data.theta_name, alg.matrix_size)(onb)) / 2.0
+    k_part = k_part[np.abs(k_part).max(axis=(1, 2)) > 1e-12]
+    q, r = np.linalg.qr(k_part.reshape(len(k_part), -1).T)
+    q = q[:, np.abs(np.diag(r)) > 1e-10]
+    return q.T.reshape(-1, *onb.shape[1:])
 
 
 def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
@@ -47,31 +39,28 @@ def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
     At g = exp(H), the two-sided orbit through g has tangent directions
     (X - Ad(g) Y) g for X, Y in k; the section tangent is a g.  Reports the
     worst inner product over sampled g and bases, plus the flatness residual
-    max |[a_i, a_j]| and the space dimensions.
+    max |[a_i, a_j]| and the space dimensions.  Since g is unitary,
+    <X - g Y g^-1, A> = <X, A> - <Y, g^-1 A g>.
     """
+    if n_samples < 1:
+        raise ValidationError("n_samples must be at least 1")
     alg = algebra if isinstance(algebra, LieAlgebraBasis) else load_algebra(algebra)
     data = restricted_root_decomposition(alg, theta, seed=seed + 7)
-    a_mats = list(data.a_basis)
+    a_mats = np.stack(data.a_basis)
     k_mats = _fixed_subalgebra(alg, data)
-    if not k_mats:
+    if not len(k_mats):
         raise ValidationError("fixed subalgebra is trivial")
 
-    flat = max(np.max(np.abs(bracket(a, b))) for a in a_mats for b in a_mats)
+    flat = float(np.max(np.abs(bracket(a_mats[:, None], a_mats[None]))))
 
     rng = np.random.default_rng(seed)
+    xa = _hs_inner(k_mats, a_mats)[:, None, :]
     worst = 0.0
     for _ in range(n_samples):
-        c = rng.normal(size=len(a_mats))
-        H = sum(ci * ai for ci, ai in zip(c, a_mats))
-        H = np.asarray(H, dtype=complex)
-        g = _expm_antiherm(H[None])[0]
-        ginv = np.conj(g.T)
-        for X in k_mats:
-            for Y in k_mats:
-                # right-trivialized orbit direction at g
-                orbit = X - g @ Y @ ginv
-                for A in a_mats:
-                    worst = max(worst, abs(_hs_inner(orbit, A)))
+        h = np.tensordot(rng.normal(size=len(a_mats)), a_mats, axes=1)
+        g = expm_antiherm(h[None])[0]
+        ya = _hs_inner(k_mats, np.conj(g.T) @ a_mats @ g)[None, :, :]
+        worst = max(worst, float(np.max(np.abs(xa - ya))))
     norm = max(np.linalg.norm(a) for a in a_mats)
     return {
         "algebra": alg.name,

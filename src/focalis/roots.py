@@ -5,13 +5,16 @@ Given an involutive automorphism theta of a compact matrix Lie algebra, the
 eigenspaces of ad(H)^2 over generic H in a split the algebra into the
 centralizer g_0 and root spaces g_lambda; signed root vectors (values of
 lambda on the a-basis, defined up to a global sign) are recovered from the
-skew action of ad(H_i) on each eigenspace.
+skew action of ad(H_i) on each eigenspace.  All ad actions and brackets are
+taken through the structure constants in coordinates of a Killing-orthonormal
+basis, where ad(x) is skew-symmetric.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,18 +27,21 @@ RESIDUAL_TOL = 1e-9
 
 def involution(name: str, matrix_size: int) -> Callable[[np.ndarray], np.ndarray]:
     """Named involutions: 'conj' (complex conjugation) or 'ad_diag' /
-    'ad_diag_p' (conjugation by diag(1,...,1,-1,...) with p leading +1s)."""
+    'ad_diag_p' (conjugation by diag(1,...,1,-1,...) with p leading +1s,
+    1 <= p < matrix_size; 'ad_diag' takes p = matrix_size - 1).  The returned
+    map acts on the last two axes of a matrix stack."""
     name = name.lower().strip()
     if name == "conj":
         return np.conj
     if name.startswith("ad_diag"):
-        p = matrix_size - 1
-        if "_" in name[len("ad_diag"):]:
-            p = int(name.rsplit("_", 1)[1])
+        m = re.fullmatch(r"ad_diag(?:_(\d+))?", name)
+        p = int(m.group(1) or matrix_size - 1) if m else None
+        if p is None or not 1 <= p < matrix_size:
+            raise ValidationError(f"involution '{name}': p must be an integer in "
+                                  f"1..{matrix_size - 1}")
         d = np.ones(matrix_size)
         d[p:] = -1.0
-        dm = np.diag(d)
-        return lambda x: dm @ x @ dm
+        return lambda x: d[:, None] * x * d
     raise ValidationError(f"unsupported involution '{name}'")
 
 
@@ -44,6 +50,7 @@ class RestrictedRootData:
     algebra: LieAlgebraBasis
     theta_name: str
     onb: tuple                    # orthonormal basis of the algebra (matrices)
+    structure: np.ndarray         # c'[i, j, k]: [onb_i, onb_j] = sum_k c'_ijk onb_k
     a_basis: tuple                # maximal abelian subspace basis (matrices)
     roots: tuple                  # signed root vectors on the a-basis, len l
     space_bases: tuple            # coefficient bases (dim, n_a) per root, g_0 first
@@ -65,22 +72,9 @@ class RestrictedRootData:
         return self.n0 + sum(self.multiplicities) == self.dim
 
 
-def _pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Real Hilbert-Schmidt pairing used to expand in an orthonormal basis."""
-    return float(np.real(np.sum(np.conj(a) * b)))
-
-
-def _gram_coeffs(onb):
-    """Return an expansion function valid for any onb (HS-orthogonal or not)."""
-    n = len(onb)
-    g = np.array([[_pairing(onb[i], onb[j]) for j in range(n)] for i in range(n)])
-    ginv = np.linalg.inv(g)
-
-    def coeffs(x):
-        raw = np.array([_pairing(onb[k], x) for k in range(n)])
-        return ginv @ raw
-
-    return coeffs
+def _ad(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """ad matrices in onb coordinates of the columns of x: (cols, dim, dim)."""
+    return np.einsum("ir,ijl->rlj", x.reshape(len(c), -1), c)
 
 
 def restricted_root_decomposition(algebra, theta: str,
@@ -93,52 +87,47 @@ def restricted_root_decomposition(algebra, theta: str,
     alg = algebra if isinstance(algebra, LieAlgebraBasis) else load_algebra(algebra)
     th = involution(theta, alg.matrix_size)
     # involutivity / automorphism checks on the basis
-    for b in alg.basis:
-        if np.max(np.abs(th(th(b)) - b)) > 1e-10:
-            raise ValidationError("theta is not involutive")
-    for b1 in alg.basis:
-        for b2 in alg.basis:
-            if np.max(np.abs(th(bracket(b1, b2)) - bracket(th(b1), th(b2)))) > 1e-10:
-                raise ValidationError("theta is not an automorphism")
+    b = np.stack(alg.basis)
+    tb = th(b)
+    if np.max(np.abs(th(tb) - b)) > 1e-10:
+        raise ValidationError("theta is not involutive")
+    pairs = bracket(b[:, None], b[None])
+    if np.max(np.abs(th(pairs) - bracket(tb[:, None], tb[None]))) > 1e-10:
+        raise ValidationError("theta is not an automorphism")
 
-    onb = alg.orthonormal_basis()
+    # onb_i = sum_j li_ij e_j with gram = l l^T; onb coordinates are x -> coef(x) @ l
     n = alg.dim
-    coeffs = _gram_coeffs(onb)
-
-    def to_mat(c):
-        return sum(ci * m for ci, m in zip(c, onb))
+    l = np.linalg.cholesky(alg.gram)
+    li = np.linalg.inv(l)
+    onb = alg.from_coefficients(li)
+    c = np.einsum("ia,jb,abk,kl->ijl", li, li, alg.structure, l, optimize=True)
 
     # p = (-1)-eigenspace of theta in coefficient space
-    tmat = np.stack([coeffs(th(m)) for m in onb], axis=1)
+    tmat = (alg.coefficients(th(onb)) @ l).T
     w, v = np.linalg.eigh((tmat + tmat.T) / 2.0)
     p_c = v[:, w < 0.0]
     if p_c.shape[1] == 0:
         raise ValidationError("theta has no (-1)-eigenspace; the pair is trivial")
     rng = np.random.default_rng(seed)
     h_gen = p_c @ rng.normal(size=p_c.shape[1])
-    Hg = to_mat(h_gen)
     # a = centralizer of the generic element inside p
-    adH = np.stack([coeffs(bracket(Hg, to_mat(p_c[:, j]))) for j in range(p_c.shape[1])],
-                   axis=1)
-    _, s, vt = np.linalg.svd(adH)
+    _, s, vt = np.linalg.svd(_ad(h_gen, c)[0] @ p_c)
     rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
     a_c = p_c @ vt[rank:].T
-    a_mats = [to_mat(a_c[:, j]) for j in range(a_c.shape[1])]
+    a_mats = np.tensordot(a_c.T, onb, axes=1)
     # abelian + maximality checks
-    for i in range(len(a_mats)):
-        for j in range(len(a_mats)):
-            if np.max(np.abs(bracket(a_mats[i], a_mats[j]))) > 1e-10:
-                raise ValidationError("candidate a is not abelian")
+    if np.max(np.abs(bracket(a_mats[:, None], a_mats[None]))) > 1e-10:
+        raise ValidationError("candidate a is not abelian")
     # maximal: no direction of p outside a commutes with all of a
     if a_c.shape[1] < p_c.shape[1]:
-        comp = p_c @ vt[:rank].T
-        for j in range(comp.shape[1]):
-            if all(np.max(np.abs(bracket(A, to_mat(comp[:, j])))) < 1e-10 for A in a_mats):
-                raise ValidationError("candidate a is not maximal abelian")
+        comp = np.tensordot((p_c @ vt[:rank].T).T, onb, axes=1)
+        dev = np.abs(bracket(a_mats[:, None], comp[None])).max(axis=(2, 3))
+        if np.any(np.all(dev < 1e-10, axis=0)):
+            raise ValidationError("candidate a is not maximal abelian")
 
-    ad_a = [np.stack([coeffs(bracket(A, m)) for m in onb], axis=1) for A in a_mats]
+    ad_a = _ad(a_c, c)
     weights = np.random.default_rng(seed + 1).normal(size=len(a_mats))
-    Ag = sum(wi * Ai for wi, Ai in zip(weights, ad_a))
+    Ag = np.tensordot(weights, ad_a, axes=1)
     Ag = (Ag - Ag.T) / 2.0
     m2 = -(Ag @ Ag)
     w2, v2 = np.linalg.eigh((m2 + m2.T) / 2.0)
@@ -152,36 +141,29 @@ def restricted_root_decomposition(algebra, theta: str,
             j += 1
         clusters.append((max(w2[i], 0.0), v2[:, i: j + 1]))
         i = j + 1
-    g0 = None
+    g0 = np.zeros((n, 0))
     roots, bases = [], []
     for c2, vc in clusters:
         if np.sqrt(c2) < 1e-7:
-            g0 = vc if g0 is None else np.hstack([g0, vc])
+            g0 = np.hstack([g0, vc])
             continue
-        c = np.sqrt(c2)
         v1 = vc[:, 0]
-        wv = (Ag @ v1) / c
-        lam = np.array([wv @ (Ai @ v1) for Ai in ad_a])
+        lam = (ad_a @ v1) @ (Ag @ v1) / np.sqrt(c2)
         # sign normalization: first nonzero component positive
         nz = np.flatnonzero(np.abs(lam) > 1e-9)
         if len(nz) and lam[nz[0]] < 0:
             lam = -lam
+        # eigenspace verification: ad(H_i)^2 acts as -lambda_i^2 on the space
+        res = np.abs(ad_a @ ad_a @ vc + lam[:, None, None] ** 2 * vc).max(axis=(1, 2))
+        if np.any(res > 1e-9 * (1.0 + lam ** 2)):
+            raise ValidationError("root space fails the ad(H)^2 eigen test")
         roots.append(lam)
         bases.append(vc)
-    if g0 is None:
-        g0 = np.zeros((n, 0))
-    # eigenspace verification: ad(H)^2 acts as -lambda(H)^2 on each space
-    for lam, vc in zip(roots, bases):
-        for Ai, li in zip(ad_a, lam):
-            res = np.max(np.abs(Ai @ Ai @ vc + li ** 2 * vc))
-            if res > 1e-9 * (1.0 + li ** 2):
-                raise ValidationError("root space fails the ad(H)^2 eigen test")
-    order = np.argsort([np.linalg.norm(l) for l in roots])
-    roots = [roots[k] for k in order]
-    bases = [bases[k] for k in order]
+    order = np.argsort([np.linalg.norm(r) for r in roots])
     return RestrictedRootData(
-        algebra=alg, theta_name=theta, onb=tuple(onb), a_basis=tuple(a_mats),
-        roots=tuple(roots), space_bases=tuple([g0] + bases))
+        algebra=alg, theta_name=theta, onb=tuple(onb), structure=c,
+        a_basis=tuple(a_mats), roots=tuple(roots[k] for k in order),
+        space_bases=tuple([g0] + [bases[k] for k in order]))
 
 
 def _root_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> bool:
@@ -196,44 +178,30 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
     [g_lam, g_mu] in g_{lam+mu} + g_{|lam-mu|} (a summand drops whenever
     lam+mu resp. lam-mu is not a restricted root; lam = mu adds g_0).
     Also reports, per pair, the residual of the printed sum-only target.
+
+    The space bases together form an orthonormal basis V of the algebra, so a
+    bracket's distance from a sum of spaces is the norm of its V-coordinates
+    outside them; those coordinates are the structure constants in V.
     """
-    onb = list(data.onb)
-    coeffs = _gram_coeffs(onb)
-
-    def to_mat(c):
-        return sum(ci * m for ci, m in zip(c, onb))
-
-    spaces = [(None, data.space_bases[0])] + [
-        (lam, b) for lam, b in zip(data.roots, data.space_bases[1:])]
-    zero = np.zeros(len(data.a_basis))
+    bases = data.space_bases
+    v = np.hstack(bases)
+    cv = np.einsum("ijl,ia,jb,lc->abc", data.structure, v, v, v, optimize=True)
+    edges = np.cumsum([0] + [b.shape[1] for b in bases])
+    spaces = [np.zeros(len(data.a_basis))] + list(data.roots)
+    owner = np.repeat(np.arange(len(bases)), np.diff(edges))
     report = {"pairs": [], "max_residual": 0.0, "max_residual_sum_only": 0.0,
               "passed": True}
-    for ia, (la, va) in enumerate(spaces):
-        for ib, (lb, vb) in enumerate(spaces):
-            if ib < ia:
-                continue
-            ra = zero if la is None else la
-            rb = zero if lb is None else lb
-            targets, targets_sum = [], []
-            for lc, vc in spaces:
-                rc = zero if lc is None else lc
-                in_sum = _root_close(rc, ra + rb) or _root_close(rc, ra - rb)
-                if _root_close(rc, ra + rb):
-                    targets_sum.append(vc)
-                if in_sum:
-                    targets.append(vc)
-            proj = np.hstack(targets) if targets else np.zeros((data.dim, 0))
-            proj_sum = np.hstack(targets_sum) if targets_sum else np.zeros((data.dim, 0))
-            worst, worst_sum = 0.0, 0.0
-            for i in range(va.shape[1]):
-                for j in range(vb.shape[1]):
-                    z = coeffs(bracket(to_mat(va[:, i]), to_mat(vb[:, j])))
-                    r = np.linalg.norm(z - proj @ (proj.T @ z))
-                    rs = np.linalg.norm(z - proj_sum @ (proj_sum.T @ z))
-                    worst, worst_sum = max(worst, r), max(worst_sum, rs)
+    for ia, ra in enumerate(spaces):
+        for ib in range(ia, len(spaces)):
+            rb = spaces[ib]
+            z = cv[edges[ia]:edges[ia + 1], edges[ib]:edges[ib + 1]]
+            out_sum = ~np.array([_root_close(rc, ra + rb) for rc in spaces])[owner]
+            out = out_sum & ~np.array([_root_close(rc, ra - rb) for rc in spaces])[owner]
+            worst = float(np.linalg.norm(z[..., out], axis=-1).max())
+            worst_sum = float(np.linalg.norm(z[..., out_sum], axis=-1).max())
             report["pairs"].append({
-                "root_a": None if la is None else la.tolist(),
-                "root_b": None if lb is None else lb.tolist(),
+                "root_a": None if ia == 0 else ra.tolist(),
+                "root_b": None if ib == 0 else rb.tolist(),
                 "residual": worst,
                 "residual_sum_only": worst_sum,
             })

@@ -21,7 +21,7 @@ ANTIHERM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _expm_antiherm(batch: np.ndarray) -> np.ndarray:
+def expm_antiherm(batch: np.ndarray) -> np.ndarray:
     """exp of a batch of anti-Hermitian matrices via Hermitian eigendecomposition."""
     herm = 1j * batch
     w, v = np.linalg.eigh(herm)
@@ -107,7 +107,7 @@ def transport_path(u: AlgebraPath, steps: int = 1000) -> np.ndarray:
     steps = int(np.ceil(steps / s)) * s     # align substeps with sample nodes
     h = 1.0 / steps
     mids = (np.arange(steps) + 0.5) * h
-    exps = _expm_antiherm(h * u.at(mids))
+    exps = expm_antiherm(h * u.at(mids))
     n = u.samples.shape[1]
     g = np.empty((steps + 1, n, n), dtype=complex)
     g[0] = np.eye(n)

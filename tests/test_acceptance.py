@@ -311,7 +311,7 @@ def test_criterion_6_transport_and_holonomy(announce):
             np.stack([np.cos(2 * t) * xa + np.sin(3 * t) * xb for t in tl]))
         z = rand_x(1.0)
         g = transport.GaugePath(
-            transport._expm_antiherm(np.sin(np.pi * tl)[:, None, None] * z))
+            transport.expm_antiherm(np.sin(np.pi * tl)[:, None, None] * z))
         gu = transport.gauge_act(g, u)
         worst_loop = max(worst_loop, float(np.max(np.abs(
             transport.transport(gu, 2 * (n - 1)) - transport.transport(u, 2 * (n - 1))))))

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from focalis.algebras import LieAlgebraBasis, bracket, load_algebra
+from focalis.algebras import _verify, _verify_identities, bracket, load_algebra
 from focalis.errors import ValidationError
 
 
@@ -83,3 +85,58 @@ class TestBasisOperations:
             for j in range(alg.dim):
                 rec = alg.from_coefficients(alg.structure[i, j])
                 assert np.max(np.abs(rec - bracket(alg.basis[i], alg.basis[j]))) < 1e-12
+
+
+class TestKillingClosedForm:
+    """Oracle: B(x, y) = 2n tr(xy) on su(n) and (n - 2) tr(xy) on so(n)."""
+
+    @pytest.mark.parametrize("name,factor", [
+        ("su2", 4), ("su3", 6), ("su4", 8), ("su5", 10),
+        ("so3", 1), ("so4", 2), ("so5", 3), ("so6", 4), ("so7", 5), ("so8", 6)])
+    def test_gram_matches_trace_form(self, name, factor):
+        alg = load_algebra(name)
+        tr = np.array([[np.trace(a @ b).real for b in alg.basis] for a in alg.basis])
+        assert np.max(np.abs(alg.gram + factor * tr)) < 1e-13
+
+
+class TestVerifyMutations:
+    """Each defect injected into a valid algebra must be caught by its check."""
+
+    @pytest.fixture
+    def alg(self):
+        return load_algebra("su3")
+
+    def test_one_structure_constant_off(self, alg):
+        c = alg.structure.copy()
+        c[0, 1, 2] += 1e-9
+        with pytest.raises(ValidationError, match="reproduce brackets"):
+            _verify(replace(alg, structure=c))
+
+    def test_not_antisymmetric(self, alg):
+        c = alg.structure.copy()
+        c[2, 3, 4] += 1e-10
+        with pytest.raises(ValidationError):
+            _verify(replace(alg, structure=c))
+        with pytest.raises(ValidationError, match="antisymmetric"):
+            _verify_identities(c, alg.gram)
+
+    def test_jacobi_violated(self, alg):
+        # antisymmetric, so only the Jacobi check can see it
+        c = alg.structure.copy()
+        c[0, 1, 7] += 1e-10
+        c[1, 0, 7] -= 1e-10
+        with pytest.raises(ValidationError):
+            _verify(replace(alg, structure=c))
+        with pytest.raises(ValidationError, match="Jacobi"):
+            _verify_identities(c, alg.gram)
+
+    def test_gram_not_ad_invariant(self, alg):
+        gram = alg.gram.copy()
+        gram[0, 1] += 1e-7
+        gram[1, 0] += 1e-7
+        with pytest.raises(ValidationError, match="ad-invariant"):
+            _verify(replace(alg, gram=gram))
+
+    def test_unmutated_passes(self, alg):
+        _verify(alg)
+        _verify(load_algebra("so8"))

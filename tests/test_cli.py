@@ -246,6 +246,20 @@ class TestAlgebraCommands:
         assert code == 0
         assert report["result"]["passed"] is True
 
+    @pytest.mark.parametrize("theta", ["ad_diag_x", "ad_diag_-1", "ad_diag_3"])
+    def test_roots_bad_involution_is_input_error(self, capsys, theta):
+        code = main(["roots", "--algebra", "su3", "--theta", theta])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_hyperpolar_no_samples_is_input_error(self, capsys):
+        code = main(["hyperpolar", "--group", "SU(3)", "--k1", "so3", "--k2", "so3",
+                     "--samples", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_hyperpolar_mismatched_subgroups(self, capsys):
         code, _ = run(capsys, "hyperpolar", "--group", "SU(2)",
                       "--k1", "u1diag", "--k2", "so2")

@@ -30,6 +30,17 @@ class TestInvolution:
         with pytest.raises(ValidationError):
             involution("transpose", 2)
 
+    @pytest.mark.parametrize("name", ["ad_diag_x", "ad_diag_-1", "ad_diag_0",
+                                      "ad_diag_3", "ad_diag_", "ad_diagonal"])
+    def test_bad_signature_rejected(self, name):
+        with pytest.raises(ValidationError):
+            involution(name, 3)
+
+    def test_acts_on_stacks(self):
+        x = np.arange(18.0).reshape(2, 3, 3)
+        d = np.diag([1.0, 1.0, -1.0])
+        assert np.array_equal(involution("ad_diag", 3)(x), d @ x @ d)
+
 
 class TestDecomposition:
     def test_su2_conj(self):
@@ -93,6 +104,43 @@ class TestDecomposition:
             restricted_root_decomposition(alg, "ad_diag_0")
 
 
+# Oracle: Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
+# Ch. X.  SU(n)/SO(n) is A_{n-1} with all m = 1; SU(p+q)/S(U_p x U_q), p > q,
+# is BC_q with m = 2 on e_i +- e_j, 2(p-q) on e_i and 1 on 2e_i;
+# SO(p+q)/SO(p) x SO(q) is B_q (p > q) with m = 1 on e_i +- e_j and p - q on
+# e_i, and D_q (p = q).  A cluster of the decomposition is g_lam + g_-lam, of
+# dimension 2 m_lam.  Keys are |lam|^2 / |shortest|^2.
+HELGASON = [
+    ("su5", "conj", 4, 4, {1: [2] * 10}),                                 # A4
+    ("su5", "ad_diag_3", 2, 4, {1: [4, 4], 2: [4, 4], 4: [2, 2]}),        # BC2
+    ("so7", "ad_diag_5", 2, 5, {1: [6, 6], 2: [2, 2]}),                   # B2
+    ("so8", "ad_diag_4", 4, 4, {1: [2] * 12}),                            # D4
+    ("su6", "ad_diag_4", 2, 7, {1: [8, 8], 2: [4, 4], 4: [2, 2]}),        # BC2
+    ("so9", "ad_diag_6", 3, 6, {1: [6, 6, 6], 2: [2] * 6}),               # B3
+    ("so10", "ad_diag_5", 5, 5, {1: [2] * 20}),                           # D5
+    ("su8", "conj", 7, 7, {1: [2] * 28}),                                 # A7
+    ("so12", "ad_diag_8", 4, 10, {1: [8] * 4, 2: [2] * 12}),              # B4
+]
+
+
+class TestHelgasonTables:
+    @pytest.mark.parametrize("alg,theta,rank,n0,clusters", HELGASON)
+    def test_root_system(self, alg, theta, rank, n0, clusters):
+        data = restricted_root_decomposition(alg, theta)
+        assert len(data.a_basis) == rank
+        assert data.n0 == n0
+        sq = np.array([r @ r for r in data.roots])
+        ratio = np.round(sq / sq.min(), 6)
+        got = {float(k): sorted(m for m, r in zip(data.multiplicities, ratio) if r == k)
+               for k in np.unique(ratio)}
+        assert got == clusters
+        # Cartan integers 2<a, b>/<b, b> of a (possibly non-reduced) root system
+        roots = np.array(data.roots)
+        cartan = 2.0 * (roots @ roots.T) / sq[None, :]
+        assert np.max(np.abs(cartan - np.round(cartan))) < 1e-9
+        assert verify_bracket_pattern(data)["max_residual"] < 1e-9
+
+
 class TestBracketPattern:
     def test_su2_passes(self):
         data = restricted_root_decomposition("su2", "conj")
@@ -114,6 +162,40 @@ class TestBracketPattern:
         report = verify_bracket_pattern(data)
         g0_pair = [p for p in report["pairs"] if p["root_a"] is None and p["root_b"] is None]
         assert len(g0_pair) == 1 and g0_pair[0]["residual"] < 1e-12
+
+    def test_matches_matrix_space_reference(self):
+        # reference: brackets of root-space vectors as matrices, projected
+        # onto the allowed targets through a Hilbert-Schmidt expansion
+        data = restricted_root_decomposition("su3", "ad_diag")
+        onb = np.stack(data.onb)
+        hs = np.einsum("iab,jab->ij", onb.conj(), onb).real
+
+        def coeffs(x):
+            return np.linalg.solve(hs, np.einsum("iab,ab->i", onb.conj(), x).real)
+
+        def close(r, s):
+            return min(np.linalg.norm(r - s), np.linalg.norm(r + s)) < 1e-7
+
+        spaces = [np.zeros(1)] + list(data.roots)
+        report = verify_bracket_pattern(data)
+        k = 0
+        for ia, va in enumerate(data.space_bases):
+            for ib, vb in enumerate(data.space_bases[ia:], start=ia):
+                ra, rb = spaces[ia], spaces[ib]
+                for key, allowed in (("residual", (ra + rb, ra - rb)),
+                                     ("residual_sum_only", (ra + rb,))):
+                    proj = np.hstack([np.zeros((len(onb), 0))] + [
+                        v for r, v in zip(spaces, data.space_bases)
+                        if any(close(r, s) for s in allowed)])
+                    worst = 0.0
+                    for x in va.T:
+                        for y in vb.T:
+                            z = coeffs(bracket(np.tensordot(x, onb, 1),
+                                               np.tensordot(y, onb, 1)))
+                            worst = max(worst, np.linalg.norm(z - proj @ (proj.T @ z)))
+                    assert abs(report["pairs"][k][key] - worst) < 1e-12
+                k += 1
+        assert k == len(report["pairs"])
 
     def test_runtime_budget(self):
         t0 = time.time()
