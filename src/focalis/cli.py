@@ -48,15 +48,11 @@ def _jsonable(x):
     return x
 
 
-def _complex_matrix(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _flatten(obj, prefix=""):
     rows = []
     if isinstance(obj, dict):
         for k in sorted(obj):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}." if prefix or True else k))
+            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             rows.extend(_flatten(v, f"{prefix}{i}."))
@@ -194,7 +190,7 @@ def _cmd_transport(args):
     u = io.read_path(args.path, kind="algebra")
     g1 = transport.transport(u, steps=args.steps)
     unit = float(np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))))
-    result = {"steps": args.steps, "endpoint": _complex_matrix(g1),
+    result = {"steps": args.steps, "endpoint": io._matrix_to_pairs(g1),
               "unitarity_residual": unit}
     return result, EXIT_OK
 
@@ -206,8 +202,8 @@ def _cmd_holonomy(args):
     mu = transport.pullback_connection(omega, omega0)
     phi_mu = transport.transport(mu, steps=args.steps)
     agreement = float(np.max(np.abs(hol - phi_mu)))
-    result = {"holonomy": _complex_matrix(hol),
-              "transport_of_pullback": _complex_matrix(phi_mu),
+    result = {"holonomy": io._matrix_to_pairs(hol),
+              "transport_of_pullback": io._matrix_to_pairs(phi_mu),
               "factorization_residual": agreement,
               "passed": agreement < 1e-6}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED

@@ -81,7 +81,7 @@ def _matrix_from_pairs(rows) -> np.ndarray:
 
 
 def _matrix_to_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def read_path(path: str, kind: str = "algebra") -> Union[AlgebraPath, ConnectionPath]:
@@ -95,7 +95,8 @@ def read_path(path: str, kind: str = "algebra") -> Union[AlgebraPath, Connection
         raise ValidationError(f"malformed path file '{path}': {exc}") from exc
     if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise ValidationError(f"path in '{path}' must span t in [0, 1]")
-    if np.max(np.abs(np.diff(ts) - 1.0 / (len(ts) - 1))) > 1e-9:
+    # written so that a NaN time fails it
+    if not np.all(np.abs(np.diff(ts) - 1.0 / (len(ts) - 1)) <= 1e-9):
         raise ValidationError(f"path in '{path}' is not uniformly sampled")
     cls = AlgebraPath if kind == "algebra" else ConnectionPath
     return cls(mats)

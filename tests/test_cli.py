@@ -219,6 +219,31 @@ class TestTransportCommands:
         assert report["result"]["factorization_residual"] < 1e-6
         assert report["result"]["passed"] is True
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_holonomy_non_positive_steps_is_input_error(self, capsys, tmp_path, steps):
+        samples, _ = self.su2_sample(3, 21)
+        path = tmp_path / "om.json"
+        io.write_path(str(path), samples)
+        code, _ = run(capsys, "holonomy", "--omega", str(path), "--steps", steps)
+        assert code == 2
+
+    @pytest.mark.parametrize("command,flag", [("transport", "--path"),
+                                              ("holonomy", "--omega")])
+    def test_nan_path_is_input_error(self, capsys, tmp_path, command, flag):
+        samples, _ = self.su2_sample(3, 21)
+        samples[5, 0, 1] = np.nan
+        path = tmp_path / "nan.json"
+        io.write_path(str(path), samples)
+        code, _ = run(capsys, command, flag, str(path))
+        assert code == 2
+
+    def test_nan_time_is_input_error(self, capsys, tmp_path):
+        z = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"samples": [[0.0, z], [float("nan"), z], [1.0, z]]}))
+        code, _ = run(capsys, "transport", "--path", str(bad))
+        assert code == 2
+
     def test_nonuniform_path_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"samples": [

@@ -5,10 +5,12 @@ from scipy.linalg import expm
 from focalis.algebras import load_algebra
 from focalis.errors import ValidationError
 from focalis.transport import (AlgebraPath, ConnectionPath, GaugePath,
-                               gauge_act, holonomy_element,
-                               pullback_connection, transport, transport_path)
+                               _rk4_group, expm_antiherm, gauge_act,
+                               holonomy_element, pullback_connection, transport,
+                               transport_path)
 
 SU2 = load_algebra("su2")
+SU3 = load_algebra("su3")
 
 
 def rand_su2(rng, scale=1.0):
@@ -27,6 +29,36 @@ def smooth_path(rng, n=101):
     return AlgebraPath(np.stack([np.cos(2 * t) * x + np.sin(3 * t) * y for t in ts]))
 
 
+def loop_transport_path(u, steps):
+    """Per-step reference for transport_path: g_{k+1} = exp(h u(t_{k+1/2})) g_k."""
+    s = u.n_intervals
+    steps = int(np.ceil(steps / s)) * s
+    h = 1.0 / steps
+    exps = expm_antiherm(h * u.at((np.arange(steps) + 0.5) * h))
+    g = [np.eye(u.samples.shape[1], dtype=complex)]
+    for m in exps:
+        g.append(m @ g[-1])
+    return np.stack(g)
+
+
+def loop_rk4(c, steps):
+    """Per-step reference for _rk4_group: classical RK4 on g' = -c(t) g."""
+    path = AlgebraPath(-c.samples)
+    s = path.n_intervals
+    steps = int(np.ceil(steps / s)) * s
+    h = 1.0 / steps
+    ts = np.arange(steps) * h
+    u0, um, u1 = path.at(ts), path.at(ts + 0.5 * h), path.at(ts + h)
+    g = np.eye(path.samples.shape[1], dtype=complex)
+    for k in range(steps):
+        k1 = u0[k] @ g
+        k2 = um[k] @ (g + 0.5 * h * k1)
+        k3 = um[k] @ (g + 0.5 * h * k2)
+        k4 = u1[k] @ (g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return g
+
+
 class TestValidation:
     def test_rejects_non_antihermitian(self):
         with pytest.raises(ValidationError):
@@ -40,6 +72,25 @@ class TestValidation:
     def test_gauge_path_must_be_unitary(self):
         with pytest.raises(ValidationError):
             GaugePath(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+
+    @pytest.mark.parametrize("cls", [AlgebraPath, ConnectionPath, GaugePath])
+    def test_rejects_non_finite(self, cls):
+        samples = np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0) * 1j
+        samples[1, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            cls(samples)
+
+    def test_gauge_act_needs_three_samples(self):
+        g = GaugePath(np.repeat(np.eye(2, dtype=complex)[None], 2, axis=0))
+        u = AlgebraPath(np.zeros((2, 2, 2)))
+        with pytest.raises(ValidationError, match="3 samples"):
+            gauge_act(g, u)
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_rk4_rejects_non_positive_steps(self, steps):
+        c = ConnectionPath(np.zeros((3, 2, 2)))
+        with pytest.raises(ValidationError):
+            holonomy_element(c, c, steps=steps)
 
     def test_gauge_endpoints(self):
         g = GaugePath(np.stack([np.eye(2), 1j * np.eye(2) * -1j]))
@@ -86,6 +137,47 @@ class TestTransport:
         res = np.max(np.abs(np.einsum("kij,kil->kjl", path.conj(), path)
                             - np.eye(2)))
         assert res < 1e-10
+
+
+class TestStepProducts:
+    """The batched routes against a plain per-step loop.
+
+    Step counts 1, 2, 3, 7, 4000 and 4001 with 1, 2 and 3 sample intervals
+    give odd and even tree lengths and padded and unpadded scan blocks.
+    """
+
+    @staticmethod
+    def samples(n_intervals, alg, seed):
+        rng = np.random.default_rng(seed)
+        return alg.from_coefficients(rng.normal(size=(n_intervals + 1, alg.dim)))
+
+    @pytest.mark.parametrize("n_intervals", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 4000, 4001])
+    def test_transport_matches_loop(self, steps, n_intervals):
+        for alg in (SU2, SU3):
+            u = AlgebraPath(self.samples(n_intervals, alg, steps + n_intervals))
+            ref = loop_transport_path(u, steps)
+            got = transport_path(u, steps)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-13
+            assert np.max(np.abs(transport(u, steps) - ref[-1])) < 1e-13
+
+    @pytest.mark.parametrize("n_intervals", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 4000, 4001])
+    def test_rk4_matches_loop(self, steps, n_intervals):
+        for alg in (SU2, SU3):
+            c = ConnectionPath(self.samples(n_intervals, alg, 7 * steps + n_intervals))
+            assert np.max(np.abs(_rk4_group(c, steps) - loop_rk4(c, steps))) < 1e-13
+
+    def test_rk4_fourth_order(self):
+        # order 4 (error ratio ~16 on halving h) keeps the RK4 holonomy a
+        # different integrator from the order-2 midpoint-exponential transport
+        rng = np.random.default_rng(14)
+        c = ConnectionPath(np.stack([rand_su2(rng) for _ in range(5)]))
+        ref = _rk4_group(c, 6400)
+        e1 = np.max(np.abs(_rk4_group(c, 40) - ref))
+        e2 = np.max(np.abs(_rk4_group(c, 80) - ref))
+        assert e1 / e2 > 12
 
 
 class TestGaugeAction:
