@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 
@@ -86,6 +87,19 @@ def _parse_window(text: str) -> Window:
     return Window(lo, hi)
 
 
+def _parse_radii(text) -> list:
+    """Comma-separated finite radii; None or empty gives the default three."""
+    if not text:
+        return [0.05, 0.1, 0.2]
+    try:
+        radii = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"bad radii '{text}', expected 'r1,r2,...'") from exc
+    if not all(math.isfinite(r) for r in radii):
+        raise ValidationError(f"radii must be finite, got '{text}'")
+    return radii
+
+
 def _cmd_trace(args):
     spec = io.read_spectrum(args.spec)
     info = spectral.reg_trace_info(spec)
@@ -143,8 +157,7 @@ def _cmd_check(args):
         ok = focal.weakly_isoparametric_check(grids)
         result = {"check": "weak", "n_grids": len(grids), "passed": ok}
     elif args.kind == "iso":
-        radii = [float(v) for v in args.radii.split(",")] if args.radii else [0.05, 0.1, 0.2]
-        report = focal.isoparametric_check(grids, radii, tol=args.tol)
+        report = focal.isoparametric_check(grids, _parse_radii(args.radii), tol=args.tol)
         ok = report["passed"]
         result = {"check": "iso", "n_grids": len(grids), **report}
     else:
@@ -162,6 +175,7 @@ def _cmd_example41(args):
     # fixed normal-field coefficients shared across points keep the field parallel
     coeffs = rng.normal(size=cfg.k1)
     window = _parse_window(args.window)
+    radii = _parse_radii(args.radii)
     grids = []
     focal_sets = {}
     for pi in range(len(model.points)):
@@ -171,7 +185,6 @@ def _cmd_example41(args):
         grids.append(grid)
         fset = focal.focal_set(grid, window)
         focal_sets[grid.label] = {"radii": fset.radii, "multiplicities": fset.multiplicities}
-    radii = [float(v) for v in args.radii.split(",")] if args.radii else [0.05, 0.1, 0.2]
     iso = focal.isoparametric_check(grids, radii, tol=args.tol)
     adapted = geomodel.curvature_adapted_check(model, args.trials, args.seed + 2)
     xi0 = model.normal_bases[0][:, : cfg.k1] @ coeffs

@@ -77,6 +77,8 @@ class EigenGrid:
             if int(m) < 1:
                 raise ValidationError("pair multiplicity must be >= 1")
             key = (float(lr), float(la))
+            if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+                raise ValidationError(f"pair {key} is not finite")
             merged[key] = merged.get(key, 0) + int(m)
         object.__setattr__(
             self, "pairs",

@@ -23,7 +23,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class SphereProductConfig:
     rprime: tuple                  # slice radii, 0 < rprime_j < r_j, len k1
     k2: int                        # number of frozen odd slots
     ambient_dim: int               # truncation dimension N
+    _block_idx: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k1 > len(self.blocks):
@@ -46,7 +47,7 @@ class SphereProductConfig:
         if len(self.rprime) != self.k1:
             raise ValidationError("rprime must have k1 entries")
         for m, r in self.blocks:
-            if m < 2 or r <= 0:
+            if m < 2 or not 0.0 < r < np.inf:
                 raise ValidationError(f"bad block (m={m}, r={r})")
         for (m, r), rp in zip(self.blocks[: self.k1], self.rprime):
             if not (0.0 < rp < r):
@@ -60,6 +61,15 @@ class SphereProductConfig:
                 f"blocks need {even_needed}")
         if self.k2 > odd_slots:
             raise ValidationError("k2 exceeds the number of odd slots")
+        # even coordinate i (1-based) sits at ambient index 2i - 1, so block k's
+        # even slots start + 1 .. start + m_k are ambient 2 start + 1, 2 start + 3, ...
+        starts = np.cumsum([0] + [m for m, _ in self.blocks])
+        table = []
+        for start, (m, _) in zip(starts, self.blocks):
+            idx = np.arange(2 * start + 1, 2 * (start + m), 2)
+            idx.setflags(write=False)
+            table.append(idx)
+        object.__setattr__(self, "_block_idx", tuple(table))
 
     @property
     def n_blocks(self) -> int:
@@ -70,15 +80,12 @@ class SphereProductConfig:
                          for (_, r), rp in zip(self.blocks, self.rprime)])
 
     def block_even_indices(self, k: int) -> np.ndarray:
-        """Ambient (0-based) indices of block k's even coordinates."""
-        start = sum(m for m, _ in self.blocks[:k])
-        m = self.blocks[k][0]
-        # even coordinate i (1-based) sits at ambient index 2i - 1
-        return np.array([2 * i - 1 for i in range(start + 1, start + m + 1)])
+        """Ambient (0-based) indices of block k's even coordinates (read-only)."""
+        return self._block_idx[k]
 
     def odd_indices(self) -> np.ndarray:
         n_odd = self.ambient_dim - self.ambient_dim // 2
-        return np.array([2 * j - 2 for j in range(1, n_odd + 1)])
+        return np.arange(0, 2 * n_odd, 2)
 
     def frozen_odd_indices(self) -> np.ndarray:
         return self.odd_indices()[: self.k2]
@@ -90,7 +97,7 @@ class SphereProductConfig:
         """Even slots beyond the block truncation (always zero here)."""
         used = sum(m for m, _ in self.blocks)
         even_slots = self.ambient_dim // 2
-        return np.array([2 * i - 1 for i in range(used + 1, even_slots + 1)], dtype=int)
+        return np.arange(2 * used + 1, 2 * even_slots, 2)
 
 
 def default_config() -> SphereProductConfig:
@@ -108,16 +115,16 @@ def default_config() -> SphereProductConfig:
 class ModelSubmanifold:
     config: SphereProductConfig
     points: np.ndarray              # (n_points, N)
-    tangent_bases: List[np.ndarray]  # per point, (N, d) orthonormal columns
-    normal_bases: List[np.ndarray]   # per point, (N, c) orthonormal columns
+    tangent_bases: np.ndarray       # (n_points, N, d), orthonormal columns per point
+    normal_bases: np.ndarray        # (n_points, N, c), orthonormal columns per point
 
     @property
     def tangent_dim(self) -> int:
-        return self.tangent_bases[0].shape[1]
+        return self.tangent_bases.shape[2]
 
     @property
     def normal_dim(self) -> int:
-        return self.normal_bases[0].shape[1]
+        return self.normal_bases.shape[2]
 
 
 def _sample_point(cfg: SphereProductConfig, rng: np.random.Generator) -> np.ndarray:
@@ -139,65 +146,57 @@ def _sample_point(cfg: SphereProductConfig, rng: np.random.Generator) -> np.ndar
     return x
 
 
-def _frames_at(cfg: SphereProductConfig, x: np.ndarray):
-    """Tangent/normal orthonormal frames of M inside the ambient product manifold.
+def _frames(cfg: SphereProductConfig, points: np.ndarray):
+    """Tangent/normal orthonormal frames of M inside the ambient product manifold,
+    for every point of the (P, N) stack at once.
 
     The ambient manifold's own tangent space excludes each block's radial
     direction and the unused even slots; within it, M's normals are the
-    projected height directions (constrained blocks) and the frozen odd
-    slots.
+    projected height directions nu_j (constrained blocks) and the frozen odd
+    slots.  Column order: per block its local tangent directions, then the
+    free odd slots; normals nu_1 .. nu_k1, then the frozen odd slots.
     """
-    N = cfg.ambient_dim
-    m_normals = []            # normal to M inside the ambient manifold
-    for k in range(cfg.k1):
-        idx = cfg.block_even_indices(k)
-        radial = np.zeros(N)
-        radial[idx] = x[idx] / np.linalg.norm(x[idx])
-        e_h = np.zeros(N)
-        e_h[idx[-1]] = 1.0
-        nu = e_h - (e_h @ radial) * radial
-        m_normals.append(nu / np.linalg.norm(nu))
-    for j in cfg.frozen_odd_indices():
-        e = np.zeros(N)
-        e[j] = 1.0
-        m_normals.append(e)
-    normal_basis = np.stack(m_normals, axis=1) if m_normals else np.zeros((N, 0))
-    # tangent of M, assembled blockwise (small complete QRs per block)
-    tangent_cols = []
+    n_pts, n_amb = points.shape
+    frozen, free = cfg.frozen_odd_indices(), cfg.free_odd_indices()
+    d = sum(m - 1 for m, _ in cfg.blocks) - cfg.k1 + len(free)
+    tangent = np.zeros((n_pts, n_amb, d))
+    normal = np.zeros((n_pts, n_amb, cfg.k1 + len(frozen)))
+    col = 0
     for k in range(cfg.n_blocks):
         idx = cfg.block_even_indices(k)
         m = len(idx)
-        radial = x[idx] / np.linalg.norm(x[idx])
+        xk = points[:, idx]
+        radial = xk / np.linalg.norm(xk, axis=1, keepdims=True)
         if k < cfg.k1:
-            killed = np.stack([radial, np.eye(m)[-1]], axis=1)
+            # nu = e_h - <e_h, radial> radial, normalised, on the block's slots
+            nu = -radial[:, -1:] * radial
+            nu[:, -1] += 1.0
+            normal[:, idx, k] = nu / np.linalg.norm(nu, axis=1, keepdims=True)
+            killed = np.zeros((n_pts, m, 2))     # columns: radial, e_h
+            killed[:, :, 0] = radial
+            killed[:, -1, 1] = 1.0
         else:
-            killed = radial[:, None]
+            killed = radial[:, :, None]
         q, _ = np.linalg.qr(killed, mode="complete")
-        local = q[:, killed.shape[1]:]      # block-local tangent directions
-        for a in range(local.shape[1]):
-            col = np.zeros(N)
-            col[idx] = local[:, a]
-            tangent_cols.append(col)
-    for j in cfg.free_odd_indices():
-        col = np.zeros(N)
-        col[j] = 1.0
-        tangent_cols.append(col)
-    tangent_basis = np.stack(tangent_cols, axis=1) if tangent_cols else np.zeros((N, 0))
-    return tangent_basis, normal_basis
+        n_local = m - killed.shape[2]   # block-local tangent directions
+        tangent[:, idx, col:col + n_local] = q[:, :, killed.shape[2]:]
+        col += n_local
+    tangent[:, free, np.arange(col, d)] = 1.0
+    normal[:, frozen, np.arange(cfg.k1, normal.shape[2])] = 1.0
+    return tangent, normal
 
 
 def build_model(config: SphereProductConfig, n_points: int,
                 seed: int) -> ModelSubmanifold:
     """Seeded random sample of the submanifold with per-point frames."""
+    if n_points < 1:
+        raise ValidationError(f"need at least one point, got {n_points}")
     rng = np.random.default_rng(seed)
-    pts, tans, nors = [], [], []
-    for _ in range(n_points):
-        x = _sample_point(config, rng)
-        t, n = _frames_at(config, x)
-        pts.append(x)
-        tans.append(t)
-        nors.append(n)
-    return ModelSubmanifold(config, np.stack(pts), tans, nors)
+    points = np.empty((n_points, config.ambient_dim))
+    for i in range(n_points):
+        points[i] = _sample_point(config, rng)
+    tangent, normal = _frames(config, points)
+    return ModelSubmanifold(config, points, tangent, normal)
 
 
 def constraint_residual(cfg: SphereProductConfig, x: np.ndarray) -> float:
@@ -233,24 +232,6 @@ def _check_normal(model: ModelSubmanifold, point_index: int, xi: np.ndarray,
         raise ValidationError("xi has a tangential component")
 
 
-def _block_normal_components(model: ModelSubmanifold, point_index: int,
-                             xi: np.ndarray) -> np.ndarray:
-    """Signed components <xi, nu_j> for the k1 constrained blocks."""
-    cfg = model.config
-    x = model.points[point_index]
-    comps = np.zeros(cfg.k1)
-    for j in range(cfg.k1):
-        idx = cfg.block_even_indices(j)
-        radial = np.zeros(cfg.ambient_dim)
-        radial[idx] = x[idx] / np.linalg.norm(x[idx])
-        e_h = np.zeros(cfg.ambient_dim)
-        e_h[idx[-1]] = 1.0
-        nu = e_h - (e_h @ radial) * radial
-        nu /= np.linalg.norm(nu)
-        comps[j] = xi @ nu
-    return comps
-
-
 def _block_tangent_dims(model: ModelSubmanifold, point_index: int) -> np.ndarray:
     """dim of (block even span intersect T_x M) per constrained block, by rank."""
     cfg = model.config
@@ -268,7 +249,7 @@ def shape_eigendata(model: ModelSubmanifold, point_index: int,
     """Per-block (lam_r, lam_a, mult) closed-form eigendata for a normal xi."""
     cfg = model.config
     _check_normal(model, point_index, xi)
-    comps = _block_normal_components(model, point_index, xi)
+    comps = model.normal_bases[point_index][:, : cfg.k1].T @ xi   # <xi, nu_j>
     dims = _block_tangent_dims(model, point_index)
     rows = []
     flat_mult = model.tangent_bases[point_index].shape[1] - int(dims.sum())
@@ -327,53 +308,49 @@ def dense_operators(model: ModelSubmanifold, point_index: int,
     from applying the full constant-curvature tensor to the tangent frame,
     the shape operator from the quadric-constraint Hessians (the normal is
     written in the constraint gradients of M inside flat space; linear
-    constraints contribute no Hessian).
+    constraints contribute no Hessian).  Both act block by block: with
+    T_k = t[idx_k, :] and xi_k = xi[idx_k],
+
+        jac   = sum_k (|xi_k|^2 T_k^T T_k - (T_k^T xi_k)(T_k^T xi_k)^T) / r_k^2
+        shape = sum_k -2 c_k T_k^T T_k
+
+    where c_k is the coefficient of the gradient 2 x_k of block k's sphere
+    constraint in the least-squares expansion of xi.  Every other gradient
+    (block k's height e_h, the frozen odd and free even slots) is supported
+    on slots of its own, so that expansion splits into one solve per block.
+    In a constrained block e_h alone reaches the height slot; dropping that
+    slot leaves a one-column problem for c_k.
     """
     cfg = model.config
     x = model.points[point_index]
     t = model.tangent_bases[point_index]
     _check_normal(model, point_index, xi)
-    d = t.shape[1]
-    jac = np.empty((d, d))
-    for a in range(d):
-        jac[:, a] = t.T @ ambient_curvature(cfg, t[:, a], xi)
-    # gradients of the flat-space constraints spanning the flat-space normals
-    grads, hess_blocks = [], []
-    for k in range(cfg.n_blocks):
+    n_rows = sum(m for m, _ in cfg.blocks)
+    rows = np.empty((n_rows, t.shape[1]))      # T_k stacked over the blocks
+    jac_w = np.empty(n_rows)                   # |xi_k|^2 / r_k^2 on block k's rows
+    shape_w = np.empty(n_rows)                 # -2 c_k on block k's rows
+    proj = np.empty((t.shape[1], cfg.n_blocks))  # column k: T_k^T xi_k / r_k
+    start = 0
+    for k, (m, r) in enumerate(cfg.blocks):
         idx = cfg.block_even_indices(k)
-        g = np.zeros(cfg.ambient_dim)
-        g[idx] = 2.0 * x[idx]
-        grads.append(g)
-        hess_blocks.append(idx)           # Hessian = 2 * identity on the block
-        if k < cfg.k1:
-            e = np.zeros(cfg.ambient_dim)
-            e[idx[-1]] = 1.0
-            grads.append(e)
-            hess_blocks.append(None)      # linear constraint
-    for j in cfg.frozen_odd_indices():
-        e = np.zeros(cfg.ambient_dim)
-        e[j] = 1.0
-        grads.append(e)
-        hess_blocks.append(None)
-    for i in cfg.free_even_indices():
-        e = np.zeros(cfg.ambient_dim)
-        e[i] = 1.0
-        grads.append(e)
-        hess_blocks.append(None)
-    gmat = np.stack(grads, axis=1)
-    coef, *_ = np.linalg.lstsq(gmat, xi, rcond=None)
-    shape = np.zeros((d, d))
-    for c, idx in zip(coef, hess_blocks):
-        if idx is None or c == 0.0:
-            continue
-        sub = t[idx, :]
-        shape += -c * 2.0 * (sub.T @ sub)
+        tk = rows[start:start + m] = t[idx, :]
+        xik = xi[idx]
+        lsq = slice(0, m - 1) if k < cfg.k1 else slice(0, m)
+        g = 2.0 * x[idx[lsq]]
+        jac_w[start:start + m] = (xik @ xik) / r ** 2
+        shape_w[start:start + m] = -2.0 * (g @ xik[lsq]) / (g @ g)
+        proj[:, k] = (tk.T @ xik) / r
+        start += m
+    jac = rows.T @ (jac_w[:, None] * rows) - proj @ proj.T
+    shape = rows.T @ (shape_w[:, None] * rows)
     return jac, shape
 
 
 def curvature_adapted_check(model: ModelSubmanifold, n_trials: int,
                             seed: int) -> dict:
     """Max commutator norm of the dense operator pair over random (point, xi)."""
+    if n_trials < 1:
+        raise ValidationError(f"need at least one trial, got {n_trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
@@ -391,7 +368,7 @@ def trace_closed_form(model: ModelSubmanifold, point_index: int,
     """Shape-operator trace from actual block dimensions, plus the printed
     (m_j - 1)-weighted variant, flagging any mismatch."""
     cfg = model.config
-    comps = _block_normal_components(model, point_index, xi)
+    comps = model.normal_bases[point_index][:, : cfg.k1].T @ xi   # <xi, nu_j>
     dims = _block_tangent_dims(model, point_index)
     tr_actual, tr_printed = 0.0, 0.0
     for j in range(cfg.k1):

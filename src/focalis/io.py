@@ -137,17 +137,5 @@ def read_sphere_config(path: str) -> SphereProductConfig:
             k2=int(data["k2"]),
             ambient_dim=int(data["ambient_dim"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed config file '{path}': {exc}") from exc
-
-
-def write_sphere_config(path: str, cfg: SphereProductConfig):
-    data = {
-        "blocks": [[m, r] for m, r in cfg.blocks],
-        "k1": cfg.k1,
-        "rprime": list(cfg.rprime),
-        "k2": cfg.k2,
-        "ambient_dim": cfg.ambient_dim,
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)

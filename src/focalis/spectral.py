@@ -70,6 +70,8 @@ def _as_branch(values, mults, name):
     mults = np.asarray(mults, dtype=np.int64)
     if values.ndim != 1 or mults.shape != values.shape:
         raise ValidationError(f"{name}: values/mults must be 1-d of equal length")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name}: entries must be finite")
     keep = values != 0.0
     values, mults = values[keep], mults[keep]
     if np.any(values <= 0.0):
@@ -109,12 +111,14 @@ class SpectralData:
                     )
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues, tail: Optional[TailModel] = None,
-                         merge_tol: float = 0.0) -> "SpectralData":
-        """Build from a plain list of signed eigenvalues (zeros dropped)."""
+    def from_eigenvalues(cls, eigenvalues,
+                         tail: Optional[TailModel] = None) -> "SpectralData":
+        """Build from a plain list of finite signed eigenvalues (zeros dropped)."""
         ev = np.asarray(eigenvalues, dtype=float).ravel()
-        pos = np.sort(ev[ev > merge_tol])[::-1] if merge_tol else np.sort(ev[ev > 0])[::-1]
-        neg = np.sort(-ev[ev < -merge_tol])[::-1] if merge_tol else np.sort(-ev[ev < 0])[::-1]
+        if not np.all(np.isfinite(ev)):
+            raise ValidationError("eigenvalues must be finite")
+        pos = np.sort(ev[ev > 0])[::-1]
+        neg = np.sort(-ev[ev < 0])[::-1]
         return cls(pos, np.ones(len(pos), dtype=np.int64),
                    neg, np.ones(len(neg), dtype=np.int64), tail)
 

@@ -118,6 +118,16 @@ class TestTraceCommand:
         assert report["result"]["tr_zeta"] == pytest.approx(1.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_spectrum_is_input_error(self, capsys, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"positives": [{"value": 0.5, "mult": 1},
+                                                  {"value": value, "mult": 1}],
+                                    "negatives": [], "tail": None}))
+        code, _ = run(capsys, "trace", "--spec", str(path))
+        assert code == 2
+
+
 class TestFocalAndParallel:
     def test_focal_radii(self, capsys, grid_file):
         code, report = run_json(capsys, "focal", "--grid", grid_file,
@@ -165,6 +175,21 @@ class TestCheckCommand:
         assert code == 1
         assert report["result"]["passed"] is False
 
+    @pytest.mark.parametrize("radii", ["abc", "0.05,inf", "0.05,nan", "0.1,-inf"])
+    def test_iso_bad_radii_is_input_error(self, capsys, tmp_path, radii):
+        g = EigenGrid(((1.0, 0.5, 2),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        code, _ = run(capsys, "check", "iso", "--grids", d, "--radii", radii)
+        assert code == 2
+
+    def test_nonfinite_grid_file_is_input_error(self, capsys, tmp_path):
+        d = tmp_path / "grids"
+        d.mkdir()
+        (d / "g0.json").write_text(json.dumps(
+            {"label": "p", "pairs": [{"lambdaR": float("nan"), "lambdaA": 1.0, "mult": 1}]}))
+        code, _ = run(capsys, "check", "iso", "--grids", str(d))
+        assert code == 2
+
     def test_empty_dir_is_input_error(self, capsys, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -184,6 +209,23 @@ class TestModelCommand:
         assert res["trace_constancy"]["passed"] is True
         assert res["curvature_adapted"]["passed"] is True
         assert len(res["focal_sets"]) == 5
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--radii", "abc"), ("--radii", "0.05,inf"), ("--radii", "0.05,nan"),
+        ("--radii", "0.05,"), ("--points", "0"), ("--points", "-2"),
+        ("--trials", "0")])
+    def test_example41_bad_input_is_input_error(self, capsys, argv):
+        code, out = run(capsys, "example41", "--points", "3", "--trials", "3", *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_bad_config_value_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"blocks": [[4, 1.0], [3, float("nan")]], "k1": 1,
+                                    "rprime": [0.5], "k2": 0, "ambient_dim": 64}))
+        code, _ = run(capsys, "example41", "--config", str(path), "--points", "2")
+        assert code == 2
 
 
 class TestTransportCommands:

@@ -160,6 +160,13 @@ class TestFocalSet:
         assert len(fset.entries) == 1
         assert fset.entries[0][1] == 5
 
+    @pytest.mark.parametrize("pair", [(math.nan, 1.0, 1), (1.0, math.inf, 2),
+                                      (-math.inf, 0.0, 1)])
+    def test_nonfinite_pair_rejected(self, pair):
+        # (nan, 1.0) used to take the flat branch and report a radius of 1.0
+        with pytest.raises(ValidationError):
+            EigenGrid((pair,))
+
     def test_separation_invariant(self):
         with pytest.raises(ValidationError):
             FocalRadiusSet(((1.0, 1), (1.0 + 1e-12, 1)), Window(0.1, 5.0))

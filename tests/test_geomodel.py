@@ -5,7 +5,7 @@ from focalis import focal
 from focalis.errors import ValidationError
 from focalis.focal import Window
 from focalis.geomodel import (ModelSubmanifold, SphereProductConfig,
-                              ambient_curvature, build_model,
+                              _sample_point, ambient_curvature, build_model,
                               constraint_residual, curvature_adapted_check,
                               default_config, dense_operators, eigen_grid_of,
                               normal_jacobi_operator, random_normal_vector,
@@ -22,6 +22,93 @@ def circle_config():
 def two_block_config():
     return SphereProductConfig(blocks=((4, 1.0), (3, 0.7)), k1=2,
                                rprime=(0.8, 0.5), k2=1, ambient_dim=20)
+
+
+def mixed_config(ambient_dim=64):
+    # two unconstrained blocks (k1 < n_blocks), a 2-slot block, no frozen slot
+    return SphereProductConfig(blocks=((5, 1.2), (2, 0.9), (4, 0.7), (3, 0.4)),
+                               k1=2, rprime=(0.6, 0.5), k2=0,
+                               ambient_dim=ambient_dim)
+
+
+def default_at(ambient_dim):
+    cfg = default_config()
+    return SphereProductConfig(blocks=cfg.blocks, k1=cfg.k1, rprime=cfg.rprime,
+                               k2=cfg.k2, ambient_dim=ambient_dim)
+
+
+def frames_per_point(cfg, x):
+    """Per-point reference frames: full-length columns, one small QR per block."""
+    N = cfg.ambient_dim
+    m_normals = []
+    for k in range(cfg.k1):
+        idx = cfg.block_even_indices(k)
+        radial = np.zeros(N)
+        radial[idx] = x[idx] / np.linalg.norm(x[idx])
+        e_h = np.zeros(N)
+        e_h[idx[-1]] = 1.0
+        nu = e_h - (e_h @ radial) * radial
+        m_normals.append(nu / np.linalg.norm(nu))
+    for j in cfg.frozen_odd_indices():
+        e = np.zeros(N)
+        e[j] = 1.0
+        m_normals.append(e)
+    normal = np.stack(m_normals, axis=1) if m_normals else np.zeros((N, 0))
+    tangent_cols = []
+    for k in range(cfg.n_blocks):
+        idx = cfg.block_even_indices(k)
+        m = len(idx)
+        radial = x[idx] / np.linalg.norm(x[idx])
+        if k < cfg.k1:
+            killed = np.stack([radial, np.eye(m)[-1]], axis=1)
+        else:
+            killed = radial[:, None]
+        q, _ = np.linalg.qr(killed, mode="complete")
+        for a in range(killed.shape[1], m):
+            col = np.zeros(N)
+            col[idx] = q[:, a]
+            tangent_cols.append(col)
+    for j in cfg.free_odd_indices():
+        col = np.zeros(N)
+        col[j] = 1.0
+        tangent_cols.append(col)
+    tangent = np.stack(tangent_cols, axis=1) if tangent_cols else np.zeros((N, 0))
+    return tangent, normal
+
+
+def dense_operators_per_column(model, pi, xi):
+    """Per-column reference: ambient_curvature on each tangent column, and the
+    shape operator from one least-squares solve over every constraint gradient."""
+    cfg = model.config
+    x = model.points[pi]
+    t = model.tangent_bases[pi]
+    d = t.shape[1]
+    jac = np.empty((d, d))
+    for a in range(d):
+        jac[:, a] = t.T @ ambient_curvature(cfg, t[:, a], xi)
+    grads, hess_blocks = [], []
+    for k in range(cfg.n_blocks):
+        idx = cfg.block_even_indices(k)
+        g = np.zeros(cfg.ambient_dim)
+        g[idx] = 2.0 * x[idx]
+        grads.append(g)
+        hess_blocks.append(idx)
+        if k < cfg.k1:
+            e = np.zeros(cfg.ambient_dim)
+            e[idx[-1]] = 1.0
+            grads.append(e)
+            hess_blocks.append(None)
+    for j in list(cfg.frozen_odd_indices()) + list(cfg.free_even_indices()):
+        e = np.zeros(cfg.ambient_dim)
+        e[j] = 1.0
+        grads.append(e)
+        hess_blocks.append(None)
+    coef, *_ = np.linalg.lstsq(np.stack(grads, axis=1), xi, rcond=None)
+    shape = np.zeros((d, d))
+    for c, idx in zip(coef, hess_blocks):
+        if idx is not None:
+            shape -= 2.0 * c * (t[idx, :].T @ t[idx, :])
+    return jac, shape
 
 
 class TestConfig:
@@ -75,6 +162,39 @@ class TestBuildModel:
         a = build_model(default_config(), 4, seed=9)
         b = build_model(default_config(), 4, seed=9)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(),
+                                     two_block_config(), circle_config()])
+    def test_points_are_sequential_draws(self, cfg):
+        model = build_model(cfg, 7, seed=21)
+        rng = np.random.default_rng(21)
+        draws = np.stack([_sample_point(cfg, rng) for _ in range(7)])
+        assert np.array_equal(model.points, draws)
+
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(),
+                                     two_block_config(), circle_config(),
+                                     default_at(512)])
+    def test_batched_frames_match_per_point(self, cfg):
+        model = build_model(cfg, 6, seed=22)
+        for x, t, n in zip(model.points, model.tangent_bases, model.normal_bases):
+            t_ref, n_ref = frames_per_point(cfg, x)
+            assert t.shape == t_ref.shape and n.shape == n_ref.shape
+            assert np.max(np.abs(t - t_ref)) < 1e-13
+            assert np.max(np.abs(n - n_ref), initial=0.0) < 1e-13
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_no_points_rejected(self, n_points):
+        with pytest.raises(ValidationError):
+            build_model(default_config(), n_points, seed=0)
+
+    def test_block_index_table(self):
+        cfg = mixed_config()
+        start = 0
+        for k, (m, _) in enumerate(cfg.blocks):
+            idx = cfg.block_even_indices(k)
+            assert idx.tolist() == [2 * i - 1 for i in range(start + 1, start + m + 1)]
+            assert not idx.flags.writeable
+            start += m
 
 
 class TestOperators:
@@ -130,6 +250,47 @@ class TestOperators:
 
 
 class TestDenseAgreement:
+    @pytest.mark.parametrize("cfg,n_points", [
+        (default_config(), 4), (mixed_config(), 4), (two_block_config(), 3),
+        (circle_config(), 3), (default_at(512), 2), (mixed_config(512), 2),
+        (default_at(2000), 1)])
+    def test_blockwise_matches_per_column(self, cfg, n_points):
+        model = build_model(cfg, n_points, seed=23)
+        rng = np.random.default_rng(24)
+        for pi in range(n_points):
+            xi = random_normal_vector(model, pi, rng)
+            jac, shape = dense_operators(model, pi, xi)
+            jac_ref, shape_ref = dense_operators_per_column(model, pi, xi)
+            assert np.max(np.abs(jac - jac_ref)) < 1e-13
+            assert np.max(np.abs(shape - shape_ref)) < 1e-13
+
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(), default_at(512)])
+    def test_blockwise_matches_per_column_on_rotated_frames(self, cfg):
+        # On the model's own frames T_k^T xi_k vanishes for every normal xi, so
+        # the curvature's outer-product term is only seen on a frame pair that
+        # mixes tangent and normal directions of the ambient product.
+        model = build_model(cfg, 2, seed=27)
+        rng = np.random.default_rng(28)
+        d = model.tangent_dim
+        tangent, normal = [], []
+        for t, n in zip(model.tangent_bases, model.normal_bases):
+            q, _ = np.linalg.qr(rng.normal(size=(d + n.shape[1],) * 2))
+            rotated = np.hstack([t, n]) @ q
+            tangent.append(rotated[:, :d])
+            normal.append(rotated[:, d:])
+        mixed = ModelSubmanifold(cfg, model.points, np.stack(tangent), np.stack(normal))
+        for pi in range(2):
+            xi = random_normal_vector(mixed, pi, rng)
+            jac, shape = dense_operators(mixed, pi, xi)
+            jac_ref, shape_ref = dense_operators_per_column(mixed, pi, xi)
+            assert np.max(np.abs(jac - jac_ref)) < 1e-13
+            assert np.max(np.abs(shape - shape_ref)) < 1e-13
+
+    def test_zero_trials_rejected(self):
+        model = build_model(default_config(), 2, seed=25)
+        with pytest.raises(ValidationError):
+            curvature_adapted_check(model, 0, seed=26)
+
     def test_spectra_match_block_formulas(self):
         model = build_model(default_config(), 3, seed=11)
         rng = np.random.default_rng(12)

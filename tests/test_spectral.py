@@ -39,6 +39,21 @@ class TestValidation:
             SpectralData(np.array([1.0]), np.array([0]),
                          np.empty(0), np.empty(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected(self, value):
+        with pytest.raises(ValidationError):
+            SpectralData(np.array([value, 0.5]), np.array([1, 1]),
+                         np.empty(0), np.empty(0, dtype=np.int64))
+        with pytest.raises(ValidationError):
+            SpectralData(np.empty(0), np.empty(0, dtype=np.int64),
+                         np.array([1.0, value]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_from_eigenvalues_rejects_nonfinite(self, value):
+        # a NaN used to be dropped silently, leaving reg_trace([nan, 1.0]) = 1.0
+        with pytest.raises(ValidationError):
+            SpectralData.from_eigenvalues([value, 1.0])
+
     def test_zeros_dropped(self):
         spec = SpectralData.from_eigenvalues([1.0, 0.0, -0.5])
         assert spec.rank == 2
