@@ -37,7 +37,8 @@ def _jsonable(x):
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
-        return float(x)
+        # strict JSON has no NaN or Infinity
+        return float(x) if math.isfinite(x) else None
     if isinstance(x, (np.integer, int)):
         return int(x)
     if x is DIVERGENT:
@@ -291,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("trace", help="regularized / power-sum traces of a spectrum")
     p.add_argument("--spec", required=True)
@@ -318,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grids", required=True)
     p.add_argument("--window", default="0.001,10")
     p.add_argument("--radii", default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--radii", default=None)
     p.add_argument("--window", default="0.001,10")
-    p.add_argument("--report", dest="out_alias", default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_example41)
 
@@ -347,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="restricted-root decomposition report")
     p.add_argument("--algebra", required=True)
     p.add_argument("--theta", default="conj")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_roots)
 
@@ -355,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", required=True)
     p.add_argument("--k2", required=True)
     p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_hyperpolar)
 
@@ -378,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out_alias", None) and not args.out:
-        args.out = args.out_alias
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "out_alias") and not callable(v)}
+    config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
         result, code = args.func(args)
     except (ValidationError, SingularOperatorError) as exc:

@@ -57,8 +57,8 @@ class Window:
     negative: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.lo < self.hi):
-            raise ValidationError(f"degenerate window [{self.lo}, {self.hi}]")
+        if not (0.0 < self.lo < self.hi < math.inf):
+            raise ValidationError(f"window [{self.lo}, {self.hi}] needs 0 < lo < hi < inf")
 
     def contains(self, r: float) -> bool:
         return self.lo <= abs(r) <= self.hi and (r < 0) == self.negative
@@ -89,15 +89,20 @@ class EigenGrid:
     def total_multiplicity(self) -> int:
         return sum(m for _, _, m in self.pairs)
 
+    def _column(self, i: int):
+        """Column i of the pairs (0: lam_r, 1: lam_a) and the multiplicities."""
+        return (np.array([p[i] for p in self.pairs], dtype=float),
+                np.array([p[2] for p in self.pairs], dtype=np.int64))
+
+    def _spectrum(self, i: int) -> SpectralData:
+        values, mults = self._column(i)
+        return SpectralData.from_eigenvalues(values, mults=mults)
+
     def shape_spectrum(self) -> SpectralData:
-        eig = np.repeat([la for _, la, _ in self.pairs],
-                        [m for _, _, m in self.pairs])
-        return SpectralData.from_eigenvalues(eig)
+        return self._spectrum(1)
 
     def jacobi_spectrum(self) -> SpectralData:
-        eig = np.repeat([lr for lr, _, _ in self.pairs],
-                        [m for _, _, m in self.pairs])
-        return SpectralData.from_eigenvalues(eig)
+        return self._spectrum(0)
 
 
 @dataclass(frozen=True)
@@ -298,31 +303,29 @@ def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> Union[TraceValue, 
     return spectral.reg_trace(tg.shape_spectrum())
 
 
-def _multisets_close(a: np.ndarray, b: np.ndarray,
-                     abs_tol: float = SPEC_ABS_TOL, rel_tol: float = SPEC_REL_TOL) -> bool:
-    if len(a) != len(b):
+def _multisets_close(a, b, abs_tol: float = SPEC_ABS_TOL,
+                     rel_tol: float = SPEC_REL_TOL) -> bool:
+    """Compare two (values, mults) multisets as their sorted multiplicity
+    expansions compare elementwise, once per run on which both are constant."""
+    (va, ma), (vb, mb) = a, b
+    oa, ob = np.argsort(va), np.argsort(vb)
+    ca, cb = np.cumsum(ma[oa]), np.cumsum(mb[ob])
+    if not np.array_equal(ca[-1:], cb[-1:]):
         return False
-    a, b = np.sort(a), np.sort(b)
-    return bool(np.all(np.abs(a - b) <= abs_tol + rel_tol * np.maximum(np.abs(a), np.abs(b))))
-
-
-def _expanded_spectrum(values, mults):
-    return np.repeat(np.asarray(values, dtype=float), np.asarray(mults, dtype=int))
+    ends = np.union1d(ca, cb) - 1        # last expanded index of each run
+    x = va[oa][np.searchsorted(ca, ends, side="right")]
+    y = vb[ob][np.searchsorted(cb, ends, side="right")]
+    return bool(np.all(np.abs(x - y) <= abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))))
 
 
 def weakly_isoparametric_check(grids: Sequence[EigenGrid]) -> bool:
-    """Orthogonal equivalence across base points: equal spectra with multiplicity."""
+    """Orthogonal equivalence across base points: equal spectra with multiplicity
+    (zero eigenvalues included)."""
     if not grids:
         raise ValidationError("need at least one grid")
     ref = grids[0]
-    ref_a = _expanded_spectrum([la for _, la, _ in ref.pairs], [m for _, _, m in ref.pairs])
-    ref_r = _expanded_spectrum([lr for lr, _, _ in ref.pairs], [m for _, _, m in ref.pairs])
-    for g in grids[1:]:
-        ga = _expanded_spectrum([la for _, la, _ in g.pairs], [m for _, _, m in g.pairs])
-        gr = _expanded_spectrum([lr for lr, _, _ in g.pairs], [m for _, _, m in g.pairs])
-        if not (_multisets_close(ref_a, ga) and _multisets_close(ref_r, gr)):
-            return False
-    return True
+    return all(_multisets_close(ref._column(i), g._column(i))
+               for g in grids[1:] for i in (0, 1))
 
 
 def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],

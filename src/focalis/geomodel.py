@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .focal import EigenGrid
-from .spectral import SpectralData
 
 
 @dataclass(frozen=True)
@@ -232,16 +231,18 @@ def _check_normal(model: ModelSubmanifold, point_index: int, xi: np.ndarray,
         raise ValidationError("xi has a tangential component")
 
 
-def _block_tangent_dims(model: ModelSubmanifold, point_index: int) -> np.ndarray:
-    """dim of (block even span intersect T_x M) per constrained block, by rank."""
+def _constrained_blocks(model: ModelSubmanifold, point_index: int, xi: np.ndarray):
+    """Per constrained block j: <xi, nu_j>, the dimension of (block even span
+    intersect T_x M) by rank, and the shape eigenvalue lam_a,j =
+    sqrt(1/rprime_j^2 - 1/r_j^2) <xi, nu_j>."""
     cfg = model.config
     t = model.tangent_bases[point_index]
-    dims = np.zeros(cfg.k1, dtype=int)
-    for j in range(cfg.k1):
-        idx = cfg.block_even_indices(j)
-        sub = t[idx, :]
-        dims[j] = np.linalg.matrix_rank(sub, tol=1e-9)
-    return dims
+    comps = model.normal_bases[point_index][:, : cfg.k1].T @ xi   # <xi, nu_j>
+    dims = np.array([np.linalg.matrix_rank(t[cfg.block_even_indices(j), :], tol=1e-9)
+                     for j in range(cfg.k1)], dtype=int)
+    lam_a = [np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2) * c
+             for (_, r), rp, c in zip(cfg.blocks, cfg.rprime, comps)]
+    return comps, dims, lam_a
 
 
 def shape_eigendata(model: ModelSubmanifold, point_index: int,
@@ -249,36 +250,13 @@ def shape_eigendata(model: ModelSubmanifold, point_index: int,
     """Per-block (lam_r, lam_a, mult) closed-form eigendata for a normal xi."""
     cfg = model.config
     _check_normal(model, point_index, xi)
-    comps = model.normal_bases[point_index][:, : cfg.k1].T @ xi   # <xi, nu_j>
-    dims = _block_tangent_dims(model, point_index)
-    rows = []
+    comps, dims, lam_a = _constrained_blocks(model, point_index, xi)
+    rows = [(float(c ** 2 / r ** 2), float(la), int(d))
+            for (_, r), c, d, la in zip(cfg.blocks, comps, dims, lam_a) if d > 0]
     flat_mult = model.tangent_bases[point_index].shape[1] - int(dims.sum())
-    for j in range(cfg.k1):
-        m, r = cfg.blocks[j]
-        rp = cfg.rprime[j]
-        lam_r = comps[j] ** 2 / r ** 2
-        lam_a = np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2) * comps[j]
-        if dims[j] > 0:
-            rows.append((float(lam_r), float(lam_a), int(dims[j])))
     if flat_mult > 0:
         rows.append((0.0, 0.0, flat_mult))
     return rows
-
-
-def normal_jacobi_operator(model: ModelSubmanifold, point_index: int,
-                           xi: np.ndarray) -> SpectralData:
-    """Spectrum of R(., xi)xi restricted to the tangent space (block closed form)."""
-    rows = shape_eigendata(model, point_index, xi)
-    eig = np.repeat([lr for lr, _, _ in rows], [m for _, _, m in rows])
-    return SpectralData.from_eigenvalues(eig)
-
-
-def shape_operator(model: ModelSubmanifold, point_index: int,
-                   xi: np.ndarray) -> SpectralData:
-    """Spectrum of the shape operator A_xi (block closed form, finite rank)."""
-    rows = shape_eigendata(model, point_index, xi)
-    eig = np.repeat([la for _, la, _ in rows], [m for _, _, m in rows])
-    return SpectralData.from_eigenvalues(eig)
 
 
 def eigen_grid_of(model: ModelSubmanifold, point_index: int,
@@ -368,15 +346,11 @@ def trace_closed_form(model: ModelSubmanifold, point_index: int,
     """Shape-operator trace from actual block dimensions, plus the printed
     (m_j - 1)-weighted variant, flagging any mismatch."""
     cfg = model.config
-    comps = model.normal_bases[point_index][:, : cfg.k1].T @ xi   # <xi, nu_j>
-    dims = _block_tangent_dims(model, point_index)
+    _, dims, lam_a = _constrained_blocks(model, point_index, xi)
     tr_actual, tr_printed = 0.0, 0.0
-    for j in range(cfg.k1):
-        m, r = cfg.blocks[j]
-        rp = cfg.rprime[j]
-        coeff = np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2) * comps[j]
-        tr_actual += coeff * dims[j]
-        tr_printed += coeff * (m - 1)
+    for (m, _), d, la in zip(cfg.blocks, dims, lam_a):
+        tr_actual += la * d
+        tr_printed += la * (m - 1)
     return {
         "trace_from_block_dims": float(tr_actual),
         "trace_printed_weights": float(tr_printed),

@@ -30,6 +30,8 @@ class OperatorMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("operator must be a square matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("operator entries must be finite")
         scale = 1.0 + np.abs(m).max()
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
             raise ValidationError("operator is not symmetric")

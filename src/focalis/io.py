@@ -59,9 +59,9 @@ def write_spectrum(path: str, spec: SpectralData):
 def read_eigen_grid(path: str) -> EigenGrid:
     data = _load_json(path)
     try:
-        pairs = tuple((p["lambdaR"], p["lambdaA"], p.get("mult", 1))
+        pairs = tuple((float(p["lambdaR"]), float(p["lambdaA"]), int(p.get("mult", 1)))
                       for p in data["pairs"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed grid file '{path}': {exc}") from exc
     return EigenGrid(pairs, label=data.get("label"))
 

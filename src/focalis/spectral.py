@@ -53,8 +53,8 @@ class TailModel:
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
             raise ValidationError(f"tail ratio must lie in (0,1), got {self.ratio}")
-        if self.scale < 0.0:
-            raise ValidationError(f"tail scale must be >= 0, got {self.scale}")
+        if not (0.0 <= self.scale < np.inf):
+            raise ValidationError(f"tail scale must be finite and >= 0, got {self.scale}")
 
     def bound(self, index: int) -> float:
         return self.scale * self.ratio ** index
@@ -70,15 +70,15 @@ def _as_branch(values, mults, name):
     mults = np.asarray(mults, dtype=np.int64)
     if values.ndim != 1 or mults.shape != values.shape:
         raise ValidationError(f"{name}: values/mults must be 1-d of equal length")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{name}: entries must be finite")
     keep = values != 0.0
     values, mults = values[keep], mults[keep]
-    if np.any(values <= 0.0):
+    if (values <= 0.0).any():
         raise ValidationError(f"{name}: entries must be positive magnitudes")
-    if np.any(mults < 1):
+    if (mults < 1).any():
         raise ValidationError(f"{name}: multiplicities must be >= 1")
-    if np.any(np.diff(values) > 0.0):
+    if (values[1:] > values[:-1]).any():
         raise ValidationError(f"{name}: values must be sorted non-increasing")
     return values, mults
 
@@ -111,16 +111,25 @@ class SpectralData:
                     )
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues,
-                         tail: Optional[TailModel] = None) -> "SpectralData":
-        """Build from a plain list of finite signed eigenvalues (zeros dropped)."""
+    def from_eigenvalues(cls, eigenvalues, tail: Optional[TailModel] = None,
+                         mults=None) -> "SpectralData":
+        """Build from finite signed eigenvalues, each with a multiplicity
+        (one by default); zeros are dropped."""
         ev = np.asarray(eigenvalues, dtype=float).ravel()
-        if not np.all(np.isfinite(ev)):
+        mults = (np.ones(len(ev), dtype=np.int64) if mults is None
+                 else np.asarray(mults, dtype=np.int64).ravel())
+        if mults.shape != ev.shape:
+            raise ValidationError("eigenvalues and multiplicities differ in length")
+        if not np.isfinite(ev).all():
             raise ValidationError("eigenvalues must be finite")
-        pos = np.sort(ev[ev > 0])[::-1]
-        neg = np.sort(-ev[ev < 0])[::-1]
-        return cls(pos, np.ones(len(pos), dtype=np.int64),
-                   neg, np.ones(len(neg), dtype=np.int64), tail)
+        # sorting entries by value, then expanding, gives the same sequence as
+        # sorting the expanded values; ascending order puts the negatives
+        # first by decreasing magnitude and the positives last
+        order = np.argsort(ev)
+        ev, mults = ev[order], mults[order]
+        n_neg, n_nonpos = np.searchsorted(ev, 0.0, "left"), np.searchsorted(ev, 0.0, "right")
+        return cls(ev[n_nonpos:][::-1], mults[n_nonpos:][::-1],
+                   -ev[:n_neg], mults[:n_neg], tail)
 
     @classmethod
     def from_entries(cls, positives, negatives, tail=None) -> "SpectralData":

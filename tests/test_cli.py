@@ -17,9 +17,13 @@ def run(capsys, *argv):
     return code, out
 
 
+def _reject_constant(token):
+    raise ValueError(f"report holds {token}, which strict JSON does not allow")
+
+
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -118,6 +122,13 @@ class TestTraceCommand:
         assert report["result"]["tr_zeta"] == pytest.approx(1.0, abs=1e-6)
 
 
+    def test_nan_tail_scale_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"positives": [{"value": 0.5, "mult": 1}],
+                                    "tail": {"ratio": 0.5, "scale": float("nan")}}))
+        code, _ = run(capsys, "trace", "--spec", str(path))
+        assert code == 2
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_spectrum_is_input_error(self, capsys, tmp_path, value):
         path = tmp_path / "bad.json"
@@ -143,6 +154,35 @@ class TestFocalAndParallel:
         assert code == 0
         assert report["result"]["focal_collision"] is False
         assert isinstance(report["result"]["tr_r"], float)
+
+    def test_parallel_high_multiplicity_matches_spectrum_file(self, capsys, tmp_path):
+        # a grid pair of multiplicity 100 is one stored entry, as in a spectrum file
+        grid_path, spec_path = tmp_path / "grid.json", tmp_path / "spec.json"
+        io.write_eigen_grid(str(grid_path), EigenGrid(((0.0, 0.5, 100),)))
+        code, report = run_json(capsys, "parallel", "--grid", str(grid_path),
+                                "--r", "0.1")
+        assert code == 0
+        lam = report["result"]["pairs"][0][1]
+        spec_path.write_text(json.dumps({"positives": [{"value": lam, "mult": 100}]}))
+        code, trace = run_json(capsys, "trace", "--spec", str(spec_path))
+        assert trace["result"]["method"] == "finite-rank"
+        assert report["result"]["tr_r"] == trace["result"]["tr_r"]
+
+    def test_focal_infinite_window_is_input_error(self, capsys, tmp_path):
+        # flat pairs only, so the search ends even where the window is accepted
+        path = tmp_path / "flat.json"
+        io.write_eigen_grid(str(path), EigenGrid(((0.0, 2.0, 1),)))
+        code, _ = run(capsys, "focal", "--grid", str(path), "--window", "0.001,inf")
+        assert code == 2
+
+    def test_focal_report_is_strict_json_without_gaps(self, capsys, tmp_path):
+        # one radius leaves every min_gaps entry undefined
+        path = tmp_path / "flat.json"
+        io.write_eigen_grid(str(path), EigenGrid(((0.0, 2.0, 1),)))
+        code, report = run_json(capsys, "focal", "--grid", str(path))
+        assert code == 0
+        assert report["result"]["radii"] == [0.5]
+        assert set(report["result"]["witness"]["min_gaps"].values()) == {None}
 
     def test_parallel_focal_collision(self, capsys, grid_file):
         code, report = run_json(capsys, "parallel", "--grid", grid_file,
@@ -190,6 +230,37 @@ class TestCheckCommand:
         code, _ = run(capsys, "check", "iso", "--grids", str(d))
         assert code == 2
 
+    @pytest.mark.parametrize("pair", [
+        {"lambdaR": "abc", "lambdaA": 1.0, "mult": 1},
+        {"lambdaR": 1.0, "lambdaA": "x", "mult": 1},
+        {"lambdaR": 1.0, "lambdaA": 1.0, "mult": "many"},
+        {"lambdaR": 1.0, "lambdaA": 1.0, "mult": float("inf")},
+    ])
+    @pytest.mark.parametrize("command", ["check", "focal"])
+    def test_non_numeric_grid_value_is_input_error(self, capsys, tmp_path, command, pair):
+        d = tmp_path / "grids"
+        d.mkdir()
+        (d / "g0.json").write_text(json.dumps({"label": "p", "pairs": [pair]}))
+        argv = (["check", "iso", "--grids", str(d)] if command == "check"
+                else ["focal", "--grid", str(d / "g0.json")])
+        code, _ = run(capsys, *argv)
+        assert code == 2
+
+    def test_iso_high_multiplicity_passes(self, capsys, tmp_path):
+        g = EigenGrid(((0.0, 0.5, 100),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        code, report = run_json(capsys, "check", "iso", "--grids", d, "--radii", "0.1")
+        assert code == 0
+        assert report["result"]["regularizable"] is True
+
+    def test_iso_all_focal_is_strict_json(self, capsys, tmp_path):
+        # every grid is focal at r = 1, so the spread there is undefined
+        g = EigenGrid(((0.0, 1.0, 1),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        code, report = run_json(capsys, "check", "iso", "--grids", d, "--radii", "1.0")
+        assert code == 1
+        assert report["result"]["radii"]["1.0"] == {"values": [], "spread": None}
+
     def test_empty_dir_is_input_error(self, capsys, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -201,7 +272,7 @@ class TestModelCommand:
     def test_example41_small_run(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _ = run(capsys, "example41", "--points", "5", "--trials", "5",
-                      "--report", str(out))
+                      "--out", str(out))
         assert code == 0
         report = json.loads(out.read_text())
         res = report["result"]
@@ -210,6 +281,18 @@ class TestModelCommand:
         assert res["curvature_adapted"]["passed"] is True
         assert len(res["focal_sets"]) == 5
 
+
+    def test_example41_block_beyond_finite_rank_cap(self, capsys, tmp_path):
+        # a 70-slot block gives one grid entry of multiplicity 68: finite rank
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"blocks": [[70, 1.0], [4, 0.8]], "k1": 2,
+                                   "rprime": [0.8, 0.6], "k2": 1, "ambient_dim": 200}))
+        code, report = run_json(capsys, "example41", "--config", str(cfg),
+                                "--points", "4", "--trials", "3")
+        assert code == 0
+        res = report["result"]
+        assert res["trace_constancy"]["regularizable"] is True
+        assert res["closed_form_traces"]["block_dims"] == [68, 2]
 
     @pytest.mark.parametrize("argv", [
         ("--radii", "abc"), ("--radii", "0.05,inf"), ("--radii", "0.05,nan"),
@@ -350,6 +433,13 @@ class TestGreenCommands:
         psi_path.write_text(json.dumps([1.0, 1.0]))
         code, _ = run(capsys, "green", "--op", str(op_path),
                       "--psi", str(psi_path))
+        assert code == 2
+
+    def test_green_nan_operator_is_input_error(self, capsys, tmp_path):
+        op_path, psi_path = tmp_path / "op.json", tmp_path / "psi.json"
+        op_path.write_text(json.dumps([[1.0, float("nan")], [float("nan"), 1.0]]))
+        psi_path.write_text(json.dumps([1.0, 1.0]))
+        code, _ = run(capsys, "green", "--op", str(op_path), "--psi", str(psi_path))
         assert code == 2
 
     def test_green_singular_projection(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from focalis.focal import (FOCAL, EigenGrid, FocalRadiusSet, Window,
                            jacobi_amplitude_deriv, parallel_reg_mean_curvature,
                            parallel_shape_eigenvalue, proper_fredholm_witness,
                            riccati_oracle, weakly_isoparametric_check)
+from focalis.spectral import SpectralData, reg_trace
 
 LAM_R_GRID = [-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0]
 LAM_A_GRID = [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0]
@@ -102,6 +103,10 @@ class TestFocalRadiiPair:
             Window(1.0, 0.5)
         with pytest.raises(ValidationError):
             Window(0.0, 1.0)
+        for hi in (math.inf, math.nan):
+            # an infinite window made focal_radii_pair append radii forever
+            with pytest.raises(ValidationError):
+                Window(0.001, hi)
 
     def test_matches_dense_oracle_on_grid(self):
         for lr in LAM_R_GRID:
@@ -288,6 +293,17 @@ class TestParallelRegMeanCurvature:
         grid = EigenGrid(((1.0, 1.0, 2),))
         assert parallel_reg_mean_curvature(grid, math.pi / 4) is FOCAL
 
+    def test_high_multiplicity_is_finite_rank(self):
+        # one stored entry of multiplicity 100 is a finite-rank operator, as
+        # the spectrum {"positives": [{"value": lam, "mult": 100}]} is
+        grid = EigenGrid(((0.0, 0.5, 100),))
+        assert reg_trace(grid.shape_spectrum()) == 50.0
+        for r in (0.0, 0.1):
+            lam = parallel_shape_eigenvalue(0.0, 0.5, r)
+            want = reg_trace(SpectralData.from_entries([(lam, 100)], []))
+            assert want == pytest.approx(100 * lam, rel=1e-14)
+            assert parallel_reg_mean_curvature(grid, r) == want
+
 
 class TestChecks:
     def grids(self):
@@ -316,6 +332,14 @@ class TestChecks:
         assert report["passed"]
         for r in (0.05, 0.1):
             assert report["radii"][r]["spread"] < 1e-12
+
+    def test_iso_high_multiplicity_regularizable(self):
+        grids = [EigenGrid(((0.0, 0.5, 100),), label=f"x{i}") for i in range(2)]
+        report = isoparametric_check(grids, [0.1])
+        assert report["regularizable"] and report["passed"]
+        lam = parallel_shape_eigenvalue(0.0, 0.5, 0.1)
+        want = reg_trace(SpectralData.from_entries([(lam, 100)], []))
+        assert report["radii"][0.1]["values"] == [want, want]
 
     def test_iso_detects_mismatch(self):
         gs = self.grids() + [EigenGrid(((1.0, 0.7, 2), (0.0, 1.0, 1)), label="x9")]
@@ -356,3 +380,25 @@ def test_weakly_iso_implies_equifocal(pairs, copies):
     grids = [EigenGrid(pairs, label=f"x{i}") for i in range(copies)]
     if weakly_isoparametric_check(grids):
         assert equifocal_check(grids, Window(0.05, 6.0))
+
+
+def _expanded_multisets_close(a, b):
+    """The multiplicity-expanded comparison weakly_isoparametric_check made
+    before it compared runs of entries; kept as the reference."""
+    ea, eb = (np.sort(np.repeat(v, m)) for v, m in (a, b))
+    if len(ea) != len(eb):
+        return False
+    return bool(np.all(np.abs(ea - eb) <= 1e-9 + 1e-12 * np.maximum(np.abs(ea), np.abs(eb))))
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1e-10, 0.5, 0.5 + 2e-9, -1.0, 2.0]),
+                          st.integers(min_value=1, max_value=5)), min_size=1, max_size=5),
+       st.lists(st.tuples(st.sampled_from([0.0, 1e-10, 0.5, 0.5 + 2e-9, -1.0, 2.0]),
+                          st.integers(min_value=1, max_value=5)), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_weak_check_matches_expanded_comparison(a, b):
+    # zeros stay in the multiset: 1e-10 matches 0.0 within the absolute tolerance
+    ga = EigenGrid(tuple((0.0, v, m) for v, m in a))
+    gb = EigenGrid(tuple((0.0, v, m) for v, m in b))
+    want = _expanded_multisets_close(ga._column(1), gb._column(1))
+    assert weakly_isoparametric_check([ga, gb]) == want

@@ -8,8 +8,7 @@ from focalis.geomodel import (ModelSubmanifold, SphereProductConfig,
                               _sample_point, ambient_curvature, build_model,
                               constraint_residual, curvature_adapted_check,
                               default_config, dense_operators, eigen_grid_of,
-                              normal_jacobi_operator, random_normal_vector,
-                              shape_eigendata, shape_operator,
+                              random_normal_vector, shape_eigendata,
                               trace_closed_form)
 
 
@@ -203,7 +202,7 @@ class TestOperators:
         model = build_model(cfg, 3, seed=4)
         xi = np.zeros(cfg.ambient_dim)
         xi[cfg.frozen_odd_indices()[0]] = 1.3
-        spec = normal_jacobi_operator(model, 0, xi)
+        spec = eigen_grid_of(model, 0, xi).jacobi_spectrum()
         assert spec.rank == 0
         grid = eigen_grid_of(model, 0, xi)
         assert grid.pairs == ((0.0, 0.0, model.tangent_dim),)
@@ -226,7 +225,7 @@ class TestOperators:
         model = build_model(two_block_config(), 2, seed=6)
         xi = model.tangent_bases[0][:, 0]
         with pytest.raises(ValidationError):
-            shape_operator(model, 0, xi)
+            eigen_grid_of(model, 0, xi).shape_spectrum()
 
     def test_grid_multiplicities_partition_tangent(self):
         model = build_model(default_config(), 4, seed=7)
@@ -473,6 +472,6 @@ class TestClosedFormTrace:
         # slice tangent dimension is m_j - 2; the printed weights use m_j - 1
         assert report["block_dims"] == [m - 2 for m, _ in cfg.blocks[: cfg.k1]]
         assert not report["weights_match"]
-        spec = shape_operator(model, 0, xi)
+        spec = eigen_grid_of(model, 0, xi).shape_spectrum()
         from focalis.spectral import reg_trace
         assert reg_trace(spec) == pytest.approx(report["trace_from_block_dims"], abs=1e-10)

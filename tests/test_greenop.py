@@ -21,6 +21,12 @@ class TestOperatorMatrix:
         with pytest.raises(ValidationError):
             OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, value):
+        # a NaN entry passed the symmetry test, since NaN > tol is false
+        with pytest.raises(ValidationError):
+            OperatorMatrix(np.array([[1.0, value], [value, 1.0]]))
+
     def test_apply_matches_matmul(self):
         m = random_spd(8, 0)
         op = OperatorMatrix(m)

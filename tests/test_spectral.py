@@ -58,6 +58,10 @@ class TestValidation:
         spec = SpectralData.from_eigenvalues([1.0, 0.0, -0.5])
         assert spec.rank == 2
 
+    def test_multiplicity_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            SpectralData.from_eigenvalues([1.0, -0.5], mults=[2])
+
     def test_tail_bound_enforced(self):
         tail = TailModel(ratio=0.5, scale=1.0)
         with pytest.raises(ValidationError):
@@ -70,6 +74,10 @@ class TestValidation:
             TailModel(ratio=1.0, scale=1.0)
         with pytest.raises(ValidationError):
             TailModel(ratio=0.5, scale=-1.0)
+        for scale in (np.nan, np.inf):
+            # a NaN scale used to certify every trace with error NaN
+            with pytest.raises(ValidationError):
+                TailModel(ratio=0.5, scale=scale)
 
     def test_zeta_config_grid(self):
         with pytest.raises(ConfigError):
@@ -200,3 +208,21 @@ def test_multiplicity_equals_repetition(m):
     spec_r = SpectralData.from_eigenvalues([1.5] * m + [-0.7] * m)
     assert reg_trace(spec_m) == pytest.approx(reg_trace(spec_r), abs=1e-12)
     assert trace_square(spec_m) == pytest.approx(trace_square(spec_r), abs=1e-12)
+
+
+@given(st.lists(st.tuples(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
+                          st.integers(min_value=1, max_value=40)),
+                min_size=1, max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_from_eigenvalues_multiplicities_expand_to_repetition(entries):
+    values = [v for v, _ in entries]
+    mults = [m for _, m in entries]
+    spec_m = SpectralData.from_eigenvalues(values, mults=mults)
+    spec_r = SpectralData.from_eigenvalues(np.repeat(values, mults))
+    for got, want in zip(spec_m.expanded(), spec_r.expanded()):
+        assert np.array_equal(got, want)
+    assert spec_m.rank == spec_r.rank
+    if len(spec_r.positives) + len(spec_r.negatives) <= 64:
+        # both read as finite rank and sum the same sequence: equal bit for bit
+        assert reg_trace(spec_m) == reg_trace(spec_r)
+        assert trace_square(spec_m) == trace_square(spec_r)
