@@ -28,12 +28,7 @@ EXIT_INPUT_ERROR = 2
 
 
 def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
+    """JSON value of a scalar leaf; a complex number becomes [re, im]."""
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
@@ -46,38 +41,136 @@ def _jsonable(x):
     if x is FOCAL:
         return "focal"
     if isinstance(x, complex):
-        return [x.real, x.imag]
+        return [_jsonable(x.real), _jsonable(x.imag)]
     return x
 
 
-def _flatten(obj, prefix=""):
-    rows = []
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            rows.extend(_flatten(v, f"{prefix}{i}."))
+# JSON text of the plain scalar types, as json.dumps writes them after
+# _jsonable (encode_basestring_ascii is json.dumps' string encoder)
+_SCALAR_JSON = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else "null",
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
+def _walk(x, path: tuple, out: list):
+    """Append x to out in the layout of json.dumps(indent=2, sort_keys=True).
+
+    Brackets, separators and keys go in as text.  Each leaf goes in as
+    (path, value): path is a tuple of str keys and int indices, and value is
+    the leaf's JSON text or a real, integer or boolean ndarray, written whole.
+    Dict keys are str()-ed and sorted, as in json.dumps after _jsonable.
+    """
+    encode = _SCALAR_JSON.get(type(x))
+    if encode:
+        out.append((path, encode(x)))
+    elif isinstance(x, (dict, list, tuple)):
+        if isinstance(x, dict):
+            keyed = {str(k): v for k, v in x.items()}
+            items = [(k, keyed[k]) for k in sorted(keyed)]
+            brackets = "{}"
+        else:
+            items = list(enumerate(x))
+            brackets = "[]"
+        if not items:
+            out.append(brackets)
+            return
+        inner = "\n" + "  " * (len(path) + 1)
+        for i, (k, v) in enumerate(items):
+            out.append((brackets[0] if i == 0 else ",") + inner)
+            if brackets == "{}":
+                out.append(json.encoder.encode_basestring_ascii(k) + ": ")
+            _walk(v, path + (k,), out)
+        out.append("\n" + "  " * len(path) + brackets[1])
+    elif isinstance(x, np.ndarray):
+        if x.dtype.kind in "biu" or (x.dtype.kind == "f" and x.dtype.itemsize <= 8):
+            out.append((path, x))
+        else:
+            _walk(x.tolist(), path, out)
     else:
-        rows.append((prefix.rstrip("."), obj))
+        value = _jsonable(x)
+        if isinstance(value, list):
+            _walk(value, path, out)
+        else:
+            out.append((path, json.dumps(value)))
+
+
+def _element_texts(a: np.ndarray) -> list:
+    """JSON text of every element of a real, integer or boolean array, in C order."""
+    flat = a.ravel()
+    values = flat.tolist()
+    if a.dtype.kind == "b":
+        return ["true" if v else "false" for v in values]
+    if a.dtype.kind in "iu":
+        return list(map(int.__repr__, values))
+    texts = list(map(float.__repr__, values))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        texts[i] = "null"
+    return texts
+
+
+def _array_json(a: np.ndarray, level: int) -> str:
+    """The array as json.dumps(a.tolist(), indent=2) writes it at nesting `level`."""
+    items = _element_texts(a)
+    for axis in reversed(range(a.ndim)):
+        n = a.shape[axis]
+        if n == 0:
+            items = ["[]"] * math.prod(a.shape[:axis])
+            continue
+        inner = "\n" + "  " * (level + axis + 1)
+        close = "\n" + "  " * (level + axis) + "]"
+        sep = "," + inner
+        items = ["[" + inner + sep.join(items[i:i + n]) + close
+                 for i in range(0, len(items), n)]
+    return items[0]
+
+
+def _leaf_json(path: tuple, value) -> str:
+    return value if isinstance(value, str) else _array_json(value, len(path))
+
+
+_CSV_WORDS = {"null": "None", "true": "True", "false": "False"}
+
+
+def _csv_rows(leaves) -> list:
+    """key,value rows: one per scalar leaf and per array element."""
+    rows = ["key,value"]
+    for path, value in leaves:
+        keys = ["".join(f"{k}." for k in path)]
+        if isinstance(value, str):
+            texts = [value]
+        else:
+            texts = _element_texts(value)
+            for n in value.shape:
+                keys = [f"{k}{i}." for k in keys for i in range(n)]
+        rows += [f"{k.rstrip('.')},{_CSV_WORDS.get(t, t)}" for k, t in zip(keys, texts)]
     return rows
 
 
 def _emit(report: dict, fmt: str, out: str):
-    report = _jsonable(report)
+    chunks = []
+    _walk(report, (), chunks)
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        parts = [c if isinstance(c, str) else _leaf_json(*c) for c in chunks]
     else:
-        lines = ["key,value"]
-        for key, val in _flatten(report):
-            sval = json.dumps(val) if isinstance(val, str) else str(val)
-            lines.append(f"{key},{sval}")
-        text = "\n".join(lines) + "\n"
+        parts = ["\n".join(_csv_rows(c for c in chunks if isinstance(c, tuple)))]
+    parts.append("\n")
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got '{text}'")
+    return value
 
 
 def _parse_window(text: str) -> Window:
@@ -104,16 +197,18 @@ def _parse_radii(text) -> list:
 def _cmd_trace(args):
     spec = io.read_spectrum(args.spec)
     info = spectral.reg_trace_info(spec)
+    square = spectral.trace_square_info(spec)
     result = {
         "tr_r": info.as_trace(),
         "tr_r_error": info.error if info.converged else None,
         "method": info.method,
-        "regularizable": spectral.is_regularizable(spec),
+        # spectral.is_regularizable, from the two infos already computed
+        "regularizable": info.converged and square.converged,
     }
     if args.zeta:
         result["tr_zeta"] = spectral.zeta_trace(spec)
     if args.square:
-        result["tr_sq"] = spectral.trace_square(spec)
+        result["tr_sq"] = square.as_trace()
     return result, EXIT_OK
 
 
@@ -273,12 +368,14 @@ def _cmd_green(args):
 
 def _cmd_box1d(args):
     op = greenop.box_operator_1d(args.samples, args.speed, periodic=args.periodic)
+    eigenvalues = greenop.box_eigenvalues_1d(args.samples, args.speed,
+                                            periodic=args.periodic)
     result = {
         "samples": args.samples,
         "speed": args.speed,
         "periodic": bool(args.periodic),
-        "smallest_eigenvalue": float(op.eigenvalues[0]),
-        "largest_eigenvalue": float(op.eigenvalues[-1]),
+        "smallest_eigenvalue": float(eigenvalues[0]),
+        "largest_eigenvalue": float(eigenvalues[-1]),
         "matrix": op.entries,
     }
     return result, EXIT_OK
@@ -308,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parallel", help="parallel shape spectrum at distance r")
     p.add_argument("--grid", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=_cmd_parallel)
 
@@ -317,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grids", required=True)
     p.add_argument("--window", default="0.001,10")
     p.add_argument("--radii", default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -327,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--radii", default=None)
     p.add_argument("--window", default="0.001,10")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_example41)
@@ -369,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("box1d", help="discrete id - (1/a^2) D^2 operator")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--speed", type=float, required=True)
+    p.add_argument("--samples", type=int, required=True,
+                   help=f"grid size, 4 to {greenop.MAX_BOX_SAMPLES}")
+    p.add_argument("--speed", type=_finite_float, required=True)
     p.add_argument("--periodic", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_box1d)

@@ -1,14 +1,16 @@
 """Spectral Green operators and a one-dimensional box-operator model.
 
-An OperatorMatrix wraps a symmetric matrix with its eigendecomposition; the
-Green operator inverts it through the eigenbasis, and box_operator_1d builds
-the discrete id - (1/a^2) D^2 used as the weight in the s-graded inner
-product.
+An OperatorMatrix wraps a symmetric matrix and computes its
+eigendecomposition on first use; the Green operator inverts it through the
+eigenbasis, and box_operator_1d builds the discrete id - (1/a^2) D^2 used as
+the weight in the s-graded inner product.  box_eigenvalues_1d gives that
+operator's spectrum in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,15 +18,15 @@ from .errors import SingularOperatorError, ValidationError
 
 SYMMETRY_TOL = 1e-12
 SINGULAR_TOL = 1e-12
+# box_operator_1d builds a dense S x S matrix (32 MiB at the cap)
+MAX_BOX_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Symmetric matrix with a cached eigendecomposition."""
+    """Symmetric matrix; its eigendecomposition is computed on first use."""
 
     entries: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -35,11 +37,19 @@ class OperatorMatrix:
         scale = 1.0 + np.abs(m).max()
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
             raise ValidationError("operator is not symmetric")
-        m = (m + m.T) / 2.0
-        w, v = np.linalg.eigh(m)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "entries", (m + m.T) / 2.0)
+
+    @cached_property
+    def _eigh(self):
+        return np.linalg.eigh(self.entries)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigh[1]
 
     @property
     def dimension(self) -> int:
@@ -52,6 +62,15 @@ class OperatorMatrix:
         return bool(np.min(np.abs(self.eigenvalues)) > tol)
 
 
+def _vector(x, op: OperatorMatrix) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (op.dimension,):
+        raise ValidationError("vector length does not match the operator")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("vector entries must be finite")
+    return x
+
+
 def green_apply(op: OperatorMatrix, psi: np.ndarray,
                 project: bool = False) -> np.ndarray:
     """Solution sigma with op(sigma) = psi, via the eigenbasis.
@@ -61,9 +80,7 @@ def green_apply(op: OperatorMatrix, psi: np.ndarray,
     operator); otherwise a singular operator raises, naming the offending
     eigenvector.
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (op.dimension,):
-        raise ValidationError("vector length does not match the operator")
+    psi = _vector(psi, op)
     w, v = op.eigenvalues, op.eigenvectors
     small = np.abs(w) <= SINGULAR_TOL
     if small.any() and not project:
@@ -89,20 +106,25 @@ def green_kernel(op: OperatorMatrix) -> np.ndarray:
     return (v / w) @ v.T
 
 
+def _box_step(samples: int, speed: float) -> float:
+    """Grid step h = 1/S of a valid box operator."""
+    if not 4 <= samples <= MAX_BOX_SAMPLES:
+        raise ValidationError(f"samples must lie in [4, {MAX_BOX_SAMPLES}]")
+    if not speed > 0:
+        raise ValidationError("speed must be positive")
+    return 1.0 / int(samples)
+
+
 def box_operator_1d(samples: int, speed: float,
                     periodic: bool = True) -> OperatorMatrix:
     """Matrix of id - (1/a^2) D^2 on a uniform grid of the unit interval.
 
     D^2 is the standard second difference (periodic wrap or Neumann mirror);
     the result is symmetric positive-definite with smallest eigenvalue >= 1.
-    Periodic eigenvalues are 1 + (2/(a h))^2 sin^2(pi k / S) with h = 1/S.
+    box_eigenvalues_1d gives its spectrum.  At most MAX_BOX_SAMPLES samples.
     """
-    if samples < 4:
-        raise ValidationError("need at least 4 samples")
-    if speed <= 0:
-        raise ValidationError("speed must be positive")
+    h = _box_step(samples, speed)
     s = int(samples)
-    h = 1.0 / s
     d2 = np.zeros((s, s))
     idx = np.arange(s)
     d2[idx, idx] = -2.0
@@ -119,6 +141,20 @@ def box_operator_1d(samples: int, speed: float,
     return OperatorMatrix(np.eye(s) - d2 / speed ** 2)
 
 
+def box_eigenvalues_1d(samples: int, speed: float,
+                       periodic: bool = True) -> np.ndarray:
+    """Ascending eigenvalues of box_operator_1d, in closed form.
+
+    With h = 1/S they are 1 + (2/(a h))^2 sin^2(pi k / S) for the periodic
+    wrap (the DFT diagonalises it) and 1 + (2/(a h))^2 sin^2(pi k / (2 S))
+    for the Neumann mirror (the DCT-II does), k = 0, ..., S - 1.
+    """
+    h = _box_step(samples, speed)
+    s = int(samples)
+    angle = np.pi * np.arange(s) / (s if periodic else 2 * s)
+    return np.sort(1.0 + (2.0 / (speed * h)) ** 2 * np.sin(angle) ** 2)
+
+
 def ls2_inner(u: np.ndarray, v: np.ndarray, op: OperatorMatrix,
               s: float) -> float:
     """Graded inner product <u, L^s v> through eigenvalue powers.
@@ -126,10 +162,7 @@ def ls2_inner(u: np.ndarray, v: np.ndarray, op: OperatorMatrix,
     Integer s works for any symmetric L; fractional s requires a positive
     spectrum.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (op.dimension,) or v.shape != (op.dimension,):
-        raise ValidationError("vector length does not match the operator")
+    u, v = _vector(u, op), _vector(v, op)
     if s < 0:
         raise ValidationError("grading exponent must be >= 0")
     w = op.eigenvalues

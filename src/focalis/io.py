@@ -111,20 +111,23 @@ def write_path(path: str, samples: np.ndarray, group: str = "SU2"):
         json.dump(data, fh, indent=2)
 
 
-def read_matrix(path: str) -> np.ndarray:
+def _read_array(path: str, ndim: int, what: str) -> np.ndarray:
     data = _load_json(path)
-    arr = np.array(data, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"'{path}' does not hold a dense matrix")
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"'{path}' does not hold {what}: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ValidationError(f"'{path}' does not hold {what}")
     return arr
+
+
+def read_matrix(path: str) -> np.ndarray:
+    return _read_array(path, 2, "a dense matrix")
 
 
 def read_vector(path: str) -> np.ndarray:
-    data = _load_json(path)
-    arr = np.array(data, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"'{path}' does not hold a flat vector")
-    return arr
+    return _read_array(path, 1, "a flat vector")
 
 
 def read_sphere_config(path: str) -> SphereProductConfig:

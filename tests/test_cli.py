@@ -1,14 +1,20 @@
+import contextlib
+import io as textio
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from focalis import io
+from focalis import cli, io, spectral
 from focalis.algebras import load_algebra
 from focalis.cli import main
-from focalis.focal import EigenGrid
-from focalis.spectral import SpectralData, TailModel
+from focalis.focal import FOCAL, EigenGrid
+from focalis.greenop import MAX_BOX_SAMPLES
+from focalis.spectral import DIVERGENT, SpectralData, TailModel
 
 
 def run(capsys, *argv):
@@ -24,6 +30,108 @@ def _reject_constant(token):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out, parse_constant=_reject_constant)
+
+
+def usage_error(capsys, *argv):
+    """argparse refuses the command line: exit status 2 and no report."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# The report encoder that the streaming emitter replaced, kept as its
+# reference: _jsonable over the whole report, then json.dumps or _flatten.
+def _reference_jsonable(x):
+    if isinstance(x, dict):
+        return {str(k): _reference_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_reference_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return _reference_jsonable(x.tolist())
+    if isinstance(x, (np.bool_, bool)):
+        return bool(x)
+    if isinstance(x, (np.floating, float)):
+        return float(x) if math.isfinite(x) else None
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if x is DIVERGENT:
+        return "divergent"
+    if x is FOCAL:
+        return "focal"
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return x
+
+
+def _reference_flatten(obj, prefix=""):
+    rows = []
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            rows.extend(_reference_flatten(obj[k], f"{prefix}{k}."))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            rows.extend(_reference_flatten(v, f"{prefix}{i}."))
+    else:
+        rows.append((prefix.rstrip("."), obj))
+    return rows
+
+
+def _reference_text(report, fmt):
+    report = _reference_jsonable(report)
+    if fmt == "json":
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    lines = ["key,value"]
+    for key, val in _reference_flatten(report):
+        sval = json.dumps(val) if isinstance(val, str) else str(val)
+        lines.append(f"{key},{sval}")
+    return "\n".join(lines) + "\n"
+
+
+def _emitted(report, fmt):
+    buf = textio.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(report, fmt, None)
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e308, 0.1]
+_float_elements = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_SPECIAL_FLOATS)
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_arrays = st.one_of(
+    hnp.arrays(np.float64, _shapes, elements=_float_elements),
+    hnp.arrays(np.float32, _shapes, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, _shapes),
+    hnp.arrays(np.uint8, _shapes),
+    hnp.arrays(np.bool_, _shapes),
+    hnp.arrays(np.complex128, _shapes,
+               elements=st.complex_numbers(allow_nan=False, allow_infinity=False)),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _float_elements, st.text(max_size=4),
+    st.sampled_from([DIVERGENT, FOCAL, np.float64(-0.0), np.int32(7), np.bool_(True)]),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+_keys = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(),
+                  st.floats(allow_nan=False), st.none())
+_reports = st.recursive(
+    _scalars | _arrays,
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.tuples(children, children),
+                               st.dictionaries(_keys, children, max_size=3)),
+    max_leaves=12)
+
+
+@given(_reports)
+@settings(max_examples=300, deadline=None)
+def test_emitter_matches_reference_encoder(report):
+    for fmt in ("json", "csv"):
+        assert _emitted(report, fmt) == _reference_text(report, fmt)
+
+
+def test_emitter_writes_nonfinite_complex_parts_as_null():
+    text = _emitted({"z": complex(float("nan"), 1.0)}, "json")
+    assert json.loads(text, parse_constant=_reject_constant) == {"z": [None, 1.0]}
 
 
 @pytest.fixture
@@ -129,6 +237,24 @@ class TestTraceCommand:
         code, _ = run(capsys, "trace", "--spec", str(path))
         assert code == 2
 
+    def test_trace_computes_each_trace_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        for name in ("reg_trace_info", "trace_square_info"):
+            fn = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name,
+                                lambda spec, fn=fn, name=name: calls.append(name) or fn(spec))
+        # the paired trace converges, the trace of the square does not
+        spec = SpectralData.from_entries([(i ** -0.5, 1) for i in range(1, 200)],
+                                         [((i + 0.5) ** -0.5, 1) for i in range(1, 200)], None)
+        path = tmp_path / "spec.json"
+        io.write_spectrum(str(path), spec)
+        code, report = run_json(capsys, "trace", "--spec", str(path), "--square")
+        assert code == 0
+        assert sorted(calls) == ["reg_trace_info", "trace_square_info"]
+        assert report["result"]["method"] == "ratio-extrapolation"
+        assert report["result"]["regularizable"] is False
+        assert report["result"]["tr_sq"] == "divergent"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_spectrum_is_input_error(self, capsys, tmp_path, value):
         path = tmp_path / "bad.json"
@@ -154,6 +280,10 @@ class TestFocalAndParallel:
         assert code == 0
         assert report["result"]["focal_collision"] is False
         assert isinstance(report["result"]["tr_r"], float)
+
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_parallel_nonfinite_distance_is_usage_error(self, capsys, grid_file, r):
+        usage_error(capsys, "parallel", "--grid", grid_file, "--r", r)
 
     def test_parallel_high_multiplicity_matches_spectrum_file(self, capsys, tmp_path):
         # a grid pair of multiplicity 100 is one stored entry, as in a spectrum file
@@ -221,6 +351,13 @@ class TestCheckCommand:
         d = self.write_grids(tmp_path, [g, g])
         code, _ = run(capsys, "check", "iso", "--grids", d, "--radii", radii)
         assert code == 2
+
+    @pytest.mark.parametrize("kind,tol", [("iso", "nan"), ("equifocal", "inf"),
+                                          ("equifocal", "nan")])
+    def test_nonfinite_tol_is_usage_error(self, capsys, tmp_path, kind, tol):
+        g = EigenGrid(((1.0, 0.5, 2),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        usage_error(capsys, "check", kind, "--grids", d, "--tol", tol)
 
     def test_nonfinite_grid_file_is_input_error(self, capsys, tmp_path):
         d = tmp_path / "grids"
@@ -302,6 +439,9 @@ class TestModelCommand:
         code, out = run(capsys, "example41", "--points", "3", "--trials", "3", *argv)
         assert code == 2
         assert out == ""
+
+    def test_example41_nonfinite_tol_is_usage_error(self, capsys):
+        usage_error(capsys, "example41", "--points", "3", "--tol", "nan")
 
     def test_bad_config_value_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -459,3 +599,45 @@ class TestGreenCommands:
         m = np.array(report["result"]["matrix"])
         assert m.shape == (32, 32)
         assert np.max(np.abs(m - m.T)) < 1e-12
+
+    @pytest.mark.parametrize("op,psi", [
+        ([["a", 1.0], [1.0, 2.0]], [1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0]], [1.0, 1.0]),
+        ({"rows": 2}, [1.0, 1.0]),
+        ([[2.0, 0.0], [0.0, 4.0]], ["x", 1.0]),
+        ([[2.0, 0.0], [0.0, 4.0]], [float("nan"), 1.0]),
+        ([[2.0, 0.0], [0.0, 4.0]], [1.0, float("-inf")]),
+    ])
+    def test_green_bad_input_is_input_error(self, capsys, tmp_path, op, psi):
+        op_path, psi_path = tmp_path / "op.json", tmp_path / "psi.json"
+        op_path.write_text(json.dumps(op))
+        psi_path.write_text(json.dumps(psi))
+        code, out = run(capsys, "green", "--op", str(op_path), "--psi", str(psi_path))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("samples", [3, MAX_BOX_SAMPLES + 1, 100_000_000])
+    def test_box1d_samples_out_of_range_is_input_error(self, capsys, samples):
+        code, out = run(capsys, "box1d", "--samples", str(samples), "--speed", "2.0")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("speed", ["nan", "inf"])
+    def test_box1d_nonfinite_speed_is_usage_error(self, capsys, speed):
+        usage_error(capsys, "box1d", "--samples", "8", "--speed", speed)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_box1d_eigenvalues_in_closed_form(self, capsys, periodic):
+        s, a = 33, 1.3
+        code, report = run_json(capsys, "box1d", "--samples", str(s), "--speed", str(a),
+                                *(("--periodic",) if periodic else ()))
+        assert code == 0
+        res = report["result"]
+        k = np.arange(s)
+        angle = np.pi * k / (s if periodic else 2 * s)
+        exact = 1.0 + (2.0 * s / a) ** 2 * np.sin(angle) ** 2
+        # the rows of the stored matrix sum to exactly 1
+        assert res["smallest_eigenvalue"] == 1.0
+        assert res["largest_eigenvalue"] == pytest.approx(exact.max(), rel=1e-15)
+        assert np.linalg.eigvalsh(np.array(res["matrix"]))[-1] == pytest.approx(
+            res["largest_eigenvalue"], rel=1e-12)

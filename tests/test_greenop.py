@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from focalis.errors import SingularOperatorError, ValidationError
-from focalis.greenop import (OperatorMatrix, box_operator_1d, green_apply,
-                             green_kernel, ls2_inner)
+from focalis.greenop import (MAX_BOX_SAMPLES, OperatorMatrix, box_eigenvalues_1d,
+                             box_operator_1d, green_apply, green_kernel, ls2_inner)
 
 
 def random_spd(n, seed):
@@ -36,6 +36,32 @@ class TestOperatorMatrix:
     def test_invertibility_flag(self):
         assert OperatorMatrix(np.eye(3)).is_invertible()
         assert not OperatorMatrix(np.diag([1.0, 0.0])).is_invertible()
+
+    def test_spectrum_computed_once_on_first_use(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        op = OperatorMatrix(random_spd(6, 3))
+        box_operator_1d(16, 1.5)
+        box_eigenvalues_1d(16, 1.5, periodic=False)
+        assert calls == []
+        op.eigenvalues, op.eigenvectors, op.is_invertible()
+        green_apply(op, np.ones(6))
+        assert calls == [(6, 6)]
+
+    @pytest.mark.parametrize("make", [lambda: random_spd(40, 4),
+                                      lambda: box_operator_1d(40, 0.8, periodic=False).entries])
+    def test_results_bit_identical_to_eager_eigh(self, make):
+        # the route before the spectrum became lazy: eigh of the symmetrised
+        # matrix at construction
+        m = make()
+        w, v = np.linalg.eigh((m + m.T) / 2.0)
+        rng = np.random.default_rng(5)
+        psi, u = rng.normal(size=40), rng.normal(size=40)
+        op = OperatorMatrix(m)
+        assert np.array_equal(green_apply(op, psi), v @ ((v.T @ psi) / w))
+        assert np.array_equal(green_kernel(op), (v / w) @ v.T)
+        assert ls2_inner(u, psi, op, 0.5) == float(np.sum((v.T @ u) * w ** 0.5 * (v.T @ psi)))
 
 
 class TestGreenApply:
@@ -74,6 +100,14 @@ class TestGreenApply:
         op = OperatorMatrix(np.eye(3))
         with pytest.raises(ValidationError):
             green_apply(op, np.ones(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vector_rejected(self, value):
+        op = OperatorMatrix(np.eye(3))
+        with pytest.raises(ValidationError):
+            green_apply(op, np.array([1.0, value, 2.0]), project=True)
+        with pytest.raises(ValidationError):
+            ls2_inner(np.ones(3), np.array([value, 1.0, 1.0]), op, 1.0)
 
 
 class TestGreenKernel:
@@ -118,10 +152,23 @@ class TestBoxOperator:
         assert np.allclose(op.apply(ones), ones)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            box_operator_1d(3, 1.0)
-        with pytest.raises(ValidationError):
-            box_operator_1d(8, 0.0)
+        for samples, speed in [(3, 1.0), (8, 0.0), (8, np.nan),
+                               (MAX_BOX_SAMPLES + 1, 1.0), (10 ** 8, 1.0)]:
+            for build in (box_operator_1d, box_eigenvalues_1d):
+                with pytest.raises(ValidationError):
+                    build(samples, speed)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("samples", [4, 5, 6, 7, 8, 9, 16, 31, 32, 33, 64, 100, 127,
+                                         128, 255, 256, 257, 511, 512, 1000, 1024])
+    def test_closed_form_spectrum_matches_eigh(self, samples, periodic):
+        for speed in ((0.3, 1.7, 2.9) if samples <= 128 else (1.7,)):
+            w = box_eigenvalues_1d(samples, speed, periodic=periodic)
+            ref = np.linalg.eigvalsh(box_operator_1d(samples, speed, periodic=periodic).entries)
+            # relative to the spectral norm, the scale of eigh's own rounding
+            assert np.max(np.abs(w - ref)) <= 1e-12 * ref[-1]
+            # the rows sum to exactly 1, so the smallest eigenvalue is exactly 1
+            assert w[0] == 1.0
 
 
 class TestGradedInner:
