@@ -308,7 +308,7 @@ def _cmd_holonomy(args):
     omega = io.read_path(args.omega, kind="connection")
     omega0 = io.read_path(args.omega0, kind="connection") if args.omega0 else None
     hol = transport.holonomy_element(omega, omega0, steps=args.steps)
-    mu = transport.pullback_connection(omega, omega0)
+    mu = transport.pullback_connection(omega, omega0, steps=args.steps)
     phi_mu = transport.transport(mu, steps=args.steps)
     agreement = float(np.max(np.abs(hol - phi_mu)))
     result = {"holonomy": io._matrix_to_pairs(hol),

@@ -22,7 +22,7 @@ SINGULAR_TOL = 1e-12
 MAX_BOX_SAMPLES = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Symmetric matrix; its eigendecomposition is computed on first use."""
 

@@ -87,11 +87,12 @@ def _matrix_to_pairs(m: np.ndarray):
 def read_path(path: str, kind: str = "algebra") -> Union[AlgebraPath, ConnectionPath]:
     """Sampled matrix path; samples must sit on a uniform grid over [0, 1]."""
     data = _load_json(path)
+    # ValueError: ragged rows, samples of different sizes, or a non-numeric time
     try:
         samples = sorted(data["samples"], key=lambda e: e[0])
         ts = np.array([e[0] for e in samples], dtype=float)
         mats = np.stack([_matrix_from_pairs(e[1]) for e in samples])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed path file '{path}': {exc}") from exc
     if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise ValidationError(f"path in '{path}' must span t in [0, 1]")

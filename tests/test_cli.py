@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from focalis import cli, io, spectral
+from focalis import cli, io, spectral, transport
 from focalis.algebras import load_algebra
 from focalis.cli import main
 from focalis.focal import FOCAL, EigenGrid
@@ -508,6 +508,44 @@ class TestTransportCommands:
         bad.write_text(json.dumps({"samples": [[0.0, z], [float("nan"), z], [1.0, z]]}))
         code, _ = run(capsys, "transport", "--path", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("command,flag", [("transport", "--path"),
+                                              ("holonomy", "--omega")])
+    @pytest.mark.parametrize("middle", [
+        [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0]]],                     # ragged rows
+        [[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0], [0.0, 0.0]],
+         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],                       # 3 x 3 among 2 x 2
+    ])
+    def test_malformed_sample_is_input_error(self, capsys, tmp_path, command, flag, middle):
+        z = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"samples": [[0.0, z], [0.5, middle], [1.0, z]]}))
+        code, _ = run(capsys, command, flag, str(bad))
+        assert code == 2
+
+    @pytest.mark.parametrize("command,flag", [("transport", "--path"),
+                                              ("holonomy", "--omega")])
+    def test_steps_above_cap_is_input_error(self, capsys, tmp_path, command, flag):
+        samples, _ = self.su2_sample(3, 21)
+        path = tmp_path / "u.json"
+        io.write_path(str(path), samples)
+        code, _ = run(capsys, command, flag, str(path), "--steps", str(transport.MAX_STEPS + 1))
+        assert code == 2
+
+    def test_holonomy_pullback_uses_steps(self, capsys, tmp_path):
+        samples, _ = self.su2_sample(3, 21)
+        samples0, _ = self.su2_sample(4, 21)
+        p1, p0 = tmp_path / "om.json", tmp_path / "om0.json"
+        io.write_path(str(p1), samples)
+        io.write_path(str(p0), samples0)
+        code, report = run_json(capsys, "holonomy", "--omega", str(p1),
+                                "--omega0", str(p0), "--steps", "2000")
+        assert code == 0
+        om, om0 = io.read_path(str(p1), "connection"), io.read_path(str(p0), "connection")
+        want = transport.transport(transport.pullback_connection(om, om0, steps=2000), steps=2000)
+        got = np.array([[complex(re, im) for re, im in row]
+                        for row in report["result"]["transport_of_pullback"]])
+        assert np.array_equal(got, want)
 
     def test_nonuniform_path_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

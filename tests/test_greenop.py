@@ -33,6 +33,11 @@ class TestOperatorMatrix:
         x = np.arange(8.0)
         assert np.allclose(op.apply(x), m @ x)
 
+    def test_equality_is_identity(self):
+        # == on the entries arrays would be ambiguous, so equality is identity
+        op = OperatorMatrix(np.eye(2))
+        assert op == op and op != OperatorMatrix(np.eye(2))
+
     def test_invertibility_flag(self):
         assert OperatorMatrix(np.eye(3)).is_invertible()
         assert not OperatorMatrix(np.diag([1.0, 0.0])).is_invertible()

@@ -1,11 +1,14 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from focalis.algebras import load_algebra
 from focalis.errors import ValidationError
-from focalis.transport import (AlgebraPath, ConnectionPath, GaugePath,
-                               _rk4_group, expm_antiherm, gauge_act,
+from focalis.transport import (MAX_STEPS, AlgebraPath, ConnectionPath, GaugePath,
+                               _expm_offset, _rk4_group, gauge_act,
                                holonomy_element, pullback_connection, transport,
                                transport_path)
 
@@ -30,15 +33,27 @@ def smooth_path(rng, n=101):
 
 
 def loop_transport_path(u, steps):
-    """Per-step reference for transport_path: g_{k+1} = exp(h u(t_{k+1/2})) g_k."""
+    """Per-step reference for transport_path: g_{k+1} = exp(h u(t_{k+1/2})) g_k.
+
+    The step exponentials come from scipy's Pade expm, independent of the
+    Taylor offsets that transport_path uses.
+    """
     s = u.n_intervals
     steps = int(np.ceil(steps / s)) * s
     h = 1.0 / steps
-    exps = expm_antiherm(h * u.at((np.arange(steps) + 0.5) * h))
+    exps = expm(h * u.at((np.arange(steps) + 0.5) * h))
     g = [np.eye(u.samples.shape[1], dtype=complex)]
     for m in exps:
         g.append(m @ g[-1])
     return np.stack(g)
+
+
+def loop_pullback(c, c0, steps):
+    """(K, n, n) reference for pullback_connection: -h^-1 (c - c0) h, skewed."""
+    h = loop_transport_path(AlgebraPath(-c0.samples), steps)
+    diff = AlgebraPath(c.samples - c0.samples).at(np.linspace(0.0, 1.0, h.shape[0]))
+    out = -np.einsum("kji,kjl,klm->kim", h.conj(), diff, h)
+    return (out - np.conj(np.swapaxes(out, 1, 2))) / 2.0
 
 
 def loop_rk4(c, steps):
@@ -164,6 +179,17 @@ class TestStepProducts:
 
     @pytest.mark.parametrize("n_intervals", [1, 2, 3])
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 4000, 4001])
+    def test_pullback_matches_loop(self, steps, n_intervals):
+        for alg in (SU2, SU3):
+            c = ConnectionPath(self.samples(n_intervals, alg, 3 * steps + n_intervals))
+            c0 = ConnectionPath(0.5 * self.samples(n_intervals, alg, 5 * steps + n_intervals))
+            got = pullback_connection(c, c0, steps).samples
+            ref = loop_pullback(c, c0, steps)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("n_intervals", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 4000, 4001])
     def test_rk4_matches_loop(self, steps, n_intervals):
         for alg in (SU2, SU3):
             c = ConnectionPath(self.samples(n_intervals, alg, 7 * steps + n_intervals))
@@ -178,6 +204,77 @@ class TestStepProducts:
         e1 = np.max(np.abs(_rk4_group(c, 40) - ref))
         e2 = np.max(np.abs(_rk4_group(c, 80) - ref))
         assert e1 / e2 > 12
+
+
+def rand_u(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a - a.conj().T) / 2.0
+
+
+def mp_expm_offset(y):
+    """exp(Y) - I to 40 digits."""
+    with mpmath.workdps(40):
+        m = mpmath.expm(mpmath.matrix(y.tolist())) - mpmath.eye(y.shape[0])
+        return np.array([[complex(m[i, j]) for j in range(y.shape[0])]
+                         for i in range(y.shape[0])])
+
+
+class TestOffsetExponential:
+    """_expm_offset against a 40-digit reference, one matrix or a whole stack.
+
+    theta is the 1-norm; 5 and 50 need 4 and 7 squarings.  Near a Y with
+    exp(Y) = I the offset has no relative condition, so each sample asserts
+    that its reference stays away from that set.
+    """
+
+    @staticmethod
+    def samples(theta, seed, count=3):
+        rng = np.random.default_rng(seed)
+        xs = ([SU2.from_coefficients(v) for v in rng.normal(size=(count, 3))]
+              + [SU3.from_coefficients(v) for v in rng.normal(size=(count, 8))]
+              + [rand_u(5, rng) for _ in range(count)])
+        return [theta * x / np.abs(x).sum(axis=0).max() for x in xs]
+
+    @pytest.mark.parametrize("theta", [1.0 / 4000, 5.0, 50.0])
+    def test_matches_mpmath(self, theta):
+        for y in self.samples(theta, int(theta * 4000)):
+            ref = mp_expm_offset(y)
+            assert np.linalg.norm(ref) > 0.1 * min(theta, 1.0)
+            got = _expm_offset(y[:, :, None])[:, :, 0]
+            assert np.linalg.norm(got - ref) < 1e-14 * np.linalg.norm(ref)
+
+    def test_stack_keeps_each_relative_precision(self):
+        # the degree and squarings follow the largest norm in the stack;
+        # small members keep their own relative precision in offset form
+        rng = np.random.default_rng(3)
+        x = SU3.from_coefficients(rng.normal(size=(5, 8)))
+        ys = x * np.array([1e-9, 1e-4, 0.3, 5.0, 20.0])[:, None, None]
+        got = _expm_offset(np.ascontiguousarray(np.moveaxis(ys, 0, -1)))
+        for k, y in enumerate(ys):
+            ref = mp_expm_offset(y)
+            assert np.linalg.norm(got[..., k] - ref) < 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("theta", [1.0 / 4000, 0.5, 5.0, 50.0])
+    def test_identity_plus_offset_is_unitary(self, theta):
+        for y in self.samples(theta, 7):
+            g = np.eye(len(y)) + _expm_offset(y[:, :, None])[:, :, 0]
+            assert np.max(np.abs(g.conj().T @ g - np.eye(len(y)))) < 1e-14
+
+
+class TestStepCap:
+    # (samples, steps): over the cap as given, and over it only once rounded
+    # up to a multiple of the 3 sample intervals
+    @pytest.mark.parametrize("samples,steps", [(3, MAX_STEPS + 1), (4, MAX_STEPS)])
+    def test_refused_before_allocation(self, samples, steps):
+        u = AlgebraPath(np.zeros((samples, 2, 2), dtype=complex))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="cap"):
+                transport_path(u, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestGaugeAction:
