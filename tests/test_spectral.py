@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focalis.errors import ConfigError, ValidationError
-from focalis.spectral import (DIVERGENT, SpectralData, TailModel, ZetaConfig,
-                              is_regularizable, reg_trace, reg_trace_info,
-                              trace_square, trace_square_info, zeta_trace,
-                              zeta_trace_info)
+from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, SpectralData,
+                              TailModel, ZetaConfig, is_regularizable,
+                              reg_trace, reg_trace_info, trace_square,
+                              trace_square_info, zeta_trace, zeta_trace_info)
 
 
 def alternating_harmonic(n):
@@ -188,13 +188,14 @@ class TestRegularizable:
 
 @given(st.lists(st.floats(min_value=-10, max_value=10,
                           allow_nan=False).filter(lambda v: abs(v) > 1e-6),
-                min_size=1, max_size=50),
+                min_size=1, max_size=FINITE_RANK_MAX // 2),
        st.lists(st.floats(min_value=-10, max_value=10,
                           allow_nan=False).filter(lambda v: abs(v) > 1e-6),
-                min_size=1, max_size=50))
+                min_size=1, max_size=FINITE_RANK_MAX // 2))
 @settings(max_examples=50, deadline=None)
 def test_trace_additive_on_finite_union(a, b):
-    # finite rank: paired trace is the plain sum, so it splits over unions
+    # finite rank: paired trace is the plain sum, so it splits over unions;
+    # each part holds at most half the cap, so the union is finite rank too
     ta = reg_trace(SpectralData.from_eigenvalues(a))
     tb = reg_trace(SpectralData.from_eigenvalues(b))
     tu = reg_trace(SpectralData.from_eigenvalues(a + b))
