@@ -57,7 +57,7 @@ def _so_basis(n: int) -> List[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraBasis:
     name: str
     basis: tuple                 # matrices spanning the algebra

@@ -80,6 +80,8 @@ class EigenGrid:
             if not (math.isfinite(key[0]) and math.isfinite(key[1])):
                 raise ValidationError(f"pair {key} is not finite")
             merged[key] = merged.get(key, 0) + int(m)
+        if sum(merged.values()) >= spectral.MAX_BRANCH_RANK:
+            raise ValidationError("total multiplicity must stay below 2**53")
         object.__setattr__(
             self, "pairs",
             tuple((lr, la, m) for (lr, la), m in sorted(merged.items()))
@@ -305,16 +307,13 @@ def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> Union[TraceValue, 
 
 def _multisets_close(a, b, abs_tol: float = SPEC_ABS_TOL,
                      rel_tol: float = SPEC_REL_TOL) -> bool:
-    """Compare two (values, mults) multisets as their sorted multiplicity
-    expansions compare elementwise, once per run on which both are constant."""
+    """Compare two (values, mults) multisets as their sorted sequences compare
+    elementwise, once per run on which both are constant."""
     (va, ma), (vb, mb) = a, b
-    oa, ob = np.argsort(va), np.argsort(vb)
-    ca, cb = np.cumsum(ma[oa]), np.cumsum(mb[ob])
-    if not np.array_equal(ca[-1:], cb[-1:]):
+    if ma.sum() != mb.sum():
         return False
-    ends = np.union1d(ca, cb) - 1        # last expanded index of each run
-    x = va[oa][np.searchsorted(ca, ends, side="right")]
-    y = vb[ob][np.searchsorted(cb, ends, side="right")]
+    oa, ob = np.argsort(va), np.argsort(vb)
+    _, x, y = spectral.align_runs((va[oa], ma[oa]), (vb[ob], mb[ob]))
     return bool(np.all(np.abs(x - y) <= abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))))
 
 

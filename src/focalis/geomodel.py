@@ -110,7 +110,7 @@ def default_config() -> SphereProductConfig:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelSubmanifold:
     config: SphereProductConfig
     points: np.ndarray              # (n_points, N)

@@ -45,7 +45,7 @@ def involution(name: str, matrix_size: int) -> Callable[[np.ndarray], np.ndarray
     raise ValidationError(f"unsupported involution '{name}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestrictedRootData:
     algebra: LieAlgebraBasis
     theta_name: str

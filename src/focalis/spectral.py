@@ -3,14 +3,18 @@
 A spectrum is stored as two non-increasing lists of positive reals (the
 positive eigenvalues and the magnitudes of the negative ones), each entry
 carrying an integer multiplicity, plus an optional geometric tail model
-describing the eigenvalues beyond the stored truncation.  The paired trace
-sums lambda_i^+ - lambda_i^- index-wise over the multiplicity-expanded
-sequences; the power-sum trace evaluates the signed power sums on a grid of
-exponents decreasing to 1 and extrapolates.
+describing the eigenvalues beyond the stored truncation.  Every trace reads
+the entries as runs of equal values and never expands them: a finite-rank
+trace is the weighted sum of m * lambda, the paired trace sums
+lambda_i^+ - lambda_i^- index-wise over the runs of both branches aligned
+on their common ends, and the power-sum trace evaluates the signed power
+sums of m * lambda**s on a grid of exponents decreasing to 1 and
+extrapolates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -22,6 +26,7 @@ CAUCHY_WINDOW = 0.10       # fraction of trailing partial sums examined
 CAUCHY_THRESHOLD = 1e-6
 RATIO_MAX = 0.95           # increment ratio above which we refuse to extrapolate
 FINITE_RANK_MAX = 64       # at most this many stored entries reads as finite rank
+MAX_BRANCH_RANK = 2 ** 53  # a branch's total multiplicity stays below this
 
 
 class Divergent:
@@ -65,9 +70,16 @@ class TailModel:
         return (self.scale ** power) * qp ** start_index / (1.0 - qp)
 
 
+def _as_array(x, dtype, name):
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+
+
 def _as_branch(values, mults, name):
-    values = np.asarray(values, dtype=float)
-    mults = np.asarray(mults, dtype=np.int64)
+    values = _as_array(values, float, name)
+    mults = _as_array(mults, np.int64, name)
     if values.ndim != 1 or mults.shape != values.shape:
         raise ValidationError(f"{name}: values/mults must be 1-d of equal length")
     if not np.isfinite(values).all():
@@ -78,12 +90,16 @@ def _as_branch(values, mults, name):
         raise ValidationError(f"{name}: entries must be positive magnitudes")
     if (mults < 1).any():
         raise ValidationError(f"{name}: multiplicities must be >= 1")
+    # below 2**53 every run end and run length is exact in float64; a float
+    # sum cannot wrap, and it reaches 2**53 exactly when the integer total does
+    if mults.sum(dtype=float) >= MAX_BRANCH_RANK:
+        raise ValidationError(f"{name}: total multiplicity must stay below 2**53")
     if (values[1:] > values[:-1]).any():
         raise ValidationError(f"{name}: values must be sorted non-increasing")
     return values, mults
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Signed eigenvalue multiset of a compact self-adjoint operator."""
 
@@ -102,29 +118,25 @@ class SpectralData:
         object.__setattr__(self, "neg_mults", nm)
         if self.tail is not None:
             for vals, mults in ((pv, pm), (nv, nm)):
-                if len(vals) == 0:
-                    continue
-                idx = np.cumsum(mults) - 1  # expanded index of each entry's last copy
+                idx = np.cumsum(mults) - 1  # sequence index of each run's last element
                 if np.any(vals < self.tail.scale * self.tail.ratio ** idx):
-                    raise ValidationError(
-                        "stored eigenvalue below the declared tail bound"
-                    )
+                    raise ValidationError("stored eigenvalue below the declared tail bound")
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues, tail: Optional[TailModel] = None,
                          mults=None) -> "SpectralData":
         """Build from finite signed eigenvalues, each with a multiplicity
         (one by default); zeros are dropped."""
-        ev = np.asarray(eigenvalues, dtype=float).ravel()
+        ev = _as_array(eigenvalues, float, "eigenvalues").ravel()
         mults = (np.ones(len(ev), dtype=np.int64) if mults is None
-                 else np.asarray(mults, dtype=np.int64).ravel())
+                 else _as_array(mults, np.int64, "multiplicities").ravel())
         if mults.shape != ev.shape:
             raise ValidationError("eigenvalues and multiplicities differ in length")
         if not np.isfinite(ev).all():
             raise ValidationError("eigenvalues must be finite")
-        # sorting entries by value, then expanding, gives the same sequence as
-        # sorting the expanded values; ascending order puts the negatives
-        # first by decreasing magnitude and the positives last
+        # sorting the entries by value sorts the sequence they stand for;
+        # ascending order puts the negatives first by decreasing magnitude
+        # and the positives last
         order = np.argsort(ev)
         ev, mults = ev[order], mults[order]
         n_neg, n_nonpos = np.searchsorted(ev, 0.0, "left"), np.searchsorted(ev, 0.0, "right")
@@ -134,20 +146,12 @@ class SpectralData:
     @classmethod
     def from_entries(cls, positives, negatives, tail=None) -> "SpectralData":
         """Build from [(value, mult), ...] pairs for each sign branch."""
-        pv = np.array([v for v, _ in positives], dtype=float)
-        pm = np.array([m for _, m in positives], dtype=np.int64)
-        nv = np.array([v for v, _ in negatives], dtype=float)
-        nm = np.array([m for _, m in negatives], dtype=np.int64)
-        return cls(pv, pm, nv, nm, tail)
+        return cls([v for v, _ in positives], [m for _, m in positives],
+                   [v for v, _ in negatives], [m for _, m in negatives], tail)
 
     def negated(self) -> "SpectralData":
         return SpectralData(self.negatives, self.neg_mults,
                             self.positives, self.pos_mults, self.tail)
-
-    def expanded(self):
-        """Multiplicity-expanded (positives, negatives) arrays."""
-        return (np.repeat(self.positives, self.pos_mults),
-                np.repeat(self.negatives, self.neg_mults))
 
     @property
     def rank(self) -> int:
@@ -215,33 +219,26 @@ def _limit_of_partial_sums(s: np.ndarray, tail_remainder: Optional[float]) -> Tr
     return TraceInfo(last, np.inf, False, "cauchy-failed")
 
 
-def _paired_partial_sums(spec: SpectralData, power: float = 1.0) -> np.ndarray:
-    pos, neg = spec.expanded()
-    n = max(len(pos), len(neg))
-    if n == 0:
-        return np.empty(0)
-    terms = np.zeros(n)
-    terms[: len(pos)] += pos ** power
-    terms[: len(neg)] -= neg ** power
-    return np.cumsum(terms)
+def align_runs(a, b):
+    """Align two run-length sequences on the union of their run ends.
 
-
-def _checkpoints(sums: np.ndarray, *mult_arrays) -> np.ndarray:
-    """Partial sums sampled at entry boundaries of either branch.
-
-    High-multiplicity entries make the expanded sums staircase through large
-    jumps that say nothing about the continuation; the convergence diagnostics
-    look at one sample per stored entry instead.
+    a and b are (values, mults) pairs, each standing for its values repeated
+    by their multiplicities.  Returns (lengths, x, y): the length of every
+    aligned run and the value of each sequence on it, 0.0 past that
+    sequence's end.
     """
-    n = len(sums)
-    if n == 0:
-        return sums
-    idx = set()
-    for mults in mult_arrays:
-        if len(mults):
-            idx.update(np.minimum(np.cumsum(mults) - 1, n - 1).tolist())
-    idx.add(n - 1)
-    return sums[np.array(sorted(idx), dtype=int)]
+    (va, ma), (vb, mb) = a, b
+    ca, cb = np.cumsum(ma), np.cumsum(mb)
+    # both cumsums are increasing, so the stable sort is one merge; an end
+    # that both share gives a run of length 0, which is dropped
+    ends = np.sort(np.concatenate(([0], ca, cb)), kind="stable")
+    lengths = ends[1:] - ends[:-1]
+    ends, lengths = ends[1:][lengths > 0], lengths[lengths > 0]
+    # the run of a sequence holding the aligned run that ends at e is the
+    # first whose end is >= e; one past the last run reads the padded 0.0
+    x = np.concatenate((va, [0.0]))[np.searchsorted(ca, ends)]
+    y = np.concatenate((vb, [0.0]))[np.searchsorted(cb, ends)]
+    return lengths, x, y
 
 
 def _is_finite_rank(spec: SpectralData) -> bool:
@@ -256,15 +253,17 @@ def _is_finite_rank(spec: SpectralData) -> bool:
 
 
 def reg_trace_info(spec: SpectralData) -> TraceInfo:
-    sums = _paired_partial_sums(spec)
     if _is_finite_rank(spec):
-        value = float(sums[-1]) if len(sums) else 0.0
+        # the weighted sum, rounded once: the two branches often nearly cancel
+        value = math.fsum((spec.pos_mults * spec.positives).tolist()
+                          + (spec.neg_mults * -spec.negatives).tolist())
         return TraceInfo(value, 0.0, True, "finite-rank")
-    sums = _checkpoints(sums, spec.pos_mults, spec.neg_mults)
-    rem = None
-    if spec.tail is not None:
-        rem = 2.0 * spec.tail.remainder(spec.rank)
-    return _limit_of_partial_sums(sums, rem)
+    # one partial sum per aligned run: inside a run the sums are linear, and a
+    # high-multiplicity entry's steps say nothing about the continuation
+    lengths, pos, neg = align_runs((spec.positives, spec.pos_mults),
+                                   (spec.negatives, spec.neg_mults))
+    rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank)
+    return _limit_of_partial_sums(np.cumsum((pos - neg) * lengths), rem)
 
 
 def reg_trace(spec: SpectralData) -> TraceValue:
@@ -274,18 +273,14 @@ def reg_trace(spec: SpectralData) -> TraceValue:
 
 def trace_square_info(spec: SpectralData) -> TraceInfo:
     if _is_finite_rank(spec):
-        pos, neg = spec.expanded()
-        value = float(np.sum(pos ** 2) + np.sum(neg ** 2))
+        value = math.fsum((spec.pos_mults * spec.positives ** 2).tolist()
+                          + (spec.neg_mults * spec.negatives ** 2).tolist())
         return TraceInfo(value, 0.0, True, "finite-rank")
     values = np.concatenate([spec.positives, spec.negatives])
     mults = np.concatenate([spec.pos_mults, spec.neg_mults])
     order = np.argsort(values)[::-1]
-    values, mults = values[order], mults[order]
-    sums = np.cumsum(np.repeat(values, mults) ** 2)
-    sums = _checkpoints(sums, mults)
-    rem = None
-    if spec.tail is not None:
-        rem = 2.0 * spec.tail.remainder(spec.rank, power=2.0)
+    sums = np.cumsum(values[order] ** 2 * mults[order])
+    rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank, power=2.0)
     return _limit_of_partial_sums(sums, rem)
 
 
@@ -294,37 +289,29 @@ def trace_square(spec: SpectralData) -> TraceValue:
     return trace_square_info(spec).as_trace()
 
 
-def _neville_to_zero(x: np.ndarray, y: np.ndarray) -> float:
-    """Neville polynomial tableau evaluated at 0."""
-    p = y.astype(float).copy()
-    for m in range(1, len(x)):
-        for i in range(len(x) - m):
-            p[i] = (x[i] * p[i + 1] - x[i + m] * p[i]) / (x[i] - x[i + m])
-    return float(p[0])
-
-
 def zeta_trace_info(spec: SpectralData, cfg: ZetaConfig = ZetaConfig()) -> TraceInfo:
-    pos, neg = spec.expanded()
-    if len(pos) == 0 and len(neg) == 0:
+    if len(spec.positives) == 0 and len(spec.negatives) == 0:
         return TraceInfo(0.0, 0.0, True, "empty")
     s_grid = np.asarray(cfg.exponents, dtype=float)
     x = s_grid - 1.0
     vals = np.empty(len(s_grid))
     for k, s in enumerate(s_grid):
-        v = float(np.sum(pos ** s) - np.sum(neg ** s))
-        vals[k] = v
+        vals[k] = ((spec.pos_mults * spec.positives ** s).sum()
+                   - (spec.neg_mults * spec.negatives ** s).sum())
     # each power sum's truncation remainder (tail model, evaluated at s ~ 1)
     tail_err = 0.0
     if spec.tail is not None:
         tail_err = 2.0 * spec.tail.remainder(spec.rank, power=float(s_grid[-1]))
     order = min(cfg.order, len(s_grid) - 1)
-    xs, ys = x[-(order + 1):], vals[-(order + 1):]
-    # diagonal Neville increments give a self-estimate of the extrapolation error
-    estimates = [float(ys[-1])]
-    for m in range(2, len(xs) + 1):
-        estimates.append(_neville_to_zero(xs[-m:], ys[-m:]))
-    value = estimates[-1]
-    err = abs(estimates[-1] - estimates[-2]) + tail_err
+    xs, p = x[-(order + 1):], vals[-(order + 1):].copy()
+    # Neville tableau at 0: after level m, p[i] interpolates points i..i+m,
+    # so p[0] ends on all of them and p[1] on all but the first; their
+    # difference self-estimates the extrapolation error
+    for m in range(1, len(xs)):
+        k = len(xs) - m
+        p[:k] = (xs[:k] * p[1:k + 1] - xs[m:] * p[:k]) / (xs[:k] - xs[m:])
+    value = float(p[0])
+    err = abs(value - float(p[1])) + tail_err
     if not np.isfinite(value) or err > cfg.tolerance * (1.0 + abs(value)):
         return TraceInfo(value, err, False, "extrapolation-failed")
     return TraceInfo(value, err, True, "neville")

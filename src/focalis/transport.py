@@ -43,7 +43,7 @@ def expm_antiherm(batch: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraPath:
     """Uniform samples u(t_k), t_k = k/S, of a path in a matrix Lie algebra."""
 
@@ -79,7 +79,7 @@ class AlgebraPath:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionPath:
     """Sampled connection coefficient along the reference horizontal lift."""
 
@@ -89,7 +89,7 @@ class ConnectionPath:
         object.__setattr__(self, "samples", _square_stack(self.samples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugePath:
     """Uniform samples of a path in the matrix group (unitary/orthogonal)."""
 

@@ -2,6 +2,7 @@ import contextlib
 import io as textio
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,29 @@ class TestTraceCommand:
         assert report["result"]["regularizable"] is False
         assert report["result"]["tr_sq"] == "divergent"
 
+    def test_multiplicity_beyond_int64_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"positives": [{"value": 0.5, "mult": 10 ** 30}]}))
+        code, out = run(capsys, "trace", "--spec", str(path))
+        assert code == 2 and out == ""
+
+    def test_high_multiplicity_traces_in_bounded_memory(self, capsys, tmp_path):
+        # one entry of multiplicity 1e10 is read as one run, never expanded
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"positives": [{"value": 0.5, "mult": 10 ** 10}]}))
+        tracemalloc.start()
+        try:
+            code, report = run_json(capsys, "trace", "--spec", str(path), "--zeta", "--square")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20
+        res = report["result"]
+        assert res["method"] == "finite-rank"
+        assert res["tr_r"] == 0.5e10 and res["tr_sq"] == 0.25e10
+        assert res["tr_zeta"] == pytest.approx(0.5e10, rel=1e-9)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_spectrum_is_input_error(self, capsys, tmp_path, value):
         path = tmp_path / "bad.json"
@@ -297,6 +321,13 @@ class TestFocalAndParallel:
         code, trace = run_json(capsys, "trace", "--spec", str(spec_path))
         assert trace["result"]["method"] == "finite-rank"
         assert report["result"]["tr_r"] == trace["result"]["tr_r"]
+
+    def test_parallel_multiplicity_beyond_cap_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pairs": [{"lambdaR": 0.0, "lambdaA": 0.5,
+                                               "mult": 10 ** 30}]}))
+        code, out = run(capsys, "parallel", "--grid", str(path), "--r", "0.1")
+        assert code == 2 and out == ""
 
     def test_focal_infinite_window_is_input_error(self, capsys, tmp_path):
         # flat pairs only, so the search ends even where the window is accepted

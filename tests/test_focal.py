@@ -172,6 +172,14 @@ class TestFocalSet:
         with pytest.raises(ValidationError):
             EigenGrid((pair,))
 
+    def test_total_multiplicity_capped_below_2_53(self):
+        # merged duplicates count too; 10**30 used to overflow int64 later
+        EigenGrid(((0.0, 0.5, 2 ** 52), (0.0, 0.5, 2 ** 52 - 1)))
+        for pairs in (((0.0, 0.5, 10 ** 30),),
+                      ((0.0, 0.5, 2 ** 52), (0.0, 0.5, 2 ** 52))):
+            with pytest.raises(ValidationError):
+                EigenGrid(pairs)
+
     def test_separation_invariant(self):
         with pytest.raises(ValidationError):
             FocalRadiusSet(((1.0, 1), (1.0 + 1e-12, 1)), Window(0.1, 5.0))

@@ -1,12 +1,19 @@
+import tracemalloc
+from fractions import Fraction
+from itertools import zip_longest
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from focalis import spectral
 from focalis.errors import ConfigError, ValidationError
-from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, SpectralData,
-                              TailModel, ZetaConfig, is_regularizable,
-                              reg_trace, reg_trace_info, trace_square,
-                              trace_square_info, zeta_trace, zeta_trace_info)
+from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, MAX_BRANCH_RANK,
+                              SpectralData, TailModel, TraceInfo, ZetaConfig,
+                              align_runs, is_regularizable, reg_trace,
+                              reg_trace_info, trace_square, trace_square_info,
+                              zeta_trace, zeta_trace_info)
 
 
 def alternating_harmonic(n):
@@ -220,10 +227,223 @@ def test_from_eigenvalues_multiplicities_expand_to_repetition(entries):
     mults = [m for _, m in entries]
     spec_m = SpectralData.from_eigenvalues(values, mults=mults)
     spec_r = SpectralData.from_eigenvalues(np.repeat(values, mults))
-    for got, want in zip(spec_m.expanded(), spec_r.expanded()):
+    for got, want in zip(_expanded(spec_m), _expanded(spec_r)):
         assert np.array_equal(got, want)
     assert spec_m.rank == spec_r.rank
     if len(spec_r.positives) + len(spec_r.negatives) <= 64:
-        # both read as finite rank and sum the same sequence: equal bit for bit
+        # both read as finite rank; the values are dyadic, so the weighted and
+        # the repeated sums are exact and equal bit for bit
         assert reg_trace(spec_m) == reg_trace(spec_r)
         assert trace_square(spec_m) == trace_square(spec_r)
+
+
+# The routes that summed the multiplicity-expanded sequences before the traces
+# read runs, kept as the reference for each trace's verdict and method.
+def _expanded(spec):
+    return (np.repeat(spec.positives, spec.pos_mults),
+            np.repeat(spec.negatives, spec.neg_mults))
+
+
+def _expanded_checkpoints(sums, *mult_arrays):
+    n = len(sums)
+    if n == 0:
+        return sums
+    idx = {n - 1}
+    for mults in mult_arrays:
+        if len(mults):
+            idx.update(np.minimum(np.cumsum(mults) - 1, n - 1).tolist())
+    return sums[np.array(sorted(idx), dtype=int)]
+
+
+def _expanded_reg_trace_info(spec):
+    pos, neg = _expanded(spec)
+    terms = np.zeros(max(len(pos), len(neg)))
+    terms[: len(pos)] += pos
+    terms[: len(neg)] -= neg
+    sums = np.cumsum(terms)
+    if spectral._is_finite_rank(spec):
+        return TraceInfo(float(sums[-1]) if len(sums) else 0.0, 0.0, True, "finite-rank")
+    sums = _expanded_checkpoints(sums, spec.pos_mults, spec.neg_mults)
+    rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank)
+    return spectral._limit_of_partial_sums(sums, rem)
+
+
+def _expanded_trace_square_info(spec):
+    if spectral._is_finite_rank(spec):
+        pos, neg = _expanded(spec)
+        return TraceInfo(float(np.sum(pos ** 2) + np.sum(neg ** 2)), 0.0, True, "finite-rank")
+    values = np.concatenate([spec.positives, spec.negatives])
+    mults = np.concatenate([spec.pos_mults, spec.neg_mults])
+    order = np.argsort(values)[::-1]
+    values, mults = values[order], mults[order]
+    sums = _expanded_checkpoints(np.cumsum(np.repeat(values, mults) ** 2), mults)
+    rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank, power=2.0)
+    return spectral._limit_of_partial_sums(sums, rem)
+
+
+def _neville_to_zero(x, y):
+    p = y.astype(float).copy()
+    for m in range(1, len(x)):
+        for i in range(len(x) - m):
+            p[i] = (x[i] * p[i + 1] - x[i + m] * p[i]) / (x[i] - x[i + m])
+    return float(p[0])
+
+
+def _expanded_zeta_trace_info(spec, cfg=ZetaConfig()):
+    pos, neg = _expanded(spec)
+    if len(pos) == 0 and len(neg) == 0:
+        return TraceInfo(0.0, 0.0, True, "empty")
+    s_grid = np.asarray(cfg.exponents, dtype=float)
+    x = s_grid - 1.0
+    vals = np.array([float(np.sum(pos ** s) - np.sum(neg ** s)) for s in s_grid])
+    tail_err = 0.0
+    if spec.tail is not None:
+        tail_err = 2.0 * spec.tail.remainder(spec.rank, power=float(s_grid[-1]))
+    order = min(cfg.order, len(s_grid) - 1)
+    xs, ys = x[-(order + 1):], vals[-(order + 1):]
+    # one Neville tableau per suffix of the points
+    estimates = [float(ys[-1])]
+    for m in range(2, len(xs) + 1):
+        estimates.append(_neville_to_zero(xs[-m:], ys[-m:]))
+    value = estimates[-1]
+    err = abs(estimates[-1] - estimates[-2]) + tail_err
+    if not np.isfinite(value) or err > cfg.tolerance * (1.0 + abs(value)):
+        return TraceInfo(value, err, False, "extrapolation-failed")
+    return TraceInfo(value, err, True, "neville")
+
+
+def _partial_sums_seen(info_fn, spec):
+    """The partial sums info_fn hands to the convergence test, or None."""
+    with mock.patch.object(spectral, "_limit_of_partial_sums",
+                           wraps=spectral._limit_of_partial_sums) as limit:
+        info_fn(spec)
+    return limit.call_args.args[0] if limit.called else None
+
+
+def _sum_bound(n_ops, abs_sum):
+    """A-priori error bound of a floating-point sum whose every term passes
+    through at most n_ops roundings, in any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 4.2)."""
+    u = 2.0 ** -53
+    return n_ops * u / (1.0 - n_ops * u) * abs_sum
+
+
+def _exact_prefix_sums(terms, ends):
+    """Exact sums of the first e terms, for each e in ends."""
+    out, acc, abs_acc, i = [], Fraction(0), Fraction(0), 0
+    for e in ends:
+        for t in terms[i:e]:
+            acc += t
+            abs_acc += abs(t)
+        i = e
+        out.append((acc, abs_acc))
+    return out
+
+
+@st.composite
+def _run_branch(draw):
+    """Up to 80 (value, mult) entries, multiplicities 1-40; each value is the
+    one before times a ratio in [0.5, 1], so the sums converge, creep or
+    diverge depending on the draw."""
+    n = draw(st.integers(min_value=0, max_value=80))
+    start = draw(st.floats(min_value=1e-3, max_value=10.0))
+    ratios = draw(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=n, max_size=n))
+    mults = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
+    return list(zip((start * np.cumprod(ratios)).tolist(), mults))
+
+
+# branches drawn apart, so one usually runs past the other; together they
+# take both the finite-rank and the truncated routes
+@given(_run_branch(), _run_branch())
+@settings(max_examples=60, deadline=None)
+def test_run_sums_match_exact_expanded_sums(pos, neg):
+    spec = SpectralData.from_entries(pos, neg)
+    p, n = ([Fraction(float(v)) for v in b] for b in _expanded(spec))
+    paired = [a - b for a, b in zip_longest(p, n, fillvalue=Fraction(0))]
+    squares = [v * v for v in sorted(p + n, reverse=True)]
+    if spectral._is_finite_rank(spec):
+        # each weighted term m * lambda is rounded before the sum, so the
+        # bound is relative to the sum of every eigenvalue's magnitude
+        n_ops = len(spec.positives) + len(spec.negatives) + 2
+        for info, terms in ((reg_trace_info(spec), paired), (trace_square_info(spec), squares)):
+            exact = _exact_prefix_sums(terms, [len(terms)])[0][0]
+            magnitude = sum(squares) if terms is squares else sum(p) + sum(n)
+            assert abs(Fraction(info.value) - exact) <= _sum_bound(n_ops, magnitude)
+    else:
+        ends = sorted(set(np.cumsum(spec.pos_mults).tolist())
+                      | set(np.cumsum(spec.neg_mults).tolist()))
+        sums = _partial_sums_seen(reg_trace_info, spec)
+        assert len(sums) == len(ends)
+        for k, (got, (exact, abs_sum)) in enumerate(zip(sums, _exact_prefix_sums(paired, ends))):
+            assert abs(Fraction(float(got)) - exact) <= _sum_bound(k + 3, abs_sum)
+        mults = np.concatenate([spec.pos_mults, spec.neg_mults])
+        values = np.concatenate([spec.positives, spec.negatives])
+        ends = np.cumsum(mults[np.argsort(values)[::-1]]).tolist()
+        sums = _partial_sums_seen(trace_square_info, spec)
+        assert len(sums) == len(ends)
+        for k, (got, (exact, abs_sum)) in enumerate(zip(sums, _exact_prefix_sums(squares, ends))):
+            assert abs(Fraction(float(got)) - exact) <= _sum_bound(k + 3, abs_sum)
+    for info_fn, reference in ((reg_trace_info, _expanded_reg_trace_info),
+                               (trace_square_info, _expanded_trace_square_info),
+                               (zeta_trace_info, _expanded_zeta_trace_info)):
+        got, want = info_fn(spec), reference(spec)
+        assert (got.converged, got.method) == (want.converged, want.method)
+    # the weighted power sums differ from the expanded ones by rounding, and
+    # extrapolating to 0 on the default grid multiplies that by at most 8.3
+    values = np.concatenate(_expanded(spec))
+    got, want = zeta_trace_info(spec), _expanded_zeta_trace_info(spec)
+    assert abs(got.value - want.value) <= 1e-12 * (1.0 + np.sum(values + values ** 1.5))
+
+
+@given(_run_branch(), _run_branch())
+@settings(max_examples=60, deadline=None)
+def test_multiplicity_one_traces_are_bit_identical(pos, neg):
+    # one entry per eigenvalue: the truncated traces and every power sum take
+    # the same floating-point steps as the expanded route
+    spec = SpectralData.from_entries([(v, 1) for v, _ in pos], [(v, 1) for v, _ in neg])
+    assert zeta_trace_info(spec) == _expanded_zeta_trace_info(spec)
+    if not spectral._is_finite_rank(spec):
+        assert reg_trace_info(spec) == _expanded_reg_trace_info(spec)
+        assert trace_square_info(spec) == _expanded_trace_square_info(spec)
+
+
+def test_align_runs():
+    lengths, x, y = align_runs((np.array([3.0, 2.0]), np.array([2, 3])),
+                               (np.array([5.0, 1.0, 0.5]), np.array([1, 3, 2])))
+    # ends 2, 5 and 1, 4, 6 give the runs [0,1) [1,2) [2,4) [4,5) [5,6)
+    assert lengths.tolist() == [1.0, 1.0, 2.0, 1.0, 1.0]
+    assert x.tolist() == [3.0, 3.0, 2.0, 2.0, 0.0]
+    assert y.tolist() == [5.0, 1.0, 1.0, 0.5, 0.5]
+    empty = (np.empty(0), np.empty(0, dtype=np.int64))
+    assert all(len(a) == 0 for a in align_runs(empty, empty))
+
+
+class TestMultiplicityBounds:
+    def test_multiplicity_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError):
+            SpectralData.from_entries([(1.0, 10 ** 30)], [])
+        with pytest.raises(ValidationError):
+            SpectralData.from_eigenvalues([1.0], mults=[10 ** 30])
+
+    def test_branch_total_capped_below_2_53(self):
+        SpectralData.from_entries([(1.0, MAX_BRANCH_RANK - 1)], [(1.0, MAX_BRANCH_RANK - 1)])
+        with pytest.raises(ValidationError):
+            SpectralData.from_entries([(1.0, MAX_BRANCH_RANK - 1), (0.5, 1)], [])
+        # 2**62 + 2**62 wraps int64; the cap still sees it
+        with pytest.raises(ValidationError):
+            SpectralData.from_entries([], [(1.0, 2 ** 62), (0.5, 2 ** 62)])
+
+    def test_huge_multiplicity_traces_without_expansion(self):
+        spec = SpectralData.from_entries([(0.5, 10 ** 10)], [(0.25, 3 * 10 ** 9)])
+        tracemalloc.start()
+        try:
+            reg, square = reg_trace_info(spec), trace_square_info(spec)
+            zeta = zeta_trace_info(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert reg.value == 0.5 * 10 ** 10 - 0.25 * 3 * 10 ** 9
+        assert square.value == 0.25 * 10 ** 10 + 0.0625 * 3 * 10 ** 9
+        assert zeta.converged
+        assert zeta.value == pytest.approx(reg.value, rel=1e-9)
