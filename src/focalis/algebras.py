@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+IDENTITY_TOL = 1e-12   # bracket, antisymmetry and Jacobi residuals of a loaded algebra
+
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -93,24 +95,24 @@ class LieAlgebraBasis:
         return list(self.from_coefficients(np.linalg.inv(np.linalg.cholesky(self.gram))))
 
 
-def _verify(alg: LieAlgebraBasis, tol: float = 1e-12):
+def _verify(alg: LieAlgebraBasis):
     """Check that structure constants reproduce every bracket in matrix space,
     then the identities of c and gram in coefficient space."""
     b = np.stack(alg.basis)
     rec = np.tensordot(alg.structure, b, axes=1)
-    if np.max(np.abs(rec - bracket(b[:, None], b[None]))) > tol:
+    if np.max(np.abs(rec - bracket(b[:, None], b[None]))) > IDENTITY_TOL:
         raise ValidationError("structure constants do not reproduce brackets")
-    _verify_identities(alg.structure, alg.gram, tol)
+    _verify_identities(alg.structure, alg.gram)
 
 
-def _verify_identities(c: np.ndarray, gram: np.ndarray, tol: float = 1e-12):
+def _verify_identities(c: np.ndarray, gram: np.ndarray):
     """Antisymmetry, Jacobi as ad[e_i, e_j] = [ad_i, ad_j], and ad-invariance
     <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> = 0 of the inner product."""
-    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > tol:
+    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > IDENTITY_TOL:
         raise ValidationError("structure constants not antisymmetric")
     ad = np.swapaxes(c, 1, 2)            # ad[i] @ v = coefficients of [e_i, v]
     for i in range(len(c)):              # chunked over i: O(dim^3) memory
-        if np.max(np.abs(np.tensordot(c[i], ad, axes=1) - bracket(ad[i], ad))) > tol:
+        if np.max(np.abs(np.tensordot(c[i], ad, axes=1) - bracket(ad[i], ad))) > IDENTITY_TOL:
             raise ValidationError("Jacobi identity violated")
     cg = c @ gram
     if np.max(np.abs(cg + np.swapaxes(cg, 1, 2))) > 1e-9 * (1.0 + np.abs(gram).max()):

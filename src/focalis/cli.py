@@ -61,7 +61,8 @@ def _walk(x, path: tuple, out: list):
 
     Brackets, separators and keys go in as text.  Each leaf goes in as
     (path, value): path is a tuple of str keys and int indices, and value is
-    the leaf's JSON text or a real, integer or boolean ndarray, written whole.
+    the leaf's JSON text or a real, integer or boolean ndarray, written whole
+    (a complex one as its stacked [re, im] parts).
     Dict keys are str()-ed and sorted, as in json.dumps after _jsonable.
     """
     encode = _SCALAR_JSON.get(type(x))
@@ -86,6 +87,8 @@ def _walk(x, path: tuple, out: list):
             _walk(v, path + (k,), out)
         out.append("\n" + "  " * len(path) + brackets[1])
     elif isinstance(x, np.ndarray):
+        if x.dtype.kind == "c":
+            x = np.stack((x.real, x.imag), axis=-1)
         if x.dtype.kind in "biu" or (x.dtype.kind == "f" and x.dtype.itemsize <= 8):
             out.append((path, x))
         else:
@@ -296,25 +299,22 @@ def _cmd_example41(args):
 
 
 def _cmd_transport(args):
-    u = io.read_path(args.path, kind="algebra")
+    u = io.read_path(args.path)
     g1 = transport.transport(u, steps=args.steps)
     unit = float(np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))))
-    result = {"steps": args.steps, "endpoint": io._matrix_to_pairs(g1),
-              "unitarity_residual": unit}
+    result = {"steps": args.steps, "endpoint": g1, "unitarity_residual": unit}
     return result, EXIT_OK
 
 
 def _cmd_holonomy(args):
-    omega = io.read_path(args.omega, kind="connection")
-    omega0 = io.read_path(args.omega0, kind="connection") if args.omega0 else None
+    omega = io.read_path(args.omega)
+    omega0 = io.read_path(args.omega0) if args.omega0 else None
     hol = transport.holonomy_element(omega, omega0, steps=args.steps)
     mu = transport.pullback_connection(omega, omega0, steps=args.steps)
     phi_mu = transport.transport(mu, steps=args.steps)
     agreement = float(np.max(np.abs(hol - phi_mu)))
-    result = {"holonomy": io._matrix_to_pairs(hol),
-              "transport_of_pullback": io._matrix_to_pairs(phi_mu),
-              "factorization_residual": agreement,
-              "passed": agreement < 1e-6}
+    result = {"holonomy": hol, "transport_of_pullback": phi_mu,
+              "factorization_residual": agreement, "passed": agreement < 1e-6}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -336,12 +336,7 @@ def _cmd_roots(args):
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
-_INVOLUTIONS = {
-    "u1diag": "ad_diag",
-    "so2": "conj",
-    "so3": "conj",
-    "son": "conj",
-}
+_INVOLUTIONS = {"u1diag": "ad_diag", "so2": "conj", "so3": "conj", "son": "conj"}
 
 
 def _cmd_hyperpolar(args):
@@ -482,10 +477,7 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
         result, code = args.func(args)
-    except (ValidationError, SingularOperatorError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (ValidationError, SingularOperatorError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     report = {

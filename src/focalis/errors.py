@@ -2,10 +2,6 @@ class ValidationError(ValueError):
     """Malformed input data (unsorted spectrum, infeasible config, ...)."""
 
 
-class ConfigError(ValidationError):
-    """Bad numerical configuration (extrapolation grid, window, ...)."""
-
-
 class OracleUndefinedError(RuntimeError):
     """An independent oracle was queried where it is not defined."""
 

@@ -15,7 +15,7 @@ the zeros of Y; the parallel submanifold at distance r has shape eigenvalue
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -28,6 +28,7 @@ FOCAL_TOL = 1e-9          # |Y(r)| < tol*(1+|Y'(r)|) triggers the Focal sentinel
 MERGE_TOL = 1e-9          # radii closer than this merge, multiplicities summed
 SPEC_ABS_TOL = 1e-9       # multiset comparison tolerances
 SPEC_REL_TOL = 1e-12
+WITNESS_EPS = (0.1, 0.5, 1.0)  # lower ends of the gap scans in proper_fredholm_witness
 _LINEAR_BRANCH = 1e-300   # |lam_r| below this is treated as exactly zero
 
 
@@ -50,18 +51,17 @@ FOCAL = Focal()
 
 @dataclass(frozen=True)
 class Window:
-    """Search interval [lo, hi] with 0 < lo < hi; negative=True searches [-hi, -lo]."""
+    """Search interval [lo, hi] with 0 < lo < hi."""
 
     lo: float
     hi: float
-    negative: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.lo < self.hi < math.inf):
             raise ValidationError(f"window [{self.lo}, {self.hi}] needs 0 < lo < hi < inf")
 
     def contains(self, r: float) -> bool:
-        return self.lo <= abs(r) <= self.hi and (r < 0) == self.negative
+        return self.lo <= r <= self.hi
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,19 @@ class EigenGrid:
     label: Optional[str] = None
 
     def __post_init__(self):
+        mults = spectral._multiplicities([p[2] for p in self.pairs], "pair")
         merged = {}
-        for lr, la, m in self.pairs:
-            if int(m) < 1:
-                raise ValidationError("pair multiplicity must be >= 1")
+        for (lr, la, _), m in zip(self.pairs, mults.tolist()):
             key = (float(lr), float(la))
             if not (math.isfinite(key[0]) and math.isfinite(key[1])):
                 raise ValidationError(f"pair {key} is not finite")
-            merged[key] = merged.get(key, 0) + int(m)
+            merged[key] = merged.get(key, 0) + m
         if sum(merged.values()) >= spectral.MAX_BRANCH_RANK:
             raise ValidationError("total multiplicity must stay below 2**53")
         object.__setattr__(
             self, "pairs",
             tuple((lr, la, m) for (lr, la), m in sorted(merged.items()))
         )
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, _, m in self.pairs)
 
     def _column(self, i: int):
         """Column i of the pairs (0: lam_r, 1: lam_a) and the multiplicities."""
@@ -133,33 +128,32 @@ class FocalRadiusSet:
         return np.array([m for _, m in self.entries], dtype=int)
 
 
-def _cos_branch(lam_r: float, s: float) -> float:
+def _cos_sinc(lam_r: float, s: float):
+    """(C(s), S(s)) = (cos(s q), sin(s q)/q) with q = sqrt(lam_r), their
+    hyperbolic forms for lam_r < 0, and (1, s) at lam_r = 0."""
     if lam_r > _LINEAR_BRANCH:
-        return math.cos(s * math.sqrt(lam_r))
-    if lam_r < -_LINEAR_BRANCH:
-        return math.cosh(s * math.sqrt(-lam_r))
-    return 1.0
-
-
-def _sinc_branch(lam_r: float, s: float) -> float:
-    """sin(s sqrt(lam_r))/sqrt(lam_r), hyperbolic for lam_r < 0, s at 0."""
-    if lam_r > _LINEAR_BRANCH:
-        q = math.sqrt(lam_r)
-        return math.sin(s * q) / q
-    if lam_r < -_LINEAR_BRANCH:
-        q = math.sqrt(-lam_r)
-        return math.sinh(s * q) / q
-    return s
+        q, cos, sin = math.sqrt(lam_r), math.cos, math.sin
+    elif lam_r < -_LINEAR_BRANCH:
+        q, cos, sin = math.sqrt(-lam_r), math.cosh, math.sinh
+    else:
+        return 1.0, s
+    try:
+        return cos(s * q), sin(s * q) / q
+    except (OverflowError, ValueError) as exc:  # cosh beyond float range, cos(inf)
+        raise ValidationError(f"Jacobi amplitude at lambda_R={lam_r}, r={s} is out of "
+                              "floating-point range") from exc
 
 
 def jacobi_amplitude(lam_r: float, lam_a: float, s: float) -> float:
     """Scalar Jacobi amplitude Y(s) = C(s) - lam_a S(s) on the eigenspace."""
-    return _cos_branch(lam_r, s) - lam_a * _sinc_branch(lam_r, s)
+    c, sn = _cos_sinc(lam_r, s)
+    return c - lam_a * sn
 
 
 def jacobi_amplitude_deriv(lam_r: float, lam_a: float, s: float) -> float:
     """Y'(s) = -lam_r S(s) - lam_a C(s)."""
-    return -lam_r * _sinc_branch(lam_r, s) - lam_a * _cos_branch(lam_r, s)
+    c, sn = _cos_sinc(lam_r, s)
+    return -lam_r * sn - lam_a * c
 
 
 def focal_radii_pair(lam_r: float, lam_a: float, window: Window) -> List[float]:
@@ -167,44 +161,31 @@ def focal_radii_pair(lam_r: float, lam_a: float, window: Window) -> List[float]:
 
     Closed forms: arctan branch family for lam_r > 0 (period pi/sqrt(lam_r)),
     the single arctanh root for lam_r < 0 when |lam_a| > sqrt(-lam_r), and
-    1/lam_a in the flat case.  Negative radii are searched via the sign
-    symmetry Y(-s; lam_r, lam_a) = Y(s; lam_r, -lam_a).
+    1/lam_a in the flat case.  A radius is kept only if the window contains
+    it, the same rule FocalRadiusSet applies.
     """
-    if window.negative:
-        mirror = Window(window.lo, window.hi)
-        return sorted(-r for r in focal_radii_pair(lam_r, -lam_a, mirror))
-    out: List[float] = []
+    roots: List[float] = []
     if lam_r > _LINEAR_BRANCH:
         q = math.sqrt(lam_r)
         base = math.atan2(q, lam_a) / q  # atan2 handles lam_a <= 0 (root in (0, pi))
         period = math.pi / q
-        k0 = math.floor((window.lo - base) / period)
-        k = int(k0)
-        while True:
-            r = base + k * period
-            if r > window.hi + MERGE_TOL:
-                break
-            if r >= window.lo - MERGE_TOL:
-                out.append(r)
+        k = math.floor((window.lo - base) / period)
+        while (r := base + k * period) <= window.hi:
+            roots.append(r)
             k += 1
     elif lam_r < -_LINEAR_BRANCH:
         q = math.sqrt(-lam_r)
         if lam_a > q:  # root of cosh - lam_a sinh/q at positive s
-            r = math.atanh(q / lam_a) / q
-            if window.lo - MERGE_TOL <= r <= window.hi + MERGE_TOL:
-                out.append(r)
-    else:
-        if lam_a != 0.0:
-            r = 1.0 / lam_a
-            if window.lo - MERGE_TOL <= r <= window.hi + MERGE_TOL:
-                out.append(r)
-    return out
+            roots.append(math.atanh(q / lam_a) / q)
+    elif lam_a != 0.0:
+        roots.append(1.0 / lam_a)
+    return [r for r in roots if window.contains(r)]
 
 
-def _merge_radii(radii_mults, tol: float = MERGE_TOL):
+def _merge_radii(radii_mults):
     merged = []
     for r, m in sorted(radii_mults):
-        if merged and abs(r - merged[-1][0]) <= tol:
+        if merged and abs(r - merged[-1][0]) <= MERGE_TOL:
             merged[-1][1] += m
         else:
             merged.append([r, m])
@@ -213,15 +194,12 @@ def _merge_radii(radii_mults, tol: float = MERGE_TOL):
 
 def focal_set(grid: EigenGrid, window: Window) -> FocalRadiusSet:
     """Union of per-pair focal radii, multiplicities summed on coincidence."""
-    collected = []
-    for lam_r, lam_a, mult in grid.pairs:
-        for r in focal_radii_pair(lam_r, lam_a, window):
-            collected.append((r, mult))
+    collected = [(r, mult) for lam_r, lam_a, mult in grid.pairs
+                 for r in focal_radii_pair(lam_r, lam_a, window)]
     return FocalRadiusSet(tuple(_merge_radii(collected)), window)
 
 
-def proper_fredholm_witness(grid: EigenGrid, window: Window,
-                            eps_list: Sequence[float] = (0.1, 0.5, 1.0)) -> dict:
+def proper_fredholm_witness(grid: EigenGrid, window: Window) -> dict:
     """Truncation surrogate of the proper-Fredholm property.
 
     Reports the (finite) focal count in the window, the max multiplicity and
@@ -237,12 +215,9 @@ def proper_fredholm_witness(grid: EigenGrid, window: Window,
         "min_gaps": {},
         "accumulation_flag": False,
     }
-    for eps in eps_list:
-        sub = radii[np.abs(radii) >= eps]
-        if len(sub) >= 2:
-            gap = float(np.min(np.diff(np.sort(sub))))
-        else:
-            gap = float("inf")
+    for eps in WITNESS_EPS:
+        sub = radii[radii >= eps]
+        gap = float(np.min(np.diff(np.sort(sub)))) if len(sub) >= 2 else float("inf")
         report["min_gaps"][eps] = gap
         if gap < 10 * MERGE_TOL:
             report["accumulation_flag"] = True
@@ -305,8 +280,7 @@ def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> Union[TraceValue, 
     return spectral.reg_trace(tg.shape_spectrum())
 
 
-def _multisets_close(a, b, abs_tol: float = SPEC_ABS_TOL,
-                     rel_tol: float = SPEC_REL_TOL) -> bool:
+def _multisets_close(a, b) -> bool:
     """Compare two (values, mults) multisets as their sorted sequences compare
     elementwise, once per run on which both are constant."""
     (va, ma), (vb, mb) = a, b
@@ -314,7 +288,8 @@ def _multisets_close(a, b, abs_tol: float = SPEC_ABS_TOL,
         return False
     oa, ob = np.argsort(va), np.argsort(vb)
     _, x, y = spectral.align_runs((va[oa], ma[oa]), (vb[ob], mb[ob]))
-    return bool(np.all(np.abs(x - y) <= abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))))
+    return bool(np.all(np.abs(x - y)
+                       <= SPEC_ABS_TOL + SPEC_REL_TOL * np.maximum(np.abs(x), np.abs(y))))
 
 
 def weakly_isoparametric_check(grids: Sequence[EigenGrid]) -> bool:

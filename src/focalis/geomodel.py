@@ -23,12 +23,13 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .focal import EigenGrid
+
+NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
 
 
 @dataclass(frozen=True)
@@ -215,19 +216,18 @@ def constraint_residual(cfg: SphereProductConfig, x: np.ndarray) -> float:
 
 
 def random_normal_vector(model: ModelSubmanifold, point_index: int,
-                         rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     basis = model.normal_bases[point_index]
-    return basis @ (scale * rng.normal(size=basis.shape[1]))
+    return basis @ rng.normal(size=basis.shape[1])
 
 
-def _check_normal(model: ModelSubmanifold, point_index: int, xi: np.ndarray,
-                  tol: float = 1e-9):
+def _check_normal(model: ModelSubmanifold, point_index: int, xi: np.ndarray):
     t = model.tangent_bases[point_index]
     n = model.normal_bases[point_index]
     in_span = n @ (n.T @ xi)
-    if np.linalg.norm(xi - in_span) > tol * (1.0 + np.linalg.norm(xi)):
+    if np.linalg.norm(xi - in_span) > NORMAL_TOL * (1.0 + np.linalg.norm(xi)):
         raise ValidationError("xi is not a normal vector at this point")
-    if np.linalg.norm(t.T @ xi) > tol * (1.0 + np.linalg.norm(xi)):
+    if np.linalg.norm(t.T @ xi) > NORMAL_TOL * (1.0 + np.linalg.norm(xi)):
         raise ValidationError("xi has a tangential component")
 
 
@@ -245,9 +245,10 @@ def _constrained_blocks(model: ModelSubmanifold, point_index: int, xi: np.ndarra
     return comps, dims, lam_a
 
 
-def shape_eigendata(model: ModelSubmanifold, point_index: int,
-                    xi: np.ndarray) -> List[Tuple[float, float, int]]:
-    """Per-block (lam_r, lam_a, mult) closed-form eigendata for a normal xi."""
+def eigen_grid_of(model: ModelSubmanifold, point_index: int,
+                  xi: np.ndarray) -> EigenGrid:
+    """Joint eigen grid feeding the focal-radius machinery: per-block
+    closed-form (lam_r, lam_a, mult) eigendata for a normal xi."""
     cfg = model.config
     _check_normal(model, point_index, xi)
     comps, dims, lam_a = _constrained_blocks(model, point_index, xi)
@@ -256,15 +257,7 @@ def shape_eigendata(model: ModelSubmanifold, point_index: int,
     flat_mult = model.tangent_bases[point_index].shape[1] - int(dims.sum())
     if flat_mult > 0:
         rows.append((0.0, 0.0, flat_mult))
-    return rows
-
-
-def eigen_grid_of(model: ModelSubmanifold, point_index: int,
-                  xi: np.ndarray) -> EigenGrid:
-    """Joint eigendata feeding the focal-radius machinery."""
-    rows = shape_eigendata(model, point_index, xi)
-    label = f"x{point_index}"
-    return EigenGrid(tuple(rows), label=label)
+    return EigenGrid(tuple(rows), label=f"x{point_index}")
 
 
 def ambient_curvature(cfg: SphereProductConfig, w: np.ndarray,

@@ -58,8 +58,8 @@ class OperatorMatrix:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(psi, dtype=float)
 
-    def is_invertible(self, tol: float = SINGULAR_TOL) -> bool:
-        return bool(np.min(np.abs(self.eigenvalues)) > tol)
+    def is_invertible(self) -> bool:
+        return bool(np.min(np.abs(self.eigenvalues)) > SINGULAR_TOL)
 
 
 def _vector(x, op: OperatorMatrix) -> np.ndarray:

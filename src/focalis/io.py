@@ -1,26 +1,30 @@
-"""JSON readers and writers for spectra, eigen grids, paths and matrices.
+"""JSON readers for spectra, eigen grids, paths, matrices and model configs.
+
+io only reads; the CLI's streaming emitter writes every report.  Numbers
+must be JSON numbers, not strings, and multiplicities whole numbers.
 
 Formats:
   spectrum   {"positives":[{"value":x,"mult":n},...], "negatives":[...],
               "tail":{"ratio":q,"scale":C} | null}
   eigen grid {"label":"x0","pairs":[{"lambdaR":.., "lambdaA":.., "mult":..},...]}
   path       {"group":"SU2","samples":[[t, [[re,im],...]], ...]} row-major,
-             complex entries as [re, im]
+             complex entries as [re, im]; any algebra path, a connection
+             coefficient included
   matrix     dense row-major nested lists; vectors as flat lists
+  config     {"blocks":[[m, r],...], "k1":.., "rprime":[..], "k2":.., "ambient_dim":..}
 """
 
 from __future__ import annotations
 
 import json
-from typing import Union
 
 import numpy as np
 
 from .errors import ValidationError
 from .focal import EigenGrid
 from .geomodel import SphereProductConfig
-from .spectral import SpectralData, TailModel
-from .transport import AlgebraPath, ConnectionPath
+from .spectral import SpectralData, TailModel, _as_array
+from .transport import AlgebraPath
 
 
 def _load_json(path: str):
@@ -43,54 +47,27 @@ def read_spectrum(path: str) -> SpectralData:
     return SpectralData.from_entries(pos, neg, model)
 
 
-def write_spectrum(path: str, spec: SpectralData):
-    data = {
-        "positives": [{"value": float(v), "mult": int(m)}
-                      for v, m in zip(spec.positives, spec.pos_mults)],
-        "negatives": [{"value": float(v), "mult": int(m)}
-                      for v, m in zip(spec.negatives, spec.neg_mults)],
-        "tail": None if spec.tail is None else
-                {"ratio": spec.tail.ratio, "scale": spec.tail.scale},
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-
-
 def read_eigen_grid(path: str) -> EigenGrid:
     data = _load_json(path)
     try:
-        pairs = tuple((float(p["lambdaR"]), float(p["lambdaA"]), int(p.get("mult", 1)))
-                      for p in data["pairs"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        pairs = tuple((p["lambdaR"], p["lambdaA"], p.get("mult", 1)) for p in data["pairs"])
+        _as_array(pairs, float, "pairs")    # refuses numbers given as strings
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed grid file '{path}': {exc}") from exc
     return EigenGrid(pairs, label=data.get("label"))
-
-
-def write_eigen_grid(path: str, grid: EigenGrid):
-    data = {
-        "label": grid.label,
-        "pairs": [{"lambdaR": lr, "lambdaA": la, "mult": m}
-                  for lr, la, m in grid.pairs],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
 
 
 def _matrix_from_pairs(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _matrix_to_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def read_path(path: str, kind: str = "algebra") -> Union[AlgebraPath, ConnectionPath]:
-    """Sampled matrix path; samples must sit on a uniform grid over [0, 1]."""
+def read_path(path: str) -> AlgebraPath:
+    """Sampled algebra path; samples must sit on a uniform grid over [0, 1]."""
     data = _load_json(path)
     # ValueError: ragged rows, samples of different sizes, or a non-numeric time
     try:
         samples = sorted(data["samples"], key=lambda e: e[0])
-        ts = np.array([e[0] for e in samples], dtype=float)
+        ts = _as_array([e[0] for e in samples], float, "sample times")
         mats = np.stack([_matrix_from_pairs(e[1]) for e in samples])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed path file '{path}': {exc}") from exc
@@ -99,25 +76,11 @@ def read_path(path: str, kind: str = "algebra") -> Union[AlgebraPath, Connection
     # written so that a NaN time fails it
     if not np.all(np.abs(np.diff(ts) - 1.0 / (len(ts) - 1)) <= 1e-9):
         raise ValidationError(f"path in '{path}' is not uniformly sampled")
-    cls = AlgebraPath if kind == "algebra" else ConnectionPath
-    return cls(mats)
-
-
-def write_path(path: str, samples: np.ndarray, group: str = "SU2"):
-    ts = np.linspace(0.0, 1.0, samples.shape[0])
-    data = {"group": group,
-            "samples": [[float(t), _matrix_to_pairs(m)]
-                        for t, m in zip(ts, samples)]}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
+    return AlgebraPath(mats)
 
 
 def _read_array(path: str, ndim: int, what: str) -> np.ndarray:
-    data = _load_json(path)
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"'{path}' does not hold {what}: {exc}") from exc
+    arr = _as_array(_load_json(path), float, f"'{path}' does not hold {what}")
     if arr.ndim != ndim:
         raise ValidationError(f"'{path}' does not hold {what}")
     return arr
@@ -134,12 +97,15 @@ def read_vector(path: str) -> np.ndarray:
 def read_sphere_config(path: str) -> SphereProductConfig:
     data = _load_json(path)
     try:
+        blocks, rprime, (k1, k2, ambient_dim) = (
+            _as_array(v, float, "config") for v in
+            (data["blocks"], data["rprime"], [data["k1"], data["k2"], data["ambient_dim"]]))
         return SphereProductConfig(
-            blocks=tuple((int(m), float(r)) for m, r in data["blocks"]),
-            k1=int(data["k1"]),
-            rprime=tuple(float(v) for v in data["rprime"]),
-            k2=int(data["k2"]),
-            ambient_dim=int(data["ambient_dim"]),
+            blocks=tuple((int(m), float(r)) for m, r in blocks),
+            k1=int(k1),
+            rprime=tuple(float(v) for v in rprime),
+            k2=int(k2),
+            ambient_dim=int(ambient_dim),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed config file '{path}': {exc}") from exc

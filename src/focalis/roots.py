@@ -23,6 +23,7 @@ from .errors import ValidationError
 
 CLUSTER_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
+ROOT_MATCH_TOL = 1e-7   # root vectors this close (up to sign) name the same space
 
 
 def involution(name: str, matrix_size: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -166,8 +167,8 @@ def restricted_root_decomposition(algebra, theta: str,
         space_bases=tuple([g0] + [bases[k] for k in order]))
 
 
-def _root_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> bool:
-    return bool(np.linalg.norm(a - b) < tol or np.linalg.norm(a + b) < tol)
+def _root_close(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < ROOT_MATCH_TOL)
 
 
 def verify_bracket_pattern(data: RestrictedRootData) -> dict:

@@ -20,13 +20,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 
 CAUCHY_WINDOW = 0.10       # fraction of trailing partial sums examined
 CAUCHY_THRESHOLD = 1e-6
 RATIO_MAX = 0.95           # increment ratio above which we refuse to extrapolate
 FINITE_RANK_MAX = 64       # at most this many stored entries reads as finite rank
 MAX_BRANCH_RANK = 2 ** 53  # a branch's total multiplicity stays below this
+# power-sum exponents s_k = 1 + 2**-k decreasing to 1; the Neville
+# extrapolation to s = 1 runs through ZETA_ORDER + 1 of them (all twelve)
+ZETA_EXPONENTS = tuple(1.0 + 2.0 ** -k for k in range(1, 13))
+ZETA_ORDER = 11
+ZETA_TOLERANCE = 1e-6      # relative self-estimated error above which it diverges
 
 
 class Divergent:
@@ -61,25 +66,45 @@ class TailModel:
         if not (0.0 <= self.scale < np.inf):
             raise ValidationError(f"tail scale must be finite and >= 0, got {self.scale}")
 
-    def bound(self, index: int) -> float:
-        return self.scale * self.ratio ** index
-
     def remainder(self, start_index: int, power: float = 1.0) -> float:
         """Bound on sum_{i >= start_index} (C q^i)**power."""
         qp = self.ratio ** power
         return (self.scale ** power) * qp ** start_index / (1.0 - qp)
 
 
-def _as_array(x, dtype, name):
+def _as_array(x, dtype, name: str) -> np.ndarray:
+    """x as an array of dtype; numbers given as strings are refused, not parsed.
+    A string entry makes the inferred dtype a string one, or an object one
+    (searched entry by entry) when x also holds nulls or ints beyond 64 bits."""
     try:
-        return np.asarray(x, dtype=dtype)
+        arr = np.asarray(x)
+        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O"
+                                      and any(isinstance(v, str) for v in arr.flat)):
+            raise TypeError("numbers are given as strings")
+        return np.asarray(arr, dtype=dtype)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: {exc}") from exc
 
 
+def _multiplicities(mults, name: str) -> np.ndarray:
+    """Multiplicities as int64, each a whole number >= 1: a fractional one is
+    refused, where a cast would truncate 2.7 to 2."""
+    raw = _as_array(mults, None, name)
+    if raw.dtype.kind in "iu":
+        m = raw.astype(np.int64, copy=False)   # uint64 beyond int64 wraps below 1
+    else:
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test
+            m = _as_array(raw, np.int64, name)
+        if raw.dtype.kind == "b" or (m != raw).any():
+            raise ValidationError(f"{name}: multiplicities must be whole numbers")
+    if m.size and m.min() < 1:
+        raise ValidationError(f"{name}: multiplicities must be >= 1")
+    return m
+
+
 def _as_branch(values, mults, name):
     values = _as_array(values, float, name)
-    mults = _as_array(mults, np.int64, name)
+    mults = _multiplicities(mults, name)
     if values.ndim != 1 or mults.shape != values.shape:
         raise ValidationError(f"{name}: values/mults must be 1-d of equal length")
     if not np.isfinite(values).all():
@@ -88,8 +113,6 @@ def _as_branch(values, mults, name):
     values, mults = values[keep], mults[keep]
     if (values <= 0.0).any():
         raise ValidationError(f"{name}: entries must be positive magnitudes")
-    if (mults < 1).any():
-        raise ValidationError(f"{name}: multiplicities must be >= 1")
     # below 2**53 every run end and run length is exact in float64; a float
     # sum cannot wrap, and it reaches 2**53 exactly when the integer total does
     if mults.sum(dtype=float) >= MAX_BRANCH_RANK:
@@ -128,8 +151,9 @@ class SpectralData:
         """Build from finite signed eigenvalues, each with a multiplicity
         (one by default); zeros are dropped."""
         ev = _as_array(eigenvalues, float, "eigenvalues").ravel()
+        # uncast: the constructor's _multiplicities refuses a fractional one
         mults = (np.ones(len(ev), dtype=np.int64) if mults is None
-                 else _as_array(mults, np.int64, "multiplicities").ravel())
+                 else _as_array(mults, None, "multiplicities").ravel())
         if mults.shape != ev.shape:
             raise ValidationError("eigenvalues and multiplicities differ in length")
         if not np.isfinite(ev).all():
@@ -149,29 +173,9 @@ class SpectralData:
         return cls([v for v, _ in positives], [m for _, m in positives],
                    [v for v, _ in negatives], [m for _, m in negatives], tail)
 
-    def negated(self) -> "SpectralData":
-        return SpectralData(self.negatives, self.neg_mults,
-                            self.positives, self.pos_mults, self.tail)
-
     @property
     def rank(self) -> int:
         return int(self.pos_mults.sum() + self.neg_mults.sum())
-
-
-@dataclass(frozen=True)
-class ZetaConfig:
-    """Exponent grid s_k decreasing to 1 and the extrapolation order."""
-
-    exponents: tuple = tuple(1.0 + 2.0 ** -k for k in range(1, 13))
-    order: int = 12
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        s = np.asarray(self.exponents, dtype=float)
-        if len(s) < 2 or np.any(np.diff(s) >= 0.0) or np.any(s <= 1.0):
-            raise ConfigError("exponent grid must be strictly decreasing to 1")
-        if self.order < 1:
-            raise ConfigError("extrapolation order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -289,10 +293,10 @@ def trace_square(spec: SpectralData) -> TraceValue:
     return trace_square_info(spec).as_trace()
 
 
-def zeta_trace_info(spec: SpectralData, cfg: ZetaConfig = ZetaConfig()) -> TraceInfo:
+def zeta_trace_info(spec: SpectralData) -> TraceInfo:
     if len(spec.positives) == 0 and len(spec.negatives) == 0:
         return TraceInfo(0.0, 0.0, True, "empty")
-    s_grid = np.asarray(cfg.exponents, dtype=float)
+    s_grid = np.asarray(ZETA_EXPONENTS)
     x = s_grid - 1.0
     vals = np.empty(len(s_grid))
     for k, s in enumerate(s_grid):
@@ -302,8 +306,7 @@ def zeta_trace_info(spec: SpectralData, cfg: ZetaConfig = ZetaConfig()) -> Trace
     tail_err = 0.0
     if spec.tail is not None:
         tail_err = 2.0 * spec.tail.remainder(spec.rank, power=float(s_grid[-1]))
-    order = min(cfg.order, len(s_grid) - 1)
-    xs, p = x[-(order + 1):], vals[-(order + 1):].copy()
+    xs, p = x[-(ZETA_ORDER + 1):], vals[-(ZETA_ORDER + 1):].copy()
     # Neville tableau at 0: after level m, p[i] interpolates points i..i+m,
     # so p[0] ends on all of them and p[1] on all but the first; their
     # difference self-estimates the extrapolation error
@@ -312,14 +315,14 @@ def zeta_trace_info(spec: SpectralData, cfg: ZetaConfig = ZetaConfig()) -> Trace
         p[:k] = (xs[:k] * p[1:k + 1] - xs[m:] * p[:k]) / (xs[:k] - xs[m:])
     value = float(p[0])
     err = abs(value - float(p[1])) + tail_err
-    if not np.isfinite(value) or err > cfg.tolerance * (1.0 + abs(value)):
+    if not np.isfinite(value) or err > ZETA_TOLERANCE * (1.0 + abs(value)):
         return TraceInfo(value, err, False, "extrapolation-failed")
     return TraceInfo(value, err, True, "neville")
 
 
-def zeta_trace(spec: SpectralData, cfg: ZetaConfig = ZetaConfig()) -> TraceValue:
+def zeta_trace(spec: SpectralData) -> TraceValue:
     """Limit as s -> 1+ of the signed power sums, or Divergent."""
-    return zeta_trace_info(spec, cfg).as_trace()
+    return zeta_trace_info(spec).as_trace()
 
 
 def is_regularizable(spec: SpectralData) -> bool:

@@ -3,9 +3,10 @@
 An algebra-valued path u determines the group path g_u with right-logarithmic
 derivative u (g' = u g, g(0) = e); its endpoint g_u(1) is the parallel
 transport map.  A connection restricted to a curve is represented by its
-sampled coefficient path in a fixed trivialization; the pull-back map negates
-(and, for a nonzero reference coefficient, conjugates) it, and the holonomy
-element is the endpoint mismatch between the two parallel transports.
+sampled coefficient path in a fixed trivialization, which lives in the Lie
+algebra and so is an AlgebraPath too; the pull-back map negates (and, for a
+nonzero reference coefficient, conjugates) it, and the holonomy element is
+the endpoint mismatch between the two parallel transports.
 """
 
 from __future__ import annotations
@@ -80,16 +81,6 @@ class AlgebraPath:
 
 
 @dataclass(frozen=True, eq=False)
-class ConnectionPath:
-    """Sampled connection coefficient along the reference horizontal lift."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _square_stack(self.samples))
-
-
-@dataclass(frozen=True, eq=False)
 class GaugePath:
     """Uniform samples of a path in the matrix group (unitary/orthogonal)."""
 
@@ -102,10 +93,6 @@ class GaugePath:
         if res > UNITARY_TOL:
             raise ValidationError("samples are not in the group")
         object.__setattr__(self, "samples", s)
-
-    def endpoints(self):
-        """(g(0), g(1)) boundary pair."""
-        return self.samples[0], self.samples[-1]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,8 +251,8 @@ def gauge_act(g: GaugePath, u: AlgebraPath) -> AlgebraPath:
     return AlgebraPath(out)
 
 
-def pullback_connection(omega: ConnectionPath,
-                        omega0: Optional[ConnectionPath] = None,
+def pullback_connection(omega: AlgebraPath,
+                        omega0: Optional[AlgebraPath] = None,
                         steps: int = 1000) -> AlgebraPath:
     """Negated connection coefficient along the reference horizontal lift.
 
@@ -288,7 +275,7 @@ def pullback_connection(omega: ConnectionPath,
     return AlgebraPath(np.moveaxis(out, -1, 0))
 
 
-def _rk4_group(c: ConnectionPath, steps: int = 4000) -> np.ndarray:
+def _rk4_group(c: AlgebraPath, steps: int = 4000) -> np.ndarray:
     """RK4 endpoint of g' = -c(t) g; independent of the exponential stepper.
 
     An RK4 step is linear in g: g_{k+1} = M_k g_k with
@@ -309,8 +296,8 @@ def _rk4_group(c: ConnectionPath, steps: int = 4000) -> np.ndarray:
     return _product((h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
-def holonomy_element(omega: ConnectionPath,
-                     omega0: Optional[ConnectionPath] = None,
+def holonomy_element(omega: AlgebraPath,
+                     omega0: Optional[AlgebraPath] = None,
                      steps: int = 4000) -> np.ndarray:
     """Group element relating parallel transport of omega to the reference.
 

@@ -295,8 +295,8 @@ def test_criterion_6_transport_and_holonomy(announce):
 
     worst_hol = 0.0
     for _ in range(100):
-        om = transport.ConnectionPath(np.stack([rand_x(1.0) for _ in range(21)]))
-        om0 = transport.ConnectionPath(np.stack([rand_x(1.0) for _ in range(21)]))
+        om = transport.AlgebraPath(np.stack([rand_x(1.0) for _ in range(21)]))
+        om0 = transport.AlgebraPath(np.stack([rand_x(1.0) for _ in range(21)]))
         hol = transport.holonomy_element(om, om0, steps=4000)
         phi = transport.transport(transport.pullback_connection(om, om0, steps=4000),
                                   steps=4000)

@@ -33,6 +33,32 @@ def run_json(capsys, *argv):
     return code, json.loads(out, parse_constant=_reject_constant)
 
 
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+
+def write_spectrum(path, spec):
+    def entries(values, mults):
+        return [{"value": float(v), "mult": int(m)} for v, m in zip(values, mults)]
+    tail = None if spec.tail is None else {"ratio": spec.tail.ratio, "scale": spec.tail.scale}
+    _write_json(path, {"positives": entries(spec.positives, spec.pos_mults),
+                       "negatives": entries(spec.negatives, spec.neg_mults), "tail": tail})
+
+
+def write_eigen_grid(path, grid):
+    _write_json(path, {"label": grid.label, "pairs": [
+        {"lambdaR": lr, "lambdaA": la, "mult": m} for lr, la, m in grid.pairs]})
+
+
+def write_path(path, samples):
+    """Path file of a (S+1, n, n) stack on the uniform grid over [0, 1]."""
+    ts = np.linspace(0.0, 1.0, len(samples))
+    _write_json(path, {"group": "SU2", "samples": [
+        [float(t), [[[float(z.real), float(z.imag)] for z in row] for row in m]]
+        for t, m in zip(ts, np.asarray(samples, dtype=complex))]})
+
+
 def usage_error(capsys, *argv):
     """argparse refuses the command line: exit status 2 and no report."""
     with pytest.raises(SystemExit) as exc:
@@ -139,7 +165,7 @@ def test_emitter_writes_nonfinite_complex_parts_as_null():
 def spectrum_file(tmp_path):
     spec = SpectralData.from_entries([(0.5, 1), (0.25, 1)], [(1.0, 1)], None)
     path = tmp_path / "spec.json"
-    io.write_spectrum(str(path), spec)
+    write_spectrum(str(path), spec)
     return str(path)
 
 
@@ -147,7 +173,7 @@ def spectrum_file(tmp_path):
 def grid_file(tmp_path):
     grid = EigenGrid(((1.0, 0.0, 2), (0.0, 2.0, 1)), label="x0")
     path = tmp_path / "grid.json"
-    io.write_eigen_grid(str(path), grid)
+    write_eigen_grid(str(path), grid)
     return str(path)
 
 
@@ -216,7 +242,7 @@ class TestTraceCommand:
         spec = SpectralData.from_entries(
             [(1.0 / np.sqrt(i), 1) for i in range(1, n + 1)], [], None)
         path = tmp_path / "slow.json"
-        io.write_spectrum(str(path), spec)
+        write_spectrum(str(path), spec)
         code, report = run_json(capsys, "trace", "--spec", str(path), "--square")
         assert code == 0
         assert report["result"]["tr_sq"] == "divergent"
@@ -225,7 +251,7 @@ class TestTraceCommand:
         spec = SpectralData.from_entries(
             [(2.0 ** -i, 1) for i in range(1, 40)], [], None)
         path = tmp_path / "geo.json"
-        io.write_spectrum(str(path), spec)
+        write_spectrum(str(path), spec)
         code, report = run_json(capsys, "trace", "--spec", str(path), "--zeta")
         assert code == 0
         assert report["result"]["tr_zeta"] == pytest.approx(1.0, abs=1e-6)
@@ -248,7 +274,7 @@ class TestTraceCommand:
         spec = SpectralData.from_entries([(i ** -0.5, 1) for i in range(1, 200)],
                                          [((i + 0.5) ** -0.5, 1) for i in range(1, 200)], None)
         path = tmp_path / "spec.json"
-        io.write_spectrum(str(path), spec)
+        write_spectrum(str(path), spec)
         code, report = run_json(capsys, "trace", "--spec", str(path), "--square")
         assert code == 0
         assert sorted(calls) == ["reg_trace_info", "trace_square_info"]
@@ -312,7 +338,7 @@ class TestFocalAndParallel:
     def test_parallel_high_multiplicity_matches_spectrum_file(self, capsys, tmp_path):
         # a grid pair of multiplicity 100 is one stored entry, as in a spectrum file
         grid_path, spec_path = tmp_path / "grid.json", tmp_path / "spec.json"
-        io.write_eigen_grid(str(grid_path), EigenGrid(((0.0, 0.5, 100),)))
+        write_eigen_grid(str(grid_path), EigenGrid(((0.0, 0.5, 100),)))
         code, report = run_json(capsys, "parallel", "--grid", str(grid_path),
                                 "--r", "0.1")
         assert code == 0
@@ -332,18 +358,39 @@ class TestFocalAndParallel:
     def test_focal_infinite_window_is_input_error(self, capsys, tmp_path):
         # flat pairs only, so the search ends even where the window is accepted
         path = tmp_path / "flat.json"
-        io.write_eigen_grid(str(path), EigenGrid(((0.0, 2.0, 1),)))
+        write_eigen_grid(str(path), EigenGrid(((0.0, 2.0, 1),)))
         code, _ = run(capsys, "focal", "--grid", str(path), "--window", "0.001,inf")
         assert code == 2
 
     def test_focal_report_is_strict_json_without_gaps(self, capsys, tmp_path):
         # one radius leaves every min_gaps entry undefined
         path = tmp_path / "flat.json"
-        io.write_eigen_grid(str(path), EigenGrid(((0.0, 2.0, 1),)))
+        write_eigen_grid(str(path), EigenGrid(((0.0, 2.0, 1),)))
         code, report = run_json(capsys, "focal", "--grid", str(path))
         assert code == 0
         assert report["result"]["radii"] == [0.5]
         assert set(report["result"]["witness"]["min_gaps"].values()) == {None}
+
+    def test_focal_radius_just_outside_window_is_dropped(self, capsys, tmp_path):
+        # 1/2.000000002 lies 5e-10 below the window; it used to be kept within
+        # the merge tolerance and then refused by the radius set (exit 2)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pairs": [{"lambdaR": 0.0, "lambdaA": 2.000000002,
+                                               "mult": 1}]}))
+        code, report = run_json(capsys, "focal", "--grid", str(path), "--window", "0.5,2")
+        assert code == 0
+        assert report["result"]["radii"] == []
+
+    @pytest.mark.parametrize("argv", [("parallel", "--r", "1"),
+                                      ("parallel", "--r", "-800")])
+    def test_hyperbolic_overflow_is_input_error(self, capsys, tmp_path, argv):
+        # cosh(r sqrt(-lambda_R)) is beyond float range
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pairs": [{"lambdaR": -1e6, "lambdaA": 0.5}]}))
+        code = main([argv[0], "--grid", str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "lambda_R=-1000000.0" in captured.err and "r=" in captured.err
 
     def test_parallel_focal_collision(self, capsys, grid_file):
         code, report = run_json(capsys, "parallel", "--grid", grid_file,
@@ -357,7 +404,7 @@ class TestCheckCommand:
         d = tmp_path / "grids"
         d.mkdir()
         for i, g in enumerate(grids):
-            io.write_eigen_grid(str(d / f"g{i}.json"), g)
+            write_eigen_grid(str(d / f"g{i}.json"), g)
         return str(d)
 
     def test_weak_passes_on_identical_grids(self, capsys, tmp_path):
@@ -429,11 +476,82 @@ class TestCheckCommand:
         assert code == 1
         assert report["result"]["radii"]["1.0"] == {"values": [], "spread": None}
 
+    def test_equifocal_radius_just_outside_window_passes(self, capsys, tmp_path):
+        g = EigenGrid(((0.0, 2.000000002, 1),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        code, report = run_json(capsys, "check", "equifocal", "--grids", d,
+                                "--window", "0.5,2")
+        assert code == 0
+        assert report["result"]["passed"] is True
+
+    def test_iso_hyperbolic_overflow_is_input_error(self, capsys, tmp_path):
+        g = EigenGrid(((-1e6, 0.5, 1),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        code = main(["check", "iso", "--grids", d, "--radii", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "lambda_R=-1000000.0, r=1.0" in captured.err
+
     def test_empty_dir_is_input_error(self, capsys, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
         code, _ = run(capsys, "check", "weak", "--grids", str(d))
         assert code == 2
+
+
+class TestInputNumbers:
+    """Numbers in every input format must be JSON numbers, and multiplicities
+    whole numbers; a string or a fraction used to be parsed or truncated."""
+
+    @pytest.mark.parametrize("entry", [{"value": "0.5"}, {"value": 0.5, "mult": "2"},
+                                       {"value": 0.5, "mult": 2.7},
+                                       {"value": 0.5, "mult": True}])
+    def test_spectrum_file(self, capsys, tmp_path, entry):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"positives": [entry]}))
+        code, out = run(capsys, "trace", "--spec", str(path))
+        assert code == 2 and out == ""
+
+    def test_spectrum_file_whole_float_multiplicity(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"positives": [{"value": 0.5, "mult": 3.0}]}))
+        code, report = run_json(capsys, "trace", "--spec", str(path))
+        assert code == 0 and report["result"]["tr_r"] == 1.5
+
+    @pytest.mark.parametrize("pair", [{"lambdaR": "1.0", "lambdaA": 0.5},
+                                      {"lambdaR": 1.0, "lambdaA": 0.5, "mult": "2"},
+                                      {"lambdaR": 1.0, "lambdaA": 0.5, "mult": 2.9}])
+    def test_grid_file(self, capsys, tmp_path, pair):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pairs": [pair]}))
+        code, out = run(capsys, "parallel", "--grid", str(path), "--r", "0.1")
+        assert code == 2 and out == ""
+
+    def test_path_file(self, capsys, tmp_path):
+        z = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"samples": [["0", z], ["0.5", z], ["1", z]]}))
+        code, out = run(capsys, "transport", "--path", str(path))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("op,psi", [([["1.5", "0"], ["0", "2"]], [1.0, 2.0]),
+                                        ([[1.5, 0.0], [0.0, 2.0]], ["1", "2"]),
+                                        ([[1.5, 10 ** 30], [10 ** 30, "2"]], [1.0, 2.0])])
+    def test_matrix_and_vector_files(self, capsys, tmp_path, op, psi):
+        op_path, psi_path = tmp_path / "op.json", tmp_path / "psi.json"
+        op_path.write_text(json.dumps(op))
+        psi_path.write_text(json.dumps(psi))
+        code, out = run(capsys, "green", "--op", str(op_path), "--psi", str(psi_path))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("key,value", [("k1", "1"), ("rprime", ["0.5"]),
+                                           ("blocks", [["4", 1.0]])])
+    def test_config_file(self, capsys, tmp_path, key, value):
+        cfg = {"blocks": [[4, 1.0]], "k1": 1, "rprime": [0.5], "k2": 0, "ambient_dim": 64}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, key: value}))
+        code, out = run(capsys, "example41", "--config", str(path), "--points", "2")
+        assert code == 2 and out == ""
 
 
 class TestModelCommand:
@@ -494,7 +612,7 @@ class TestTransportCommands:
         alg = load_algebra("su2")
         x = alg.from_coefficients([0.3, -0.2, 0.5])
         path = tmp_path / "u.json"
-        io.write_path(str(path), np.repeat(x[None], 11, axis=0))
+        write_path(str(path), np.repeat(x[None], 11, axis=0))
         code, report = run_json(capsys, "transport", "--path", str(path),
                                 "--steps", "2000")
         assert code == 0
@@ -507,8 +625,8 @@ class TestTransportCommands:
         samples, _ = self.su2_sample(3, 21)
         samples0, _ = self.su2_sample(4, 21)
         p1, p0 = tmp_path / "om.json", tmp_path / "om0.json"
-        io.write_path(str(p1), samples)
-        io.write_path(str(p0), samples0)
+        write_path(str(p1), samples)
+        write_path(str(p0), samples0)
         code, report = run_json(capsys, "holonomy", "--omega", str(p1),
                                 "--omega0", str(p0))
         assert code == 0
@@ -519,7 +637,7 @@ class TestTransportCommands:
     def test_holonomy_non_positive_steps_is_input_error(self, capsys, tmp_path, steps):
         samples, _ = self.su2_sample(3, 21)
         path = tmp_path / "om.json"
-        io.write_path(str(path), samples)
+        write_path(str(path), samples)
         code, _ = run(capsys, "holonomy", "--omega", str(path), "--steps", steps)
         assert code == 2
 
@@ -529,7 +647,7 @@ class TestTransportCommands:
         samples, _ = self.su2_sample(3, 21)
         samples[5, 0, 1] = np.nan
         path = tmp_path / "nan.json"
-        io.write_path(str(path), samples)
+        write_path(str(path), samples)
         code, _ = run(capsys, command, flag, str(path))
         assert code == 2
 
@@ -559,7 +677,7 @@ class TestTransportCommands:
     def test_steps_above_cap_is_input_error(self, capsys, tmp_path, command, flag):
         samples, _ = self.su2_sample(3, 21)
         path = tmp_path / "u.json"
-        io.write_path(str(path), samples)
+        write_path(str(path), samples)
         code, _ = run(capsys, command, flag, str(path), "--steps", str(transport.MAX_STEPS + 1))
         assert code == 2
 
@@ -567,12 +685,12 @@ class TestTransportCommands:
         samples, _ = self.su2_sample(3, 21)
         samples0, _ = self.su2_sample(4, 21)
         p1, p0 = tmp_path / "om.json", tmp_path / "om0.json"
-        io.write_path(str(p1), samples)
-        io.write_path(str(p0), samples0)
+        write_path(str(p1), samples)
+        write_path(str(p0), samples0)
         code, report = run_json(capsys, "holonomy", "--omega", str(p1),
                                 "--omega0", str(p0), "--steps", "2000")
         assert code == 0
-        om, om0 = io.read_path(str(p1), "connection"), io.read_path(str(p0), "connection")
+        om, om0 = io.read_path(str(p1)), io.read_path(str(p0))
         want = transport.transport(transport.pullback_connection(om, om0, steps=2000), steps=2000)
         got = np.array([[complex(re, im) for re, im in row]
                         for row in report["result"]["transport_of_pullback"]])

@@ -8,7 +8,6 @@ from focalis.algebras import load_algebra
 # two calls give equal fields, which a field-wise == could not compare.
 FACTORIES = {
     "AlgebraPath": lambda: transport.AlgebraPath(np.zeros((3, 2, 2), dtype=complex)),
-    "ConnectionPath": lambda: transport.ConnectionPath(np.zeros((3, 2, 2), dtype=complex)),
     "GaugePath": lambda: transport.GaugePath(np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0)),
     "SpectralData": lambda: spectral.SpectralData.from_entries([(1.0, 2)], [(0.5, 1)]),
     "LieAlgebraBasis": lambda: load_algebra("su2"),

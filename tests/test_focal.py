@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ class TestJacobiAmplitude:
             assert abs(jacobi_amplitude(1e-8, 1.3, s) - y0) < 1e-6
             assert abs(jacobi_amplitude(-1e-8, 1.3, s) - y0) < 1e-6
 
+    @pytest.mark.parametrize("lam_r,s", [(-1e6, 1.0), (-1.0, 800.0), (1e300, 1e300)])
+    def test_out_of_float_range_is_validation_error(self, lam_r, s):
+        # cosh and sinh overflow; s sqrt(lam_r) = inf has no cosine
+        for fn in (jacobi_amplitude, jacobi_amplitude_deriv):
+            with pytest.raises(ValidationError, match=re.escape(f"lambda_R={lam_r}, r={s}")):
+                fn(lam_r, 0.5, s)
+        with pytest.raises(ValidationError):
+            parallel_shape_eigenvalue(lam_r, 0.5, s)
+
     def test_derivative_matches_finite_differences(self):
         h = 1e-6
         for lr, la, s in [(2.0, 0.5, 0.7), (-3.0, 1.5, 0.4), (0.0, 2.0, 0.3)]:
@@ -92,6 +102,18 @@ class TestFocalRadiiPair:
     def test_arctanh_root(self):
         radii = focal_radii_pair(-1.0, 2.0, Window(0.01, 10))
         assert radii == pytest.approx([math.atanh(0.5)])
+
+    def test_window_rule_is_containment(self):
+        # each branch keeps a radius only inside [lo, hi], not within MERGE_TOL of it
+        assert focal_radii_pair(0.0, 2.000000002, Window(0.5, 2.0)) == []
+        assert focal_radii_pair(0.0, 1.9999999995, Window(0.4, 0.5)) == []
+        assert focal_radii_pair(4.0, 0.0, Window(math.pi / 4 + 1e-10,
+                                                 3 * math.pi / 4 - 1e-10)) == []
+        r = math.atanh(0.5)
+        assert focal_radii_pair(-1.0, 2.0, Window(0.01, r - 1e-10)) == []
+        assert focal_radii_pair(-1.0, 2.0, Window(r, 1.0)) == [r]
+        grid = EigenGrid(((0.0, 2.000000002, 1), (4.0, 0.0, 2)))
+        assert focal_set(grid, Window(0.5, 2.0)).radii == pytest.approx([math.pi / 4])
 
     def test_cos_zeros(self):
         radii = focal_radii_pair(4.0, 0.0, Window(0.01, 10))
@@ -117,11 +139,6 @@ class TestFocalRadiiPair:
                 for r, o in zip(radii, oracle):
                     assert abs(r - o) < 1e-7
                     assert abs(jacobi_amplitude(lr, la, r)) < 1e-9
-
-    def test_negative_window_mirror(self):
-        neg = focal_radii_pair(1.0, -1.0, Window(0.01, 10, negative=True))
-        pos = focal_radii_pair(1.0, 1.0, Window(0.01, 10))
-        assert sorted(-r for r in neg) == pytest.approx(pos)
 
 
 @given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-3, max_value=3))
@@ -171,6 +188,17 @@ class TestFocalSet:
         # (nan, 1.0) used to take the flat branch and report a radius of 1.0
         with pytest.raises(ValidationError):
             EigenGrid((pair,))
+
+    @pytest.mark.parametrize("pair", [(0.0, 0.5, 2.9), (0.0, 0.5, "2"), (0.0, 0.5, None),
+                                      (0.0, 0.5, 0), (0.0, 0.5, True)])
+    def test_bad_multiplicity_rejected(self, pair):
+        # a multiplicity of 2.9 used to read as 2
+        with pytest.raises(ValidationError):
+            EigenGrid((pair,))
+
+    def test_whole_float_multiplicity_is_an_int(self):
+        (pair,) = EigenGrid(((0.0, 0.5, 2.0),)).pairs
+        assert pair == (0.0, 0.5, 2) and type(pair[2]) is int
 
     def test_total_multiplicity_capped_below_2_53(self):
         # merged duplicates count too; 10**30 used to overflow int64 later

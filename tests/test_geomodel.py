@@ -8,8 +8,7 @@ from focalis.geomodel import (ModelSubmanifold, SphereProductConfig,
                               _sample_point, ambient_curvature, build_model,
                               constraint_residual, curvature_adapted_check,
                               default_config, dense_operators, eigen_grid_of,
-                              random_normal_vector, shape_eigendata,
-                              trace_closed_form)
+                              random_normal_vector, trace_closed_form)
 
 
 def circle_config():
@@ -213,7 +212,7 @@ class TestOperators:
         nb = model.normal_bases[0]
         # block normal with unit even part
         xi = nb[:, 0]
-        rows = shape_eigendata(model, 0, xi)
+        rows = eigen_grid_of(model, 0, xi).pairs
         block = [row for row in rows if row[0] > 1e-12]
         assert len(block) == 1
         lam_r, lam_a, mult = block[0]
@@ -233,7 +232,7 @@ class TestOperators:
         for pi in range(4):
             xi = random_normal_vector(model, pi, rng)
             grid = eigen_grid_of(model, pi, xi)
-            assert grid.total_multiplicity == model.tangent_dim
+            assert sum(m for _, _, m in grid.pairs) == model.tangent_dim
 
     def test_spectra_depend_only_on_block_norms(self):
         model = build_model(default_config(), 6, seed=10)
@@ -242,7 +241,7 @@ class TestOperators:
         rows = []
         for pi in range(6):
             xi = model.normal_bases[pi][:, : cfg.k1] @ coeffs
-            rows.append(np.array(shape_eigendata(model, pi, xi)))
+            rows.append(np.array(eigen_grid_of(model, pi, xi).pairs))
         for r in rows[1:]:
             assert r.shape == rows[0].shape
             assert np.max(np.abs(r - rows[0])) < 1e-12
@@ -296,7 +295,7 @@ class TestDenseAgreement:
         for pi in range(3):
             xi = random_normal_vector(model, pi, rng)
             jac, shape = dense_operators(model, pi, xi)
-            rows = shape_eigendata(model, pi, xi)
+            rows = eigen_grid_of(model, pi, xi).pairs
             mults = [m for _, _, m in rows]
             jr = np.sort(np.repeat([lr for lr, _, _ in rows], mults))
             ja = np.sort(np.repeat([la for _, la, _ in rows], mults))

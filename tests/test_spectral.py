@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focalis import spectral
-from focalis.errors import ConfigError, ValidationError
+from focalis.errors import ValidationError
 from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, MAX_BRANCH_RANK,
-                              SpectralData, TailModel, TraceInfo, ZetaConfig,
-                              align_runs, is_regularizable, reg_trace,
-                              reg_trace_info, trace_square, trace_square_info,
+                              ZETA_EXPONENTS, ZETA_ORDER, ZETA_TOLERANCE,
+                              SpectralData, TailModel, TraceInfo, align_runs,
+                              is_regularizable, reg_trace, reg_trace_info,
+                              trace_square, trace_square_info,
                               zeta_trace, zeta_trace_info)
 
 
@@ -45,6 +46,24 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SpectralData(np.array([1.0]), np.array([0]),
                          np.empty(0), np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("mults", [[2.7], [np.nan], [1e19], [True], ["2"], [None]])
+    def test_multiplicity_not_a_whole_number_rejected(self, mults):
+        # 2.7 used to be truncated to 2
+        with pytest.raises(ValidationError):
+            SpectralData([0.5], mults, [], [])
+        with pytest.raises(ValidationError):
+            SpectralData.from_eigenvalues([0.5], mults=mults)
+
+    def test_whole_float_multiplicity_accepted(self):
+        spec = SpectralData.from_eigenvalues([0.5, -0.25], mults=[3.0, 2.0])
+        assert spec.pos_mults.dtype == np.int64
+        assert reg_trace(spec) == 1.0
+
+    @pytest.mark.parametrize("values", [["0.5"], [0.5, "0.25"], [10 ** 30, "0.5"]])
+    def test_numbers_as_strings_rejected(self, values):
+        with pytest.raises(ValidationError, match="strings"):
+            SpectralData(values, [1] * len(values), [], [])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entries_rejected(self, value):
@@ -86,12 +105,6 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 TailModel(ratio=0.5, scale=scale)
 
-    def test_zeta_config_grid(self):
-        with pytest.raises(ConfigError):
-            ZetaConfig(exponents=(1.5, 1.5), order=1)
-        with pytest.raises(ConfigError):
-            ZetaConfig(exponents=(1.5, 0.9), order=1)
-
 
 class TestRegTrace:
     def test_empty_spectrum_is_zero(self):
@@ -122,7 +135,9 @@ class TestRegTrace:
     def test_negation_flips_sign(self):
         rng = np.random.default_rng(0)
         spec = geometric_spectrum(rng)
-        assert reg_trace(spec.negated()) == pytest.approx(-reg_trace(spec), abs=1e-12)
+        negated = SpectralData(spec.negatives, spec.neg_mults,
+                               spec.positives, spec.pos_mults, spec.tail)
+        assert reg_trace(negated) == pytest.approx(-reg_trace(spec), abs=1e-12)
 
     def test_tail_certifies_truncation(self):
         vals = 0.5 ** np.arange(30)
@@ -289,25 +304,24 @@ def _neville_to_zero(x, y):
     return float(p[0])
 
 
-def _expanded_zeta_trace_info(spec, cfg=ZetaConfig()):
+def _expanded_zeta_trace_info(spec):
     pos, neg = _expanded(spec)
     if len(pos) == 0 and len(neg) == 0:
         return TraceInfo(0.0, 0.0, True, "empty")
-    s_grid = np.asarray(cfg.exponents, dtype=float)
+    s_grid = np.asarray(ZETA_EXPONENTS, dtype=float)
     x = s_grid - 1.0
     vals = np.array([float(np.sum(pos ** s) - np.sum(neg ** s)) for s in s_grid])
     tail_err = 0.0
     if spec.tail is not None:
         tail_err = 2.0 * spec.tail.remainder(spec.rank, power=float(s_grid[-1]))
-    order = min(cfg.order, len(s_grid) - 1)
-    xs, ys = x[-(order + 1):], vals[-(order + 1):]
+    xs, ys = x[-(ZETA_ORDER + 1):], vals[-(ZETA_ORDER + 1):]
     # one Neville tableau per suffix of the points
     estimates = [float(ys[-1])]
     for m in range(2, len(xs) + 1):
         estimates.append(_neville_to_zero(xs[-m:], ys[-m:]))
     value = estimates[-1]
     err = abs(estimates[-1] - estimates[-2]) + tail_err
-    if not np.isfinite(value) or err > cfg.tolerance * (1.0 + abs(value)):
+    if not np.isfinite(value) or err > ZETA_TOLERANCE * (1.0 + abs(value)):
         return TraceInfo(value, err, False, "extrapolation-failed")
     return TraceInfo(value, err, True, "neville")
 

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from focalis.algebras import load_algebra
 from focalis.errors import ValidationError
-from focalis.transport import (MAX_STEPS, AlgebraPath, ConnectionPath, GaugePath,
+from focalis.transport import (MAX_STEPS, AlgebraPath, GaugePath,
                                _expm_offset, _rk4_group, gauge_act,
                                holonomy_element, pullback_connection, transport,
                                transport_path)
@@ -88,7 +88,7 @@ class TestValidation:
         with pytest.raises(ValidationError):
             GaugePath(np.stack([np.eye(2), 2.0 * np.eye(2)]))
 
-    @pytest.mark.parametrize("cls", [AlgebraPath, ConnectionPath, GaugePath])
+    @pytest.mark.parametrize("cls", [AlgebraPath, GaugePath])
     def test_rejects_non_finite(self, cls):
         samples = np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0) * 1j
         samples[1, 0, 1] = np.nan
@@ -103,14 +103,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("steps", [0, -5])
     def test_rk4_rejects_non_positive_steps(self, steps):
-        c = ConnectionPath(np.zeros((3, 2, 2)))
+        c = AlgebraPath(np.zeros((3, 2, 2)))
         with pytest.raises(ValidationError):
             holonomy_element(c, c, steps=steps)
 
     def test_gauge_endpoints(self):
         g = GaugePath(np.stack([np.eye(2), 1j * np.eye(2) * -1j]))
-        g0, g1 = g.endpoints()
-        assert np.allclose(g0, np.eye(2))
+        assert np.allclose(g.samples[0], np.eye(2))
+        assert np.allclose(g.samples[-1], np.eye(2))
 
 
 class TestTransport:
@@ -181,8 +181,8 @@ class TestStepProducts:
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 4000, 4001])
     def test_pullback_matches_loop(self, steps, n_intervals):
         for alg in (SU2, SU3):
-            c = ConnectionPath(self.samples(n_intervals, alg, 3 * steps + n_intervals))
-            c0 = ConnectionPath(0.5 * self.samples(n_intervals, alg, 5 * steps + n_intervals))
+            c = AlgebraPath(self.samples(n_intervals, alg, 3 * steps + n_intervals))
+            c0 = AlgebraPath(0.5 * self.samples(n_intervals, alg, 5 * steps + n_intervals))
             got = pullback_connection(c, c0, steps).samples
             ref = loop_pullback(c, c0, steps)
             assert got.shape == ref.shape
@@ -192,14 +192,14 @@ class TestStepProducts:
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 4000, 4001])
     def test_rk4_matches_loop(self, steps, n_intervals):
         for alg in (SU2, SU3):
-            c = ConnectionPath(self.samples(n_intervals, alg, 7 * steps + n_intervals))
+            c = AlgebraPath(self.samples(n_intervals, alg, 7 * steps + n_intervals))
             assert np.max(np.abs(_rk4_group(c, steps) - loop_rk4(c, steps))) < 1e-13
 
     def test_rk4_fourth_order(self):
         # order 4 (error ratio ~16 on halving h) keeps the RK4 holonomy a
         # different integrator from the order-2 midpoint-exponential transport
         rng = np.random.default_rng(14)
-        c = ConnectionPath(np.stack([rand_su2(rng) for _ in range(5)]))
+        c = AlgebraPath(np.stack([rand_su2(rng) for _ in range(5)]))
         ref = _rk4_group(c, 6400)
         e1 = np.max(np.abs(_rk4_group(c, 40) - ref))
         e2 = np.max(np.abs(_rk4_group(c, 80) - ref))
@@ -322,7 +322,7 @@ class TestGaugeAction:
         u = smooth_path(rng, n=n)
         z, w = rand_su2(rng), rand_su2(rng)
         g = GaugePath(np.stack([expm(t * z + np.sin(t) * w) for t in ts]))
-        g0, g1 = g.endpoints()
+        g0, g1 = g.samples[0], g.samples[-1]
         lhs = transport(gauge_act(g, u), 2 * n)
         rhs = g1 @ transport(u, 2 * n) @ np.conj(g0.T)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
@@ -330,7 +330,7 @@ class TestGaugeAction:
 
 class TestPullbackAndHolonomy:
     def rand_conn(self, rng, n=21):
-        return ConnectionPath(np.stack([rand_su2(rng) for _ in range(n)]))
+        return AlgebraPath(np.stack([rand_su2(rng) for _ in range(n)]))
 
     def test_pullback_without_reference_negates(self):
         rng = np.random.default_rng(9)
@@ -343,7 +343,7 @@ class TestPullbackAndHolonomy:
         a = self.rand_conn(rng)
         b = self.rand_conn(rng)
         om0 = self.rand_conn(rng)
-        mu_ab = pullback_connection(ConnectionPath(a.samples + b.samples - om0.samples), om0)
+        mu_ab = pullback_connection(AlgebraPath(a.samples + b.samples - om0.samples), om0)
         mu_a = pullback_connection(a, om0)
         mu_b = pullback_connection(b, om0)
         # the map c -> mu(c) is affine with linear part -Ad(h^-1):
