@@ -275,24 +275,20 @@ def _cmd_example41(args):
     coeffs = rng.normal(size=cfg.k1)
     window = _parse_window(args.window)
     radii = _parse_radii(args.radii)
-    grids = []
+    xis = model.normal_bases[:, :, : cfg.k1] @ coeffs
+    grids = geomodel.eigen_grids(model, xis)
     focal_sets = {}
-    for pi in range(len(model.points)):
-        nb = model.normal_bases[pi]
-        xi = nb[:, : cfg.k1] @ coeffs
-        grid = geomodel.eigen_grid_of(model, pi, xi)
-        grids.append(grid)
+    for grid in grids:
         fset = focal.focal_set(grid, window)
         focal_sets[grid.label] = {"radii": fset.radii, "multiplicities": fset.multiplicities}
     iso = focal.isoparametric_check(grids, radii, tol=args.tol)
     adapted = geomodel.curvature_adapted_check(model, args.trials, args.seed + 2)
-    xi0 = model.normal_bases[0][:, : cfg.k1] @ coeffs
     result = {
         "n_points": args.points,
         "trace_constancy": iso,
         "curvature_adapted": adapted,
         "focal_sets": focal_sets,
-        "closed_form_traces": geomodel.trace_closed_form(model, 0, xi0),
+        "closed_form_traces": geomodel.trace_closed_form(model, 0, xis[0]),
         "passed": bool(iso["passed"] and adapted["passed"]),
     }
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED

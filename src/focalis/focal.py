@@ -29,6 +29,7 @@ MERGE_TOL = 1e-9          # radii closer than this merge, multiplicities summed
 SPEC_ABS_TOL = 1e-9       # multiset comparison tolerances
 SPEC_REL_TOL = 1e-12
 WITNESS_EPS = (0.1, 0.5, 1.0)  # lower ends of the gap scans in proper_fredholm_witness
+MAX_FOCAL_RADII = 2 ** 16  # periods of one arctan family a window may span
 _LINEAR_BRANCH = 1e-300   # |lam_r| below this is treated as exactly zero
 
 
@@ -162,13 +163,17 @@ def focal_radii_pair(lam_r: float, lam_a: float, window: Window) -> List[float]:
     Closed forms: arctan branch family for lam_r > 0 (period pi/sqrt(lam_r)),
     the single arctanh root for lam_r < 0 when |lam_a| > sqrt(-lam_r), and
     1/lam_a in the flat case.  A radius is kept only if the window contains
-    it, the same rule FocalRadiusSet applies.
+    it, the same rule FocalRadiusSet applies.  An arctan family spanning
+    MAX_FOCAL_RADII periods of the window is refused before it is built.
     """
     roots: List[float] = []
     if lam_r > _LINEAR_BRANCH:
         q = math.sqrt(lam_r)
         base = math.atan2(q, lam_a) / q  # atan2 handles lam_a <= 0 (root in (0, pi))
         period = math.pi / q
+        if (window.hi - window.lo) / period >= MAX_FOCAL_RADII:   # inf on overflow
+            raise ValidationError(f"lambda_R={lam_r} places more than {MAX_FOCAL_RADII} "
+                                  f"focal radii in [{window.lo}, {window.hi}]")
         k = math.floor((window.lo - base) / period)
         while (r := base + k * period) <= window.hi:
             roots.append(r)
@@ -224,14 +229,28 @@ def proper_fredholm_witness(grid: EigenGrid, window: Window) -> dict:
     return report
 
 
+def _parallel_rows(lam_r, lam_a, r: float):
+    """parallel_shape_eigenvalue on arrays of rows: the eigenvalues (0 on a
+    focal row) and the rows for which r is focal.  Y and Y' are evaluated as
+    arrays from each row's _cos_sinc; a row where they overflow is refused."""
+    lam_r, lam_a = np.asarray(lam_r, dtype=float), np.asarray(lam_a, dtype=float)
+    c, sn = np.array([_cos_sinc(lr, r) for lr in lam_r.tolist()]).reshape(-1, 2).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, yp = c - lam_a * sn, -lam_r * sn - lam_a * c
+    bad = ~(np.isfinite(y) & np.isfinite(yp))
+    if bad.any():
+        raise ValidationError(f"Jacobi amplitude at lambda_R={float(lam_r[bad][0])}, "
+                              f"r={float(r)} is out of floating-point range")
+    focal = np.abs(y) < FOCAL_TOL * (1.0 + np.abs(yp))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(focal, 0.0, -yp / y), focal
+
+
 def parallel_shape_eigenvalue(lam_r: float, lam_a: float,
                               r: float) -> Union[float, Focal]:
     """Shape eigenvalue -Y'(r)/Y(r) of the parallel submanifold at distance r."""
-    y = jacobi_amplitude(lam_r, lam_a, r)
-    yp = jacobi_amplitude_deriv(lam_r, lam_a, r)
-    if abs(y) < FOCAL_TOL * (1.0 + abs(yp)):
-        return FOCAL
-    return -yp / y
+    lam, focal = _parallel_rows([lam_r], [lam_a], r)
+    return FOCAL if focal[0] else float(lam[0])
 
 
 def riccati_oracle(lam_r: float, lam_a: float, r: float, steps: int = 1000) -> float:
@@ -261,23 +280,56 @@ def riccati_oracle(lam_r: float, lam_a: float, r: float, steps: int = 1000) -> f
     return -yp / y
 
 
+def _stack(grids: Sequence[EigenGrid]):
+    """Every grid's (lam_r, lam_a, mult) rows, grid after grid, and each row's grid."""
+    rows = np.array([p for g in grids for p in g.pairs], dtype=float).reshape(-1, 3)
+    gid = np.repeat(np.arange(len(grids)), [len(g.pairs) for g in grids])
+    # multiplicities below 2**53 (EigenGrid's cap) are exact in float64
+    return rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int64), gid
+
+
+def _parallel_traces(stack, n_grids: int, r: float) -> list:
+    """parallel_reg_mean_curvature of every stacked grid.  The transformed
+    rows (lam_r, -Y'/Y, mult) are merged and sorted as EigenGrid does, so a
+    finite-rank grid's trace is the fsum of its merged m * lam, and a longer
+    one reads the same SpectralData as its transformed grid."""
+    lam_r, lam_a, mult, gid = stack
+    lam, focal = _parallel_rows(lam_r, lam_a, r)
+    order = np.lexsort((lam, lam_r, gid))
+    gid, lam_r, lam, mult = gid[order], lam_r[order], lam[order], mult[order]
+    first = np.ones(len(gid), dtype=bool)
+    first[1:] = (gid[1:] != gid[:-1]) | (lam_r[1:] != lam_r[:-1]) | (lam[1:] != lam[:-1])
+    mult = np.bincount(np.cumsum(first) - 1, weights=mult).astype(np.int64)  # below 2**53
+    gid, lam = gid[first], lam[first]
+    finite = spectral._is_finite_rank(np.bincount(gid[lam != 0.0], minlength=n_grids))
+    is_focal = np.bincount(stack[3][focal], minlength=n_grids) > 0
+    # a zero entry adds +0.0 or -0.0 to an fsum, which leaves it unchanged
+    terms = (mult * lam).tolist()
+    bounds = np.searchsorted(gid, np.arange(n_grids + 1)).tolist()
+    traces = []
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if is_focal[i]:
+            traces.append(FOCAL)
+        elif finite[i]:
+            traces.append(math.fsum(terms[lo:hi]))
+        else:
+            traces.append(spectral.reg_trace(
+                SpectralData.from_eigenvalues(lam[lo:hi], mults=mult[lo:hi])))
+    return traces
+
+
 def transformed_grid(grid: EigenGrid, r: float) -> Union[EigenGrid, Focal]:
     """EigenGrid of the parallel submanifold at distance r (Focal on collision)."""
-    pairs = []
-    for lam_r, lam_a, mult in grid.pairs:
-        lam = parallel_shape_eigenvalue(lam_r, lam_a, r)
-        if lam is FOCAL:
-            return FOCAL
-        pairs.append((lam_r, lam, mult))
-    return EigenGrid(tuple(pairs), label=grid.label)
+    lam_r, lam_a, mult, _ = _stack([grid])
+    lam, focal = _parallel_rows(lam_r, lam_a, r)
+    if focal.any():
+        return FOCAL
+    return EigenGrid(tuple(zip(lam_r.tolist(), lam.tolist(), mult.tolist())), grid.label)
 
 
 def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> Union[TraceValue, Focal]:
     """Paired trace of the parallel submanifold's shape spectrum at distance r."""
-    tg = transformed_grid(grid, r)
-    if tg is FOCAL:
-        return FOCAL
-    return spectral.reg_trace(tg.shape_spectrum())
+    return _parallel_traces(_stack([grid]), 1, r)[0]
 
 
 def _multisets_close(a, b) -> bool:
@@ -312,14 +364,17 @@ def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],
     if not grids:
         raise ValidationError("need at least one grid")
     report = {"radii": {}, "focal_collisions": [], "regularizable": True, "passed": True}
-    for g in grids:
-        if not spectral.is_regularizable(g.shape_spectrum()):
+    stack = _stack(grids)
+    # a finite-rank spectrum is regularizable; the others take the truncated route
+    finite = spectral._is_finite_rank(np.bincount(stack[3][stack[1] != 0.0],
+                                                  minlength=len(grids)))
+    for idx in np.flatnonzero(~finite).tolist():
+        if not spectral.is_regularizable(grids[idx].shape_spectrum()):
             report["regularizable"] = False
             report["passed"] = False
     for r in radii:
         values = []
-        for idx, g in enumerate(grids):
-            v = parallel_reg_mean_curvature(g, r)
+        for idx, (g, v) in enumerate(zip(grids, _parallel_traces(stack, len(grids), r))):
             if v is FOCAL:
                 report["focal_collisions"].append((g.label or idx, r))
                 report["passed"] = False

@@ -1,7 +1,7 @@
 """JSON readers for spectra, eigen grids, paths, matrices and model configs.
 
 io only reads; the CLI's streaming emitter writes every report.  Numbers
-must be JSON numbers, not strings, and multiplicities whole numbers.
+must be JSON numbers, not strings, and multiplicities and sizes whole numbers.
 
 Formats:
   spectrum   {"positives":[{"value":x,"mult":n},...], "negatives":[...],
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .focal import EigenGrid
 from .geomodel import SphereProductConfig
-from .spectral import SpectralData, TailModel, _as_array
+from .spectral import SpectralData, TailModel, _as_array, _whole_numbers
 from .transport import AlgebraPath
 
 
@@ -97,15 +97,17 @@ def read_vector(path: str) -> np.ndarray:
 def read_sphere_config(path: str) -> SphereProductConfig:
     data = _load_json(path)
     try:
-        blocks, rprime, (k1, k2, ambient_dim) = (
-            _as_array(v, float, "config") for v in
-            (data["blocks"], data["rprime"], [data["k1"], data["k2"], data["ambient_dim"]]))
+        blocks = [(m, r) for m, r in data["blocks"]]
+        slots = _whole_numbers([m for m, _ in blocks], "block sizes").tolist()
+        radii = _as_array([r for _, r in blocks], float, "block radii").tolist()
+        k1, k2, ambient_dim = (int(_whole_numbers(data[key], key))
+                               for key in ("k1", "k2", "ambient_dim"))
         return SphereProductConfig(
-            blocks=tuple((int(m), float(r)) for m, r in blocks),
-            k1=int(k1),
-            rprime=tuple(float(v) for v in rprime),
-            k2=int(k2),
-            ambient_dim=int(ambient_dim),
+            blocks=tuple(zip(slots, radii)),
+            k1=k1,
+            rprime=tuple(float(v) for v in _as_array(data["rprime"], float, "rprime")),
+            k2=k2,
+            ambient_dim=ambient_dim,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed config file '{path}': {exc}") from exc

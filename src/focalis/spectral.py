@@ -86,17 +86,22 @@ def _as_array(x, dtype, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: {exc}") from exc
 
 
-def _multiplicities(mults, name: str) -> np.ndarray:
-    """Multiplicities as int64, each a whole number >= 1: a fractional one is
-    refused, where a cast would truncate 2.7 to 2."""
-    raw = _as_array(mults, None, name)
+def _whole_numbers(x, name: str) -> np.ndarray:
+    """x as int64 whole numbers: a fractional or boolean one is refused, where
+    a cast would truncate 2.7 to 2 and read true as 1."""
+    raw = _as_array(x, None, name)
     if raw.dtype.kind in "iu":
-        m = raw.astype(np.int64, copy=False)   # uint64 beyond int64 wraps below 1
-    else:
-        with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test
-            m = _as_array(raw, np.int64, name)
-        if raw.dtype.kind == "b" or (m != raw).any():
-            raise ValidationError(f"{name}: multiplicities must be whole numbers")
+        return raw.astype(np.int64, copy=False)   # uint64 beyond int64 wraps negative
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test
+        m = _as_array(raw, np.int64, name)
+    if raw.dtype.kind == "b" or (m != raw).any():
+        raise ValidationError(f"{name}: sizes and multiplicities must be whole numbers")
+    return m
+
+
+def _multiplicities(mults, name: str) -> np.ndarray:
+    """Multiplicities as int64, each a whole number >= 1."""
+    m = _whole_numbers(mults, name)
     if m.size and m.min() < 1:
         raise ValidationError(f"{name}: multiplicities must be >= 1")
     return m
@@ -245,19 +250,20 @@ def align_runs(a, b):
     return lengths, x, y
 
 
-def _is_finite_rank(spec: SpectralData) -> bool:
+def _is_finite_rank(n_entries, tail: Optional[TailModel] = None):
     """A short entry list without a tail model is the complete spectrum.
 
     Asymptotic convergence diagnostics are meaningless on a few dozen
     samples, and the trace of a finite-rank operator is its plain sum; long
     stored sequences are treated as truncations of an unknown continuation.
+    n_entries counts the nonzero stored entries; an array of counts of
+    tail-free spectra gives an array of verdicts.
     """
-    n_entries = len(spec.positives) + len(spec.negatives)
-    return spec.tail is None and n_entries <= FINITE_RANK_MAX
+    return tail is None and n_entries <= FINITE_RANK_MAX
 
 
 def reg_trace_info(spec: SpectralData) -> TraceInfo:
-    if _is_finite_rank(spec):
+    if _is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         # the weighted sum, rounded once: the two branches often nearly cancel
         value = math.fsum((spec.pos_mults * spec.positives).tolist()
                           + (spec.neg_mults * -spec.negatives).tolist())
@@ -276,7 +282,7 @@ def reg_trace(spec: SpectralData) -> TraceValue:
 
 
 def trace_square_info(spec: SpectralData) -> TraceInfo:
-    if _is_finite_rank(spec):
+    if _is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         value = math.fsum((spec.pos_mults * spec.positives ** 2).tolist()
                           + (spec.neg_mults * spec.negatives ** 2).tolist())
         return TraceInfo(value, 0.0, True, "finite-rank")

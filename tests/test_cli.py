@@ -554,6 +554,35 @@ class TestInputNumbers:
         assert code == 2 and out == ""
 
 
+    @pytest.mark.parametrize("key,value", [("k1", 1.9), ("k1", True), ("k2", 1.5),
+                                           ("k2", True), ("k2", -1), ("ambient_dim", 64.9),
+                                           ("ambient_dim", True), ("blocks", [[4.7, 1.0]]),
+                                           ("blocks", [[True, 1.0]])])
+    def test_config_sizes_are_whole_numbers(self, capsys, tmp_path, key, value):
+        # each size used to be truncated by int(): 1.9 read as 1 and true as 1
+        cfg = {"blocks": [[4, 1.0]], "k1": 1, "rprime": [0.5], "k2": 1, "ambient_dim": 64}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, key: value}))
+        code, out = run(capsys, "example41", "--config", str(path), "--points", "2",
+                        "--trials", "2")
+        assert code == 2 and out == ""
+        path.write_text(json.dumps(cfg))
+        assert run(capsys, "example41", "--config", str(path), "--points", "2",
+                   "--trials", "2")[0] == 0
+
+    def test_config_whole_floats_are_sizes(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"blocks": [[4.0, 1.0]], "k1": 1.0, "rprime": [0.5],
+                                    "k2": 0.0, "ambient_dim": 64.0}))
+        code, report = run_json(capsys, "example41", "--config", str(path), "--points", "2",
+                                "--trials", "2")
+        assert code == 0 and report["result"]["closed_form_traces"]["block_dims"] == [2]
+
+    def test_points_beyond_the_frame_cap(self, capsys):
+        code, out = run(capsys, "example41", "--points", str(10 ** 9))
+        assert code == 2 and out == ""
+
+
 class TestModelCommand:
     def test_example41_small_run(self, capsys, tmp_path):
         out = tmp_path / "report.json"

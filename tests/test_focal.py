@@ -1,18 +1,20 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from focalis import spectral
 from focalis.errors import OracleUndefinedError, ValidationError
-from focalis.focal import (FOCAL, EigenGrid, FocalRadiusSet, Window,
+from focalis.focal import (FOCAL, MAX_FOCAL_RADII, EigenGrid, FocalRadiusSet, Window,
                            equifocal_check, focal_radii_pair, focal_set,
                            isoparametric_check, jacobi_amplitude,
                            jacobi_amplitude_deriv, parallel_reg_mean_curvature,
                            parallel_shape_eigenvalue, proper_fredholm_witness,
                            riccati_oracle, weakly_isoparametric_check)
-from focalis.spectral import SpectralData, reg_trace
+from focalis.spectral import DIVERGENT, SpectralData, reg_trace
 
 LAM_R_GRID = [-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0]
 LAM_A_GRID = [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0]
@@ -438,3 +440,122 @@ def test_weak_check_matches_expanded_comparison(a, b):
     gb = EigenGrid(tuple((0.0, v, m) for v, m in b))
     want = _expanded_multisets_close(ga._column(1), gb._column(1))
     assert weakly_isoparametric_check([ga, gb]) == want
+
+
+def transformed_grid_loop(grid, r):
+    """Per-row reference for the stacked parallel rows: one new EigenGrid."""
+    pairs = []
+    for lam_r, lam_a, mult in grid.pairs:
+        lam = parallel_shape_eigenvalue(lam_r, lam_a, r)
+        if lam is FOCAL:
+            return FOCAL
+        pairs.append((lam_r, lam, mult))
+    return EigenGrid(tuple(pairs), label=grid.label)
+
+
+def isoparametric_check_loop(grids, radii, tol=1e-8):
+    """Per-grid reference for isoparametric_check: a SpectralData and a
+    reg_trace for every (grid, radius)."""
+    report = {"radii": {}, "focal_collisions": [], "regularizable": True, "passed": True}
+    for g in grids:
+        if not spectral.is_regularizable(g.shape_spectrum()):
+            report["regularizable"] = False
+            report["passed"] = False
+    for r in radii:
+        values = []
+        for idx, g in enumerate(grids):
+            tg = transformed_grid_loop(g, r)
+            v = FOCAL if tg is FOCAL else reg_trace(tg.shape_spectrum())
+            if v is FOCAL:
+                report["focal_collisions"].append((g.label or idx, r))
+                report["passed"] = False
+                continue
+            if v is DIVERGENT:
+                report["regularizable"] = False
+                report["passed"] = False
+                continue
+            values.append(float(v))
+        spread = float(np.max(values) - np.min(values)) if values else float("nan")
+        report["radii"][r] = {"values": values, "spread": spread}
+        if not values or spread > tol:
+            report["passed"] = False
+    return report
+
+
+# lam_r = 1 with lam_a = 1 is focal at pi/4, and (0, 2) at 1/2; the radii
+# include both
+_LAM_R = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 0.25, -3.0, 1e-301])
+_LAM_A = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -0.5, 0.5]),
+                   st.floats(min_value=-4.0, max_value=4.0))
+_ROWS = st.lists(st.tuples(_LAM_R, _LAM_A, st.integers(min_value=1, max_value=4)),
+                 max_size=8)
+
+
+@st.composite
+def iso_grids(draw):
+    grids = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        rows = draw(_ROWS)
+        if draw(st.booleans()):   # beyond FINITE_RANK_MAX: the truncated route
+            lam_r = draw(_LAM_R)
+            scale = draw(st.sampled_from([1.0, -1.0, 0.3]))
+            rows += [(lam_r, scale / k, draw(st.integers(min_value=1, max_value=3)))
+                     for k in range(1, spectral.FINITE_RANK_MAX + draw(st.integers(0, 20)))]
+        grids.append(EigenGrid(tuple(rows), label=draw(st.sampled_from([None, f"x{i}"]))))
+    return grids
+
+
+@given(iso_grids(), st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5, math.pi / 4, 1.3]),
+                             min_size=1, max_size=4, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_isoparametric_check_matches_per_grid_loop(grids, radii):
+    want = isoparametric_check_loop(grids, radii)
+    assert repr(isoparametric_check(grids, radii)) == repr(want)
+    for g in grids:
+        for r in radii:
+            assert repr(parallel_reg_mean_curvature(g, r)) == repr(
+                FOCAL if transformed_grid_loop(g, r) is FOCAL
+                else reg_trace(transformed_grid_loop(g, r).shape_spectrum()))
+
+
+def test_merged_parallel_rows_match_per_grid_loop():
+    # the Moebius map lam_a -> -Y'/Y squeezes neighbouring floats onto one
+    # value: the transformed grid merges them, and so must the stacked trace
+    lam_as = -3.0 + np.arange(200) * 2.0 ** -51
+    grid = EigenGrid(tuple((0.0, float(a), 3) for a in lam_as[:60]))
+    lams = [parallel_shape_eigenvalue(0.0, float(a), 0.2) for a in lam_as[:60]]
+    assert len(set(lams)) < len(lams)
+    long_grid = EigenGrid(tuple((0.0, float(a), 3) for a in lam_as))
+    for g in (grid, long_grid):
+        assert repr(isoparametric_check([g, g], [0.2])) == repr(
+            isoparametric_check_loop([g, g], [0.2]))
+
+
+def test_hyperbolic_overflow_names_lambda_r_and_r():
+    grids = [EigenGrid(((1.0, 0.5, 2),)), EigenGrid(((1.0, 0.5, 2), (-1e6, 0.5, 1)))]
+    for check in (isoparametric_check, isoparametric_check_loop):
+        with pytest.raises(ValidationError, match=re.escape("lambda_R=-1000000.0, r=1.0")):
+            check(grids, [1.0])
+
+
+class TestFocalRadiiCap:
+    def test_refusal_allocates_nothing_large(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="focal radii"):
+                focal_radii_pair(1e6, 0.5, Window(1e-3, 1e4))
+            with pytest.raises(ValidationError, match="focal radii"):
+                focal_radii_pair(1e300, 0.5, Window(1e300, 1.5e300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_counts_periods_of_the_window(self):
+        window = Window(1e-3, 10.0)
+        below = (math.pi * (MAX_FOCAL_RADII - 1) / (window.hi - window.lo)) ** 2
+        radii = focal_radii_pair(below, 0.5, window)
+        assert MAX_FOCAL_RADII - 2 <= len(radii) <= MAX_FOCAL_RADII
+        above = (math.pi * (MAX_FOCAL_RADII + 1) / (window.hi - window.lo)) ** 2
+        with pytest.raises(ValidationError):
+            focal_radii_pair(above, 0.5, window)

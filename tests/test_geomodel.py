@@ -1,14 +1,86 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from focalis import focal
+from focalis import focal, geomodel
 from focalis.errors import ValidationError
 from focalis.focal import Window
-from focalis.geomodel import (ModelSubmanifold, SphereProductConfig,
-                              _sample_point, ambient_curvature, build_model,
-                              constraint_residual, curvature_adapted_check,
+from focalis.geomodel import (MAX_FRAME_ENTRIES, ModelSubmanifold, SphereProductConfig,
+                              _sample_point, build_model, curvature_adapted_check,
                               default_config, dense_operators, eigen_grid_of,
-                              random_normal_vector, trace_closed_form)
+                              eigen_grids, trace_closed_form)
+
+
+def random_normal_vector(model, point_index, rng):
+    basis = model.normal_bases[point_index]
+    return basis @ rng.normal(size=basis.shape[1])
+
+
+def constraint_residual(cfg: SphereProductConfig, x: np.ndarray) -> float:
+    """Max violation of the defining constraints at an ambient point."""
+    res = 0.0
+    heights = cfg.heights()
+    for k, (m, r) in enumerate(cfg.blocks):
+        idx = cfg.block_even_indices(k)
+        res = max(res, abs(np.linalg.norm(x[idx]) - r))
+        if k < cfg.k1:
+            res = max(res, abs(x[idx[-1]] - heights[k]))
+    for j in cfg.frozen_odd_indices():
+        res = max(res, abs(x[j]))
+    # the even slots beyond the blocks stay zero
+    for i in range(2 * sum(m for m, _ in cfg.blocks) + 1, 2 * (cfg.ambient_dim // 2), 2):
+        res = max(res, abs(x[i]))
+    return res
+
+
+def ambient_curvature(cfg: SphereProductConfig, w: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """Blockwise round-sphere curvature R(w, v)v of the ambient product."""
+    out = np.zeros_like(w)
+    for k, (m, r) in enumerate(cfg.blocks):
+        idx = cfg.block_even_indices(k)
+        wk, vk = w[idx], v[idx]
+        out[idx] = ((vk @ vk) * wk - (wk @ vk) * vk) / r ** 2
+    return out
+
+
+def sample_point_loop(cfg, rng):
+    """Per-point reference for the stacked sampler: one draw per block."""
+    x = np.zeros(cfg.ambient_dim)
+    heights = cfg.heights()
+    for k, (m, r) in enumerate(cfg.blocks):
+        idx = cfg.block_even_indices(k)
+        if k < cfg.k1:
+            v = rng.normal(size=m - 1)
+            v *= cfg.rprime[k] / np.linalg.norm(v)
+            x[idx[:-1]] = v
+            x[idx[-1]] = heights[k]
+        else:
+            v = rng.normal(size=m)
+            v *= r / np.linalg.norm(v)
+            x[idx] = v
+    free_odd = cfg.free_odd_indices()
+    x[free_odd] = 0.3 * rng.normal(size=len(free_odd))
+    return x
+
+
+def eigen_grid_loop(model, pi, xi):
+    """Per-point reference for the stacked eigen grids: a normality check,
+    <xi, nu_j> and one small SVD rank per constrained block."""
+    cfg = model.config
+    t, n = model.tangent_bases[pi], model.normal_bases[pi]
+    bound = 1e-9 * (1.0 + np.linalg.norm(xi))
+    if np.linalg.norm(xi - n @ (n.T @ xi)) > bound or np.linalg.norm(t.T @ xi) > bound:
+        raise ValidationError("not a normal vector")
+    comps = n[:, : cfg.k1].T @ xi
+    dims = [np.linalg.matrix_rank(t[cfg.block_even_indices(j), :], tol=1e-9)
+            for j in range(cfg.k1)]
+    rows = [(float(c ** 2 / r ** 2), float(np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2) * c), int(d))
+            for (_, r), rp, c, d in zip(cfg.blocks, cfg.rprime, comps, dims) if d > 0]
+    if t.shape[1] > sum(dims):
+        rows.append((0.0, 0.0, t.shape[1] - int(sum(dims))))
+    return focal.EigenGrid(tuple(rows), label=f"x{pi}")
 
 
 def circle_config():
@@ -96,7 +168,8 @@ def dense_operators_per_column(model, pi, xi):
             e[idx[-1]] = 1.0
             grads.append(e)
             hess_blocks.append(None)
-    for j in list(cfg.frozen_odd_indices()) + list(cfg.free_even_indices()):
+    free_even = range(2 * sum(m for m, _ in cfg.blocks) + 1, 2 * (cfg.ambient_dim // 2), 2)
+    for j in list(cfg.frozen_odd_indices()) + list(free_even):
         e = np.zeros(cfg.ambient_dim)
         e[j] = 1.0
         grads.append(e)
@@ -180,6 +253,37 @@ class TestBuildModel:
             assert np.max(np.abs(t - t_ref)) < 1e-13
             assert np.max(np.abs(n - n_ref), initial=0.0) < 1e-13
 
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(), circle_config(),
+                                     default_at(512)])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_stacked_draws_match_per_point_loop(self, cfg, seed):
+        model = build_model(cfg, 9, seed=seed)
+        rng = np.random.default_rng(seed)
+        draws = np.stack([sample_point_loop(cfg, rng) for _ in range(9)])
+        assert np.array_equal(model.points, draws)
+
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(), two_block_config(),
+                                     circle_config(), default_at(512)])
+    def test_frame_dims_count_the_frames(self, cfg):
+        model = build_model(cfg, 2, seed=3)
+        assert geomodel._frame_dims(cfg) == (model.tangent_dim, model.normal_dim)
+
+    def test_model_beyond_frame_cap_allocates_nothing(self):
+        cfg = default_at(512)
+        per_point = cfg.ambient_dim * sum(geomodel._frame_dims(cfg))
+        assert 100 * per_point <= MAX_FRAME_ENTRIES     # the workload models fit
+        assert 5 * 2000 * sum(geomodel._frame_dims(default_at(2000))) <= MAX_FRAME_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="frame entries"):
+                build_model(cfg, MAX_FRAME_ENTRIES // per_point + 1, seed=0)
+            with pytest.raises(ValidationError, match="frame entries"):
+                build_model(default_at(10 ** 12), 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("n_points", [0, -3])
     def test_no_points_rejected(self, n_points):
         with pytest.raises(ValidationError):
@@ -245,6 +349,114 @@ class TestOperators:
         for r in rows[1:]:
             assert r.shape == rows[0].shape
             assert np.max(np.abs(r - rows[0])) < 1e-12
+
+
+class TestStackedEigenGrids:
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(), two_block_config(),
+                                     circle_config(), default_at(512)])
+    def test_match_per_point_loop(self, cfg):
+        model = build_model(cfg, 6, seed=30)
+        rng = np.random.default_rng(31)
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(6)])
+        grids = eigen_grids(model, xis)
+        for pi, grid in enumerate(grids):
+            ref = eigen_grid_loop(model, pi, xis[pi])
+            assert grid.label == ref.label == f"x{pi}"
+            assert [m for *_, m in grid.pairs] == [m for *_, m in ref.pairs]
+            got, want = np.array(grid.pairs)[:, :2], np.array(ref.pairs)[:, :2]
+            assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
+            one = eigen_grid_of(model, pi, xis[pi])
+            assert one.pairs == grid.pairs and one.label == grid.label
+
+    @pytest.mark.parametrize("bad", ["tangent", "outside", "nan"])
+    def test_one_bad_normal_refuses_the_stack(self, bad):
+        model = build_model(two_block_config(), 4, seed=32)
+        rng = np.random.default_rng(33)
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(4)])
+        if bad == "tangent":
+            xis[2] += 1e-3 * model.tangent_bases[2][:, 0]
+        elif bad == "outside":
+            xis[2, model.config.block_even_indices(0)[0]] += 1e-3 * (1.0 + xis[2, 0])
+        else:
+            xis[2, 0] = np.nan
+        with pytest.raises(ValidationError):
+            eigen_grids(model, xis)
+        with pytest.raises(ValidationError):
+            eigen_grid_of(model, 2, xis[2])
+
+
+def dense_commutator_norm(jac, shape):
+    return float(np.linalg.norm(jac @ shape - shape @ jac))
+
+
+def rotated_model(cfg, n_points, seed):
+    """The model with each point's block tangent directions and normals
+    rotated into one another, the flat odd directions kept: the operator
+    pair then no longer commutes, by a margin of the operators' size."""
+    model = build_model(cfg, n_points, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    d_blocks = sum(m - 1 for m, _ in cfg.blocks) - cfg.k1
+    tangent, normal = model.tangent_bases.copy(), model.normal_bases.copy()
+    for t, n in zip(tangent, normal):
+        q, _ = np.linalg.qr(rng.normal(size=(d_blocks + n.shape[1],) * 2))
+        rotated = np.hstack([t[:, :d_blocks], n]) @ q
+        t[:, :d_blocks], n[:] = rotated[:, :d_blocks], rotated[:, d_blocks:]
+    return ModelSubmanifold(cfg, model.points, tangent, normal)
+
+
+class TestFactoredCommutator:
+    @pytest.mark.parametrize("cfg", [default_config(), mixed_config(), two_block_config(),
+                                     default_at(512)])
+    def test_matches_dense_on_rotated_frames(self, cfg):
+        model = rotated_model(cfg, 3, seed=34)
+        rng = np.random.default_rng(35)
+        pis = np.array([0, 2, 1, 2])
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in pis])
+        norms = geomodel._commutator_norms(model, pis, xis[:, geomodel._block_rows(cfg)])
+        for pi, xi, got in zip(pis, xis, norms):
+            jac, shape = dense_operators_per_column(model, pi, xi)
+            want = dense_commutator_norm(jac, shape)
+            assert want > 0.1 * np.linalg.norm(jac) * np.linalg.norm(shape) / len(jac)
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_perturbed_block_weights_fail_the_check(self, monkeypatch):
+        # negative control: Jacobi and shape weights that vary inside a block,
+        # each in its own way, break the commutation, and the check says so
+        model = build_model(default_config(), 4, seed=36)
+        rng = np.random.default_rng(37)
+        factors = geomodel._factors
+
+        def perturbed(*args):
+            b, m_j, m_s = factors(*args)
+            slot = np.arange(m_j.shape[1])
+            return b, m_j + np.sin(slot), m_s + np.cos(3.0 * slot)
+
+        monkeypatch.setattr(geomodel, "_factors", perturbed)
+        report = curvature_adapted_check(model, 20, seed=38)
+        assert not report["passed"] and report["max_commutator_norm"] > 1e-3
+        pis = np.array([1, 3])
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in pis])
+        norms = geomodel._commutator_norms(model, pis,
+                                           xis[:, geomodel._block_rows(model.config)])
+        for pi, xi, got in zip(pis, xis, norms):
+            want = dense_commutator_norm(*dense_operators(model, pi, xi))
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_model_frames_cancel_far_below_dense(self):
+        model = build_model(default_config(), 10, seed=39)
+        report = curvature_adapted_check(model, 50, seed=40)
+        assert report["passed"] and report["max_commutator_norm"] < 1e-20
+
+    def test_no_blocks(self):
+        cfg = SphereProductConfig(blocks=(), k1=0, rprime=(), k2=1, ambient_dim=8)
+        report = curvature_adapted_check(build_model(cfg, 2, seed=43), 3, seed=44)
+        assert report["passed"] and report["max_commutator_norm"] == 0.0
+
+    def test_chunked_trials(self, monkeypatch):
+        monkeypatch.setattr(geomodel, "TRIAL_CHUNK_ENTRIES", 1)
+        model = build_model(mixed_config(), 3, seed=41)
+        report = curvature_adapted_check(model, 7, seed=42)
+        assert report["trials"] == 7 and report["passed"]
 
 
 class TestDenseAgreement:

@@ -276,7 +276,7 @@ def _expanded_reg_trace_info(spec):
     terms[: len(pos)] += pos
     terms[: len(neg)] -= neg
     sums = np.cumsum(terms)
-    if spectral._is_finite_rank(spec):
+    if spectral._is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         return TraceInfo(float(sums[-1]) if len(sums) else 0.0, 0.0, True, "finite-rank")
     sums = _expanded_checkpoints(sums, spec.pos_mults, spec.neg_mults)
     rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank)
@@ -284,7 +284,7 @@ def _expanded_reg_trace_info(spec):
 
 
 def _expanded_trace_square_info(spec):
-    if spectral._is_finite_rank(spec):
+    if spectral._is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         pos, neg = _expanded(spec)
         return TraceInfo(float(np.sum(pos ** 2) + np.sum(neg ** 2)), 0.0, True, "finite-rank")
     values = np.concatenate([spec.positives, spec.negatives])
@@ -375,7 +375,7 @@ def test_run_sums_match_exact_expanded_sums(pos, neg):
     p, n = ([Fraction(float(v)) for v in b] for b in _expanded(spec))
     paired = [a - b for a, b in zip_longest(p, n, fillvalue=Fraction(0))]
     squares = [v * v for v in sorted(p + n, reverse=True)]
-    if spectral._is_finite_rank(spec):
+    if spectral._is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         # each weighted term m * lambda is rounded before the sum, so the
         # bound is relative to the sum of every eigenvalue's magnitude
         n_ops = len(spec.positives) + len(spec.negatives) + 2
@@ -416,7 +416,7 @@ def test_multiplicity_one_traces_are_bit_identical(pos, neg):
     # the same floating-point steps as the expanded route
     spec = SpectralData.from_entries([(v, 1) for v, _ in pos], [(v, 1) for v, _ in neg])
     assert zeta_trace_info(spec) == _expanded_zeta_trace_info(spec)
-    if not spectral._is_finite_rank(spec):
+    if not spectral._is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         assert reg_trace_info(spec) == _expanded_reg_trace_info(spec)
         assert trace_square_info(spec) == _expanded_trace_square_info(spec)
 
