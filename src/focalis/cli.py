@@ -101,27 +101,50 @@ def _walk(x, path: tuple, out: list):
             out.append((path, json.dumps(value)))
 
 
-def _element_texts(a: np.ndarray) -> list:
-    """JSON text of every element of a real, integer or boolean array, in C order."""
-    flat = a.ravel()
-    values = flat.tolist()
-    if a.dtype.kind == "b":
-        return ["true" if v else "false" for v in values]
-    if a.dtype.kind in "iu":
-        return list(map(int.__repr__, values))
-    texts = list(map(float.__repr__, values))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = "null"
+_BATCH_MAX = 4096  # elements: a larger array leaf is formatted alone, when written
+
+
+def _flat_texts(flat: np.ndarray) -> list:
+    """JSON text of every element of a flat real, integer or boolean array."""
+    if flat.dtype.kind == "b":
+        return ["true" if v else "false" for v in flat.tolist()]
+    items = list(map(float.__repr__ if flat.dtype.kind == "f" else int.__repr__, flat.tolist()))
+    for k in np.flatnonzero(~np.isfinite(flat)).tolist():
+        items[k] = "null"
+    return items
+
+
+def _element_texts(arrays: list) -> list:
+    """JSON texts of the elements of each array of at most _BATCH_MAX elements,
+    in C order, and None for a larger one, so that no large leaf is copied and
+    no two large leaves' texts are held at once.  The small arrays of one
+    dtype kind go through one tolist()/repr pass over their concatenation."""
+    groups, texts = {}, [None] * len(arrays)
+    for i, a in enumerate(arrays):
+        if a.size <= _BATCH_MAX:
+            groups.setdefault(a.dtype.kind, []).append(i)
+    for members in groups.values():
+        parts = [arrays[i].ravel() for i in members]
+        items = _flat_texts(np.concatenate(parts))
+        ends = np.cumsum([p.size for p in parts]).tolist()
+        for i, lo, hi in zip(members, [0] + ends, ends):
+            texts[i] = items[lo:hi]
     return texts
 
 
-def _array_json(a: np.ndarray, level: int) -> str:
-    """The array as json.dumps(a.tolist(), indent=2) writes it at nesting `level`."""
-    items = _element_texts(a)
-    for axis in reversed(range(a.ndim)):
-        n = a.shape[axis]
+def _leaf_texts(value: np.ndarray, texts: list) -> list:
+    """The next leaf's element texts from the reversed _element_texts list."""
+    items = texts.pop()
+    return _flat_texts(value.ravel()) if items is None else items
+
+
+def _array_json(items: list, shape: tuple, level: int) -> str:
+    """An array of this shape and element texts, as json.dumps(a.tolist(),
+    indent=2) writes it at nesting `level`."""
+    for axis in reversed(range(len(shape))):
+        n = shape[axis]
         if n == 0:
-            items = ["[]"] * math.prod(a.shape[:axis])
+            items = ["[]"] * math.prod(shape[:axis])
             continue
         inner = "\n" + "  " * (level + axis + 1)
         close = "\n" + "  " * (level + axis) + "]"
@@ -131,35 +154,34 @@ def _array_json(a: np.ndarray, level: int) -> str:
     return items[0]
 
 
-def _leaf_json(path: tuple, value) -> str:
-    return value if isinstance(value, str) else _array_json(value, len(path))
-
-
 _CSV_WORDS = {"null": "None", "true": "True", "false": "False"}
 
 
-def _csv_rows(leaves) -> list:
-    """key,value rows: one per scalar leaf and per array element."""
+def _csv_rows(leaves, texts: list) -> list:
+    """key,value rows: one per scalar leaf and per array element.  texts holds
+    the element texts of the array leaves, the last leaf's first."""
     rows = ["key,value"]
     for path, value in leaves:
         keys = ["".join(f"{k}." for k in path)]
-        if isinstance(value, str):
-            texts = [value]
-        else:
-            texts = _element_texts(value)
-            for n in value.shape:
-                keys = [f"{k}{i}." for k in keys for i in range(n)]
-        rows += [f"{k.rstrip('.')},{_CSV_WORDS.get(t, t)}" for k, t in zip(keys, texts)]
+        items = [value] if isinstance(value, str) else _leaf_texts(value, texts)
+        for n in () if isinstance(value, str) else value.shape:
+            keys = [f"{k}{i}." for k in keys for i in range(n)]
+        rows += [f"{k.rstrip('.')},{_CSV_WORDS.get(t, t)}" for k, t in zip(keys, items)]
     return rows
 
 
 def _emit(report: dict, fmt: str, out: str):
     chunks = []
     _walk(report, (), chunks)
+    leaves = [c for c in chunks if isinstance(c, tuple)]
+    # popped leaf by leaf, so that each leaf's texts are freed once written
+    texts = _element_texts([v for _, v in leaves if not isinstance(v, str)])[::-1]
     if fmt == "json":
-        parts = [c if isinstance(c, str) else _leaf_json(*c) for c in chunks]
+        parts = [c if isinstance(c, str) else c[1] if isinstance(c[1], str)
+                 else _array_json(_leaf_texts(c[1], texts), c[1].shape, len(c[0]))
+                 for c in chunks]
     else:
-        parts = ["\n".join(_csv_rows(c for c in chunks if isinstance(c, tuple)))]
+        parts = ["\n".join(_csv_rows(leaves, texts))]
     parts.append("\n")
     if out:
         with open(out, "w") as fh:
@@ -173,6 +195,17 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got '{text}'")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of every seed: numpy seeds are integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:   # the text argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got '{text}'")
     return value
 
 
@@ -224,7 +257,7 @@ def _cmd_focal(args):
         "window": [window.lo, window.hi],
         "radii": fset.radii,
         "multiplicities": fset.multiplicities,
-        "witness": focal.proper_fredholm_witness(grid, window),
+        "witness": focal.proper_fredholm_witness(fset),
     }
     return result, EXIT_OK
 
@@ -277,10 +310,9 @@ def _cmd_example41(args):
     radii = _parse_radii(args.radii)
     xis = model.normal_bases[:, :, : cfg.k1] @ coeffs
     grids = geomodel.eigen_grids(model, xis)
-    focal_sets = {}
-    for grid in grids:
-        fset = focal.focal_set(grid, window)
-        focal_sets[grid.label] = {"radii": fset.radii, "multiplicities": fset.multiplicities}
+    focal_radii, focal_mults, bounds = focal.focal_sets(grids, window)
+    focal_sets = {g.label: {"radii": focal_radii[lo:hi], "multiplicities": focal_mults[lo:hi]}
+                  for g, lo, hi in zip(grids, bounds, bounds[1:])}
     iso = focal.isoparametric_check(grids, radii, tol=args.tol)
     adapted = geomodel.curvature_adapted_check(model, args.trials, args.seed + 2)
     result = {
@@ -372,104 +404,71 @@ def _cmd_box1d(args):
     return result, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_FLAG = {"action": "store_true"}
+_WINDOW = ("--window", {"default": "0.001,10"})
+_TOL = ("--tol", {"type": _finite_float, "default": 1e-8})
+_SEED = ("--seed", {"type": _non_negative_int, "default": 0})
+
+# name: (help, handler, its arguments as (name, add_argument keywords));
+# every command also takes --format and --out
+_COMMANDS = {
+    "trace": ("regularized / power-sum traces of a spectrum", _cmd_trace, (
+        ("--spec", _REQUIRED), ("--zeta", _FLAG), ("--square", _FLAG))),
+    "focal": ("focal radii of an eigen grid in a window", _cmd_focal, (
+        ("--grid", _REQUIRED), _WINDOW)),
+    "parallel": ("parallel shape spectrum at distance r", _cmd_parallel, (
+        ("--grid", _REQUIRED), ("--r", {"type": _finite_float, "required": True}))),
+    "check": ("multi-point isoparametric checks", _cmd_check, (
+        ("kind", {"choices": ("weak", "iso", "equifocal")}), ("--grids", _REQUIRED),
+        _WINDOW, ("--radii", {"default": None}), _TOL)),
+    "example41": ("product-of-spheres verification report", _cmd_example41, (
+        ("--config", {"default": None}), ("--points", {"type": int, "default": 100}),
+        ("--trials", {"type": int, "default": 100}), ("--radii", {"default": None}),
+        _WINDOW, _TOL, _SEED)),
+    "transport": ("endpoint of the group path for u", _cmd_transport, (
+        ("--path", _REQUIRED), ("--steps", {"type": int, "default": 1000}))),
+    "holonomy": ("holonomy element of a connection path", _cmd_holonomy, (
+        ("--omega", _REQUIRED), ("--omega0", {"default": None}),
+        ("--steps", {"type": int, "default": 4000}))),
+    "roots": ("restricted-root decomposition report", _cmd_roots, (
+        ("--algebra", _REQUIRED), ("--theta", {"default": "conj"}), _SEED)),
+    "hyperpolar": ("two-sided action section check", _cmd_hyperpolar, (
+        ("--group", _REQUIRED), ("--k1", _REQUIRED), ("--k2", _REQUIRED),
+        ("--samples", {"type": int, "default": 25,
+                       "help": f"sample points, 1 to {hyperpolar.MAX_SAMPLES}"}), _SEED)),
+    "green": ("apply the spectral Green operator", _cmd_green, (
+        ("--op", _REQUIRED), ("--psi", _REQUIRED), ("--project", _FLAG))),
+    "box1d": ("discrete id - (1/a^2) D^2 operator", _cmd_box1d, (
+        ("--samples", {"type": int, "required": True,
+                       "help": f"grid size, 4 to {greenop.MAX_BOX_SAMPLES}"}),
+        ("--speed", {"type": _finite_float, "required": True}), ("--periodic", _FLAG))),
+}
+_OUTPUT = (("--format", {"choices": ("json", "csv"), "default": "json"}), ("--out", {}))
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given a command name, only that subcommand's parser is
+    built, and a metavar keeps every command in the usage line that top-level
+    errors print (the full parser keeps none: it would rename the argument)."""
     parser = argparse.ArgumentParser(prog="focalis")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("trace", help="regularized / power-sum traces of a spectrum")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--zeta", action="store_true")
-    p.add_argument("--square", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("focal", help="focal radii of an eigen grid in a window")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--window", default="0.001,10")
-    common(p)
-    p.set_defaults(func=_cmd_focal)
-
-    p = sub.add_parser("parallel", help="parallel shape spectrum at distance r")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--r", type=_finite_float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_parallel)
-
-    p = sub.add_parser("check", help="multi-point isoparametric checks")
-    p.add_argument("kind", choices=("weak", "iso", "equifocal"))
-    p.add_argument("--grids", required=True)
-    p.add_argument("--window", default="0.001,10")
-    p.add_argument("--radii", default=None)
-    p.add_argument("--tol", type=_finite_float, default=1e-8)
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("example41", help="product-of-spheres verification report")
-    p.add_argument("--config", default=None)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--radii", default=None)
-    p.add_argument("--window", default="0.001,10")
-    p.add_argument("--tol", type=_finite_float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_example41)
-
-    p = sub.add_parser("transport", help="endpoint of the group path for u")
-    p.add_argument("--path", required=True)
-    p.add_argument("--steps", type=int, default=1000)
-    common(p)
-    p.set_defaults(func=_cmd_transport)
-
-    p = sub.add_parser("holonomy", help="holonomy element of a connection path")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--omega0", default=None)
-    p.add_argument("--steps", type=int, default=4000)
-    common(p)
-    p.set_defaults(func=_cmd_holonomy)
-
-    p = sub.add_parser("roots", help="restricted-root decomposition report")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--theta", default="conj")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("hyperpolar", help="two-sided action section check")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k1", required=True)
-    p.add_argument("--k2", required=True)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_hyperpolar)
-
-    p = sub.add_parser("green", help="apply the spectral Green operator")
-    p.add_argument("--op", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--project", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_green)
-
-    p = sub.add_parser("box1d", help="discrete id - (1/a^2) D^2 operator")
-    p.add_argument("--samples", type=int, required=True,
-                   help=f"grid size, 4 to {greenop.MAX_BOX_SAMPLES}")
-    p.add_argument("--speed", type=_finite_float, required=True)
-    p.add_argument("--periodic", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_box1d)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + _OUTPUT:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line naming a command parses with that command's parser
+    # alone; --help, --version and an empty or unknown one take the full one
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
         result, code = args.func(args)

@@ -157,54 +157,88 @@ def jacobi_amplitude_deriv(lam_r: float, lam_a: float, s: float) -> float:
     return -lam_r * sn - lam_a * c
 
 
+def _stack(grids: Sequence[EigenGrid]):
+    """Every grid's (lam_r, lam_a, mult) rows, grid after grid, and each row's grid."""
+    rows = np.array([p for g in grids for p in g.pairs], dtype=float).reshape(-1, 3)
+    gid = np.repeat(np.arange(len(grids)), [len(g.pairs) for g in grids])
+    # multiplicities below 2**53 (EigenGrid's cap) are exact in float64
+    return rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int64), gid
+
+
+def _row_radii(lam_r, lam_a, window: Window):
+    """The zeros of each row's Jacobi amplitude in the window, each row's
+    increasing, and their rows.  Closed forms: base + k pi/q for lam_r > 0
+    (q = sqrt(lam_r), k from floor((lo - base) q/pi) up), atanh(q/lam_a)/q for
+    lam_r < 0 when lam_a > q = sqrt(-lam_r), and 1/lam_a when flat.  An arctan
+    family spanning MAX_FOCAL_RADII periods of the window is refused first."""
+    lam_r, lam_a = np.asarray(lam_r, dtype=float), np.asarray(lam_a, dtype=float)
+    lo, hi = window.lo, window.hi
+    trig, hyp, q = lam_r > _LINEAR_BRANCH, lam_r < -_LINEAR_BRANCH, np.sqrt(np.abs(lam_r))
+    flat = np.flatnonzero(~trig & ~hyp & (lam_a != 0.0))
+    # lam_a > q: the root of cosh - lam_a sinh/q at positive s
+    trig, hyp = np.flatnonzero(trig), np.flatnonzero(hyp & (lam_a > q))
+    # atan2 handles lam_a <= 0 (first root in (0, pi))
+    base = np.array([math.atan2(*p) for p in zip(q[trig].tolist(), lam_a[trig].tolist())])
+    base, period = base / q[trig], math.pi / q[trig]
+    with np.errstate(over="ignore"):                            # inf on overflow
+        spans, flat_radii = (hi - lo) / period, 1.0 / lam_a[flat]
+    if (spans >= MAX_FOCAL_RADII).any():
+        raise ValidationError(f"lambda_R={float(lam_r[trig][spans >= MAX_FOCAL_RADII][0])} "
+                              f"places more than {MAX_FOCAL_RADII} focal radii in [{lo}, {hi}]")
+    first = np.floor((lo - base) / period)
+    # base + k period rises with k, so the radii <= hi are a prefix of the
+    # candidates once the last one exceeds hi; rounding rarely asks for more
+    count = spans.astype(np.int64) + 3
+    while True:
+        ends = np.cumsum(count)
+        k = np.repeat(first, count) + (np.arange(count.sum()) - np.repeat(ends - count, count))
+        arctan = np.repeat(base, count) + k * np.repeat(period, count)
+        if not (short := arctan[ends - 1] <= hi).any():
+            break
+        count[short] *= 2
+    arctanh = np.array([math.atanh(x) for x in (q[hyp] / lam_a[hyp]).tolist()]) / q[hyp]
+    radii = np.concatenate((arctan, arctanh, flat_radii))
+    rows = np.concatenate((np.repeat(trig, count), hyp, flat))
+    keep = (lo <= radii) & (radii <= hi)
+    return radii[keep], rows[keep]
+
+
 def focal_radii_pair(lam_r: float, lam_a: float, window: Window) -> List[float]:
-    """All zeros of the Jacobi amplitude for (lam_r, lam_a) inside the window.
-
-    Closed forms: arctan branch family for lam_r > 0 (period pi/sqrt(lam_r)),
-    the single arctanh root for lam_r < 0 when |lam_a| > sqrt(-lam_r), and
-    1/lam_a in the flat case.  A radius is kept only if the window contains
-    it, the same rule FocalRadiusSet applies.  An arctan family spanning
-    MAX_FOCAL_RADII periods of the window is refused before it is built.
-    """
-    roots: List[float] = []
-    if lam_r > _LINEAR_BRANCH:
-        q = math.sqrt(lam_r)
-        base = math.atan2(q, lam_a) / q  # atan2 handles lam_a <= 0 (root in (0, pi))
-        period = math.pi / q
-        if (window.hi - window.lo) / period >= MAX_FOCAL_RADII:   # inf on overflow
-            raise ValidationError(f"lambda_R={lam_r} places more than {MAX_FOCAL_RADII} "
-                                  f"focal radii in [{window.lo}, {window.hi}]")
-        k = math.floor((window.lo - base) / period)
-        while (r := base + k * period) <= window.hi:
-            roots.append(r)
-            k += 1
-    elif lam_r < -_LINEAR_BRANCH:
-        q = math.sqrt(-lam_r)
-        if lam_a > q:  # root of cosh - lam_a sinh/q at positive s
-            roots.append(math.atanh(q / lam_a) / q)
-    elif lam_a != 0.0:
-        roots.append(1.0 / lam_a)
-    return [r for r in roots if window.contains(r)]
+    """All zeros of the Jacobi amplitude for (lam_r, lam_a) inside the window,
+    increasing: the one-row view of _row_radii."""
+    return _row_radii([lam_r], [lam_a], window)[0].tolist()
 
 
-def _merge_radii(radii_mults):
-    merged = []
-    for r, m in sorted(radii_mults):
-        if merged and abs(r - merged[-1][0]) <= MERGE_TOL:
-            merged[-1][1] += m
-        else:
-            merged.append([r, m])
-    return [(r, m) for r, m in merged]
+def focal_sets(grids: Sequence[EigenGrid], window: Window):
+    """focal_set of every grid from the stacked rows: the radii, grid after grid
+    and increasing, their multiplicities, and offsets (grid i's entries are
+    bounds[i]:bounds[i + 1]).  A radius within MERGE_TOL of its cluster's
+    first radius joins the cluster, which keeps that first radius."""
+    lam_r, lam_a, mult, gid = _stack(grids)
+    radii, rows = _row_radii(lam_r, lam_a, window)
+    order = np.lexsort((radii, gid[rows]))
+    radii, gid, mult = radii[order], gid[rows][order], mult[rows][order]
+    head = np.ones(len(radii), dtype=bool)
+    head[1:] = (gid[1:] != gid[:-1]) | (radii[1:] - radii[:-1] > MERGE_TOL)
+    # a chain of gaps <= MERGE_TOL splits where a radius lies beyond
+    # MERGE_TOL of its cluster's first radius h
+    for i in np.flatnonzero(~head).tolist():
+        h = i - 1 if head[i - 1] else h
+        head[i] = radii[i] - radii[h] > MERGE_TOL
+    mults = np.bincount(np.cumsum(head) - 1, weights=mult)  # exact below 2**53
+    if (mults >= spectral.MAX_BRANCH_RANK).any():
+        raise ValidationError("focal radius multiplicity must stay below 2**53")
+    bounds = np.searchsorted(gid[head], np.arange(len(grids) + 1))
+    return radii[head], mults.astype(np.int64), bounds.tolist()
 
 
 def focal_set(grid: EigenGrid, window: Window) -> FocalRadiusSet:
     """Union of per-pair focal radii, multiplicities summed on coincidence."""
-    collected = [(r, mult) for lam_r, lam_a, mult in grid.pairs
-                 for r in focal_radii_pair(lam_r, lam_a, window)]
-    return FocalRadiusSet(tuple(_merge_radii(collected)), window)
+    radii, mults, _ = focal_sets([grid], window)
+    return FocalRadiusSet(tuple(zip(radii.tolist(), mults.tolist())), window)
 
 
-def proper_fredholm_witness(grid: EigenGrid, window: Window) -> dict:
+def proper_fredholm_witness(fset: FocalRadiusSet) -> dict:
     """Truncation surrogate of the proper-Fredholm property.
 
     Reports the (finite) focal count in the window, the max multiplicity and
@@ -212,7 +246,6 @@ def proper_fredholm_witness(grid: EigenGrid, window: Window) -> dict:
     eps.  Accumulation away from 0 cannot occur for a finite grid; the report
     documents that.
     """
-    fset = focal_set(grid, window)
     radii = fset.radii
     report = {
         "count": int(len(radii)),
@@ -278,14 +311,6 @@ def riccati_oracle(lam_r: float, lam_a: float, r: float, steps: int = 1000) -> f
     if abs(y) < FOCAL_TOL * (1.0 + abs(yp)):
         raise OracleUndefinedError(f"r={r} is (numerically) a focal radius")
     return -yp / y
-
-
-def _stack(grids: Sequence[EigenGrid]):
-    """Every grid's (lam_r, lam_a, mult) rows, grid after grid, and each row's grid."""
-    rows = np.array([p for g in grids for p in g.pairs], dtype=float).reshape(-1, 3)
-    gid = np.repeat(np.arange(len(grids)), [len(g.pairs) for g in grids])
-    # multiplicities below 2**53 (EigenGrid's cap) are exact in float64
-    return rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int64), gid
 
 
 def _parallel_traces(stack, n_grids: int, r: float) -> list:
@@ -396,13 +421,9 @@ def equifocal_check(grids: Sequence[EigenGrid], window: Window,
     """Focal radii and multiplicities independent of the base point."""
     if not grids:
         raise ValidationError("need at least one grid")
-    ref = focal_set(grids[0], window)
-    for g in grids[1:]:
-        fs = focal_set(g, window)
-        if len(fs.entries) != len(ref.entries):
-            return False
-        if not np.all(fs.multiplicities == ref.multiplicities):
-            return False
-        if np.any(np.abs(fs.radii - ref.radii) > tol):
-            return False
-    return True
+    radii, mults, bounds = focal_sets(grids, window)
+    counts = np.diff(bounds)
+    if (counts != counts[0]).any():
+        return False
+    radii, mults = radii.reshape(len(grids), counts[0]), mults.reshape(len(grids), counts[0])
+    return bool(np.all(mults == mults[0]) and not np.any(np.abs(radii - radii[0]) > tol))

@@ -16,6 +16,8 @@ from .errors import ValidationError
 from .roots import involution, restricted_root_decomposition
 from .transport import expm_antiherm
 
+MAX_SAMPLES = 10_000  # sample points of one check: each costs one expm and two products
+
 
 def _hs_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Real Hilbert-Schmidt pairings <x_i, y_j> of two matrix stacks."""
@@ -42,8 +44,8 @@ def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
     max |[a_i, a_j]| and the space dimensions.  Since g is unitary,
     <X - g Y g^-1, A> = <X, A> - <Y, g^-1 A g>.
     """
-    if n_samples < 1:
-        raise ValidationError("n_samples must be at least 1")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValidationError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
     alg = algebra if isinstance(algebra, LieAlgebraBasis) else load_algebra(algebra)
     data = restricted_root_decomposition(alg, theta, seed=seed + 7)
     a_mats = np.stack(data.a_basis)

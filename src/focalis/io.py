@@ -57,10 +57,6 @@ def read_eigen_grid(path: str) -> EigenGrid:
     return EigenGrid(pairs, label=data.get("label"))
 
 
-def _matrix_from_pairs(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def read_path(path: str) -> AlgebraPath:
     """Sampled algebra path; samples must sit on a uniform grid over [0, 1]."""
     data = _load_json(path)
@@ -68,7 +64,10 @@ def read_path(path: str) -> AlgebraPath:
     try:
         samples = sorted(data["samples"], key=lambda e: e[0])
         ts = _as_array([e[0] for e in samples], float, "sample times")
-        mats = np.stack([_matrix_from_pairs(e[1]) for e in samples])
+        parts = _as_array([e[1] for e in samples], float, "sample matrices")
+        if parts.ndim != 4 or parts.shape[-1] != 2:
+            raise ValueError("samples must be matrices of [re, im] entries")
+        mats = parts.view(complex)[..., 0]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed path file '{path}': {exc}") from exc
     if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:

@@ -73,28 +73,37 @@ class TailModel:
 
 
 def _as_array(x, dtype, name: str) -> np.ndarray:
-    """x as an array of dtype; numbers given as strings are refused, not parsed.
-    A string entry makes the inferred dtype a string one, or an object one
-    (searched entry by entry) when x also holds nulls or ints beyond 64 bits."""
+    """x as an array of dtype; numbers given as strings or booleans are refused,
+    not parsed or read as 1 and 0.  A string entry makes the inferred dtype a
+    string one, or an object one (searched entry by entry) when x also holds
+    nulls or ints beyond 64 bits.  Booleans alone infer a boolean dtype; next
+    to numbers they cast to 0 or 1, so x is searched entry by entry only when
+    it holds a 0 or a 1."""
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O"
-                                      and any(isinstance(v, str) for v in arr.flat)):
+        kind, types = arr.dtype.kind, set()
+        if kind == "O":
+            types = set(map(type, arr.flat))
+        elif not isinstance(x, np.ndarray) and ((arr == 0) | (arr == 1)).any():
+            types = set(map(type, np.asarray(x, dtype=object).flat))
+        if kind in "SU" or any(issubclass(t, str) for t in types):
             raise TypeError("numbers are given as strings")
+        if kind == "b" or any(issubclass(t, (bool, np.bool_)) for t in types):
+            raise TypeError("numbers are given as booleans")
         return np.asarray(arr, dtype=dtype)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _whole_numbers(x, name: str) -> np.ndarray:
-    """x as int64 whole numbers: a fractional or boolean one is refused, where
-    a cast would truncate 2.7 to 2 and read true as 1."""
+    """x as int64 whole numbers: a fractional one is refused, where a cast
+    would truncate 2.7 to 2 (and _as_array refuses booleans)."""
     raw = _as_array(x, None, name)
     if raw.dtype.kind in "iu":
         return raw.astype(np.int64, copy=False)   # uint64 beyond int64 wraps negative
     with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test
         m = _as_array(raw, np.int64, name)
-    if raw.dtype.kind == "b" or (m != raw).any():
+    if (m != raw).any():
         raise ValidationError(f"{name}: sizes and multiplicities must be whole numbers")
     return m
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from focalis import cli, io, spectral, transport
+from focalis import cli, hyperpolar, io, spectral, transport
 from focalis.algebras import load_algebra
 from focalis.cli import main
 from focalis.focal import FOCAL, EigenGrid
@@ -156,9 +156,90 @@ def test_emitter_matches_reference_encoder(report):
         assert _emitted(report, fmt) == _reference_text(report, fmt)
 
 
+# many array leaves of every kind next to each other, and up to two leaves
+# beyond cli._BATCH_MAX elements: the batched formatting must split its
+# texts back into the right leaves
+_big_leaves = st.sampled_from([
+    None, np.arange(cli._BATCH_MAX + 1, dtype=np.int64) - 7,
+    np.concatenate([np.full(cli._BATCH_MAX, -0.0), [np.nan, np.inf, 0.1, -np.inf, 5e-324]]).reshape(3, -1),
+    np.arange(2 * cli._BATCH_MAX) % 3 == 0])
+
+
+@given(st.lists(_arrays | _scalars, min_size=10, max_size=60),
+       st.lists(_big_leaves, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_emitter_matches_reference_encoder_on_many_leaves(leaves, big):
+    report = {"leaves": leaves, "keyed": {f"k{i}": v for i, v in enumerate(leaves)},
+              "big": big, "empty": [np.zeros((2, 0)), np.array([], dtype=bool)]}
+    for fmt in ("json", "csv"):
+        assert _emitted(report, fmt) == _reference_text(report, fmt)
+
+
+def test_large_leaves_are_formatted_when_written():
+    # a leaf beyond cli._BATCH_MAX is left to its writer, so that the texts of
+    # two large leaves are never held at once
+    big = np.zeros(cli._BATCH_MAX + 1)
+    assert cli._element_texts([big, np.ones(2), big[:3] < 1]) == [
+        None, ["1.0", "1.0"], ["true"] * 3]
+
+
 def test_emitter_writes_nonfinite_complex_parts_as_null():
     text = _emitted({"z": complex(float("nan"), 1.0)}, "json")
     assert json.loads(text, parse_constant=_reject_constant) == {"z": [None, 1.0]}
+
+
+# a valid command line of every subcommand
+_COMMAND_LINES = {
+    "trace": ["--spec", "s.json", "--zeta"],
+    "focal": ["--grid", "g.json", "--window", "0.1,2"],
+    "parallel": ["--grid", "g.json", "--r", "0.5"],
+    "check": ["iso", "--grids", "d", "--radii", "0.1"],
+    "example41": ["--points", "3", "--seed", "4", "--format", "csv"],
+    "transport": ["--path", "u.json", "--steps", "20"],
+    "holonomy": ["--omega", "w.json", "--out", "r.json"],
+    "roots": ["--algebra", "su3", "--theta", "ad_diag"],
+    "hyperpolar": ["--group", "SU(2)", "--k1", "so2", "--k2", "so2", "--samples", "3"],
+    "green": ["--op", "a.json", "--psi", "b.json", "--project"],
+    "box1d": ["--samples", "8", "--speed", "1.5", "--periodic"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """The namespace, or the exit status and output of an argparse exit."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+class TestOneSubparser:
+    def test_every_command_is_listed(self):
+        assert set(_COMMAND_LINES) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
+    def test_command_parser_matches_full_parser(self, capsys, command):
+        lines = [_COMMAND_LINES[command], ["--help"], [], ["--bogus", "1"],
+                 _COMMAND_LINES[command] + ["--format", "xml"],
+                 _COMMAND_LINES[command] + ["extra"]]
+        for line in lines:
+            argv = [command] + line
+            full = _parse(cli.build_parser(), argv, capsys)
+            assert _parse(cli.build_parser(command), argv, capsys) == full
+
+    def test_main_builds_only_the_named_command(self, monkeypatch, capsys):
+        built = []
+        make_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c)
+                            or make_parser(c))
+        for argv in (["box1d", "--samples", "4", "--speed", "1"], ["--version"], [],
+                     ["bogus"], ["--help"]):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert built == ["box1d", None, None, None, None]
 
 
 @pytest.fixture
@@ -578,6 +659,58 @@ class TestInputNumbers:
                                 "--trials", "2")
         assert code == 0 and report["result"]["closed_form_traces"]["block_dims"] == [2]
 
+    @pytest.mark.parametrize("entries", [
+        [{"value": 0.5, "mult": True}, {"value": 0.25, "mult": 2}],
+        [{"value": True}, {"value": 0.25}], [{"value": 0.5, "mult": 2}, {"value": False}]])
+    def test_spectrum_booleans(self, capsys, tmp_path, entries):
+        # a true multiplicity next to integer ones read as 1 (tr_r 1.0, exit 0)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"positives": entries}))
+        code, out = run(capsys, "trace", "--spec", str(path))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("op,psi", [([[True, False], [False, True]], [1.0, 2.0]),
+                                        ([[1.5, 0.0], [0.0, 2.0]], [True, 1]),
+                                        ([[1.5, True], [True, 2.0]], [1.0, 2.0]),
+                                        ([[1.5, 0.0], [0.0, 2.0]], [1.0, False])])
+    def test_matrix_and_vector_booleans(self, capsys, tmp_path, op, psi):
+        # green on [[true, false], [false, true]] with psi [true, 1] exited 0
+        op_path, psi_path = tmp_path / "op.json", tmp_path / "psi.json"
+        op_path.write_text(json.dumps(op))
+        psi_path.write_text(json.dumps(psi))
+        code, out = run(capsys, "green", "--op", str(op_path), "--psi", str(psi_path))
+        assert code == 2 and out == ""
+        op_path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        psi_path.write_text(json.dumps([1.0, 0.0]))
+        assert run(capsys, "green", "--op", str(op_path), "--psi", str(psi_path))[0] == 0
+
+    @pytest.mark.parametrize("pair", [{"lambdaR": True, "lambdaA": 0.5},
+                                      {"lambdaR": 1.0, "lambdaA": False, "mult": 1},
+                                      {"lambdaR": 1.0, "lambdaA": 0.5, "mult": True}])
+    def test_grid_booleans(self, capsys, tmp_path, pair):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pairs": [{"lambdaR": 0.0, "lambdaA": 1.0, "mult": 2},
+                                              pair]}))
+        code, out = run(capsys, "focal", "--grid", str(path))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("time,entry", [(True, [0.0, 1.0]), (1.0, [False, 1.0]),
+                                            (1.0, [0.0, True])])
+    def test_path_booleans(self, capsys, tmp_path, time, entry):
+        z = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+        last = [[entry, [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"samples": [[0.0, z], [0.5, z], [time, last]]}))
+        code, out = run(capsys, "transport", "--path", str(path))
+        assert code == 2 and out == ""
+
+    def test_config_boolean_radius(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"blocks": [[4, 1.0]], "k1": 1, "rprime": [True],
+                                    "k2": 1, "ambient_dim": 64}))
+        code, out = run(capsys, "example41", "--config", str(path), "--points", "2")
+        assert code == 2 and out == ""
+
     def test_points_beyond_the_frame_cap(self, capsys):
         code, out = run(capsys, "example41", "--points", str(10 ** 9))
         assert code == 2 and out == ""
@@ -765,6 +898,34 @@ class TestAlgebraCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("roots", "--algebra", "su2"), ("example41", "--points", "2", "--trials", "2"),
+        ("hyperpolar", "--group", "SU(2)", "--k1", "so2", "--k2", "so2")])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        # numpy refused the seed with a ValueError traceback
+        usage_error(capsys, *argv, "--seed", "-1")
+        assert run(capsys, *argv, "--seed", "0")[0] == 0
+
+    def test_negative_seed_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["roots", "--algebra", "su2", "--seed", "-3"])
+        assert "--seed: must be a non-negative integer, got '-3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "a'b"])
+    def test_non_integer_seed_message(self, capsys, seed):
+        # the text argparse gave for type=int before seeds were checked
+        with pytest.raises(SystemExit):
+            main(["roots", "--algebra", "su2", "--seed", seed])
+        assert f"argument --seed: invalid int value: {seed!r}\n" in capsys.readouterr().err
+
+    def test_hyperpolar_samples_beyond_cap_is_input_error(self, capsys):
+        # a 10**9-sample Python loop used to start
+        code = main(["hyperpolar", "--group", "SU(2)", "--k1", "so2", "--k2", "so2",
+                     "--samples", str(10 ** 9)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(hyperpolar.MAX_SAMPLES) in err
 
     def test_hyperpolar_mismatched_subgroups(self, capsys):
         code, _ = run(capsys, "hyperpolar", "--group", "SU(2)",

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from focalis import spectral
 from focalis.errors import OracleUndefinedError, ValidationError
-from focalis.focal import (FOCAL, MAX_FOCAL_RADII, EigenGrid, FocalRadiusSet, Window,
-                           equifocal_check, focal_radii_pair, focal_set,
+from focalis.focal import (FOCAL, MAX_FOCAL_RADII, MERGE_TOL, EigenGrid, FocalRadiusSet,
+                           Window, equifocal_check, focal_radii_pair, focal_set, focal_sets,
                            isoparametric_check, jacobi_amplitude,
                            jacobi_amplitude_deriv, parallel_reg_mean_curvature,
                            parallel_shape_eigenvalue, proper_fredholm_witness,
@@ -217,14 +217,16 @@ class TestFocalSet:
 
 class TestProperFredholmWitness:
     def test_arctan_family(self):
-        report = proper_fredholm_witness(EigenGrid(((1.0, 1.0, 1),)), Window(0.1, 100.0))
+        report = proper_fredholm_witness(focal_set(EigenGrid(((1.0, 1.0, 1),)),
+                                                    Window(0.1, 100.0)))
         assert report["count"] == 32
         for gap in report["min_gaps"].values():
             assert gap == pytest.approx(math.pi, abs=1e-9)
         assert not report["accumulation_flag"]
 
     def test_empty_grid(self):
-        report = proper_fredholm_witness(EigenGrid(((-1.0, 0.5, 2),)), Window(0.1, 50.0))
+        report = proper_fredholm_witness(focal_set(EigenGrid(((-1.0, 0.5, 2),)),
+                                                    Window(0.1, 50.0)))
         assert report["count"] == 0
 
 
@@ -559,3 +561,121 @@ class TestFocalRadiiCap:
         above = (math.pi * (MAX_FOCAL_RADII + 1) / (window.hi - window.lo)) ** 2
         with pytest.raises(ValidationError):
             focal_radii_pair(above, 0.5, window)
+
+
+# The per-pair route that focal_sets replaced, kept as its reference: one
+# scalar closed form per (pair, radius), then a sort and a merge per grid.
+def focal_radii_pair_loop(lam_r, lam_a, window):
+    roots = []
+    if lam_r > 1e-300:
+        q = math.sqrt(lam_r)
+        base = math.atan2(q, lam_a) / q
+        period = math.pi / q
+        if (window.hi - window.lo) / period >= MAX_FOCAL_RADII:
+            raise ValidationError(f"lambda_R={lam_r} places more than {MAX_FOCAL_RADII} "
+                                  f"focal radii in [{window.lo}, {window.hi}]")
+        k = math.floor((window.lo - base) / period)
+        while (r := base + k * period) <= window.hi:
+            roots.append(r)
+            k += 1
+    elif lam_r < -1e-300:
+        q = math.sqrt(-lam_r)
+        if lam_a > q:
+            roots.append(math.atanh(q / lam_a) / q)
+    elif lam_a != 0.0:
+        roots.append(1.0 / lam_a)
+    return [r for r in roots if window.contains(r)]
+
+
+def focal_set_loop(grid, window):
+    """(radius, mult) entries: a radius within MERGE_TOL of its cluster's first
+    radius joins the cluster."""
+    merged = []
+    for r, m in sorted((r, m) for lam_r, lam_a, m in grid.pairs
+                       for r in focal_radii_pair_loop(lam_r, lam_a, window)):
+        if merged and abs(r - merged[-1][0]) <= MERGE_TOL:
+            merged[-1][1] += m
+        else:
+            merged.append([r, m])
+    return [(r, m) for r, m in merged]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def _stacked_entries(grids, window):
+    radii, mults, bounds = focal_sets(grids, window)
+    return [list(zip(radii[lo:hi].tolist(), mults[lo:hi].tolist()))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+# trig, hyperbolic, flat and zero rows; lambda_R = 1e12 spans more than
+# MAX_FOCAL_RADII periods of the windows of width 5 and 10 below
+_FOCAL_LAM_R = st.one_of(st.floats(min_value=-4, max_value=4),
+                         st.sampled_from([0.0, -0.0, 1e-301, -1e-301, 1.0, 4.0, -1.0, 1e12]))
+_FOCAL_LAM_A = st.one_of(st.floats(min_value=-3, max_value=3),
+                         st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]))
+
+
+@st.composite
+def focal_grids(draw):
+    """Grids drawing their rows from one pool, so equal radii recur across
+    rows and grids; some pools hold a chain of flat radii r0 + j gap with
+    gap <= MERGE_TOL spanning up to 5 gaps."""
+    pool = draw(st.lists(st.tuples(_FOCAL_LAM_R, _FOCAL_LAM_A, st.integers(1, 4)),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):
+        r0 = draw(st.floats(min_value=0.05, max_value=5.0))
+        gap = draw(st.floats(min_value=0.05, max_value=1.0)) * MERGE_TOL
+        pool += [(0.0, 1.0 / (r0 + j * gap), draw(st.integers(1, 3)))
+                 for j in range(draw(st.integers(2, 6)))]
+    grids = [EigenGrid(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))),
+                       label=f"x{i}") for i in range(draw(st.integers(1, 4)))]
+    lo = draw(st.floats(min_value=1e-3, max_value=5.0))
+    # widths down to 1e-9 leave many windows empty
+    return grids, Window(lo, lo + draw(st.sampled_from([1e-9, 1e-3, 0.2, 5.0, 10.0])))
+
+
+@given(focal_grids())
+@settings(max_examples=300, deadline=None)
+def test_focal_sets_match_per_pair_route(case):
+    grids, window = case
+    want = _outcome(lambda: [focal_set_loop(g, window) for g in grids])
+    assert _outcome(lambda: _stacked_entries(grids, window)) == want
+    if isinstance(want, str):
+        assert _outcome(lambda: equifocal_check(grids, window)) == want
+        return
+    for g, entries in zip(grids, want):
+        assert focal_set(g, window).entries == tuple(entries)
+        for lam_r, lam_a, _ in g.pairs:
+            assert focal_radii_pair(lam_r, lam_a, window) == focal_radii_pair_loop(
+                lam_r, lam_a, window)
+    ref = want[0]
+    assert equifocal_check(grids, window) == all(
+        len(e) == len(ref) and all(m == n and abs(r - s) <= 1e-8
+                                   for (r, m), (s, n) in zip(e, ref)) for e in want)
+
+
+def test_focal_sets_merge_chains_as_the_per_pair_route():
+    # gaps of 0.6 MERGE_TOL: the second radius joins the first, the third is
+    # beyond MERGE_TOL of the first and starts a cluster, the fourth joins it
+    for gap in (0.6 * MERGE_TOL, 0.3 * MERGE_TOL, MERGE_TOL):
+        grid = EigenGrid(tuple((0.0, 1.0 / (1.0 + j * gap), j + 1) for j in range(7)))
+        want = focal_set_loop(grid, Window(0.5, 2.0))
+        assert len(want) > 1
+        assert _stacked_entries([grid, grid], Window(0.5, 2.0)) == [want, want]
+
+
+def test_focal_sets_where_rounding_hides_the_last_radius():
+    # far from the origin k pi/q rounds at the scale of a period, so the
+    # closed-form count of candidates falls short and is extended
+    window = Window(1e10, 1e10 + 1e-3)
+    grids = [EigenGrid(((lam_r, 0.3, 1),)) for lam_r in (1e12, 3.7e12, 1e13, 2.9e15)]
+    for g in grids:
+        assert focal_radii_pair(g.pairs[0][0], 0.3, window) == focal_radii_pair_loop(
+            g.pairs[0][0], 0.3, window)
+    assert _stacked_entries(grids, window) == [focal_set_loop(g, window) for g in grids]
