@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ValidationError
 
 IDENTITY_TOL = 1e-12   # bracket, antisymmetry and Jacobi residuals of a loaded algebra
+MAX_MATRIX_SIZE = 16   # su(n)'s bracket stack: (n^2 - 1)^2 n^2 complex entries, 0.25 GiB
 
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -126,8 +127,8 @@ def load_algebra(name: str) -> LieAlgebraBasis:
     if not m:
         raise ValidationError(f"unsupported algebra '{name}'")
     family, n = m.group(1), int(m.group(2))
-    if n < 2 or (family == "so" and n < 3):
-        raise ValidationError(f"unsupported algebra '{name}'")
+    if n < 2 or (family == "so" and n < 3) or n > MAX_MATRIX_SIZE:
+        raise ValidationError(f"unsupported algebra '{name}' (n <= {MAX_MATRIX_SIZE})")
     b = np.stack(_su_basis(n) if family == "su" else _so_basis(n))
     dim = len(b)
     coef_map = np.linalg.pinv(b.reshape(dim, -1).T)

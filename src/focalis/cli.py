@@ -272,7 +272,7 @@ def _cmd_parallel(args):
         return result, EXIT_CHECK_FAILED
     result["focal_collision"] = False
     result["pairs"] = [list(p) for p in tg.pairs]
-    result["tr_r"] = focal.parallel_reg_mean_curvature(grid, args.r)
+    result["tr_r"] = spectral.reg_trace(tg.shape_spectrum())
     return result, EXIT_OK
 
 
@@ -280,7 +280,7 @@ def _read_grid_dir(path: str):
     files = sorted(glob.glob(os.path.join(path, "*.json")))
     if not files:
         raise ValidationError(f"no grid files in '{path}'")
-    return [io.read_eigen_grid(f) for f in files]
+    return io.read_eigen_grids(files)
 
 
 def _cmd_check(args):

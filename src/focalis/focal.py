@@ -61,72 +61,85 @@ class Window:
         if not (0.0 < self.lo < self.hi < math.inf):
             raise ValidationError(f"window [{self.lo}, {self.hi}] needs 0 < lo < hi < inf")
 
-    def contains(self, r: float) -> bool:
-        return self.lo <= r <= self.hi
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class EigenGrid:
-    """Joint (lam_r, lam_a, mult) eigendata of the curvature-adapted pair."""
+    """Joint (lam_r, lam_a, mult) eigendata of the curvature-adapted pair: the
+    rows merged by _merge_rows, held as three read-only arrays."""
 
-    pairs: tuple
+    lam_r: np.ndarray
+    lam_a: np.ndarray
+    mult: np.ndarray
     label: Optional[str] = None
 
-    def __post_init__(self):
-        mults = spectral._multiplicities([p[2] for p in self.pairs], "pair")
-        merged = {}
-        for (lr, la, _), m in zip(self.pairs, mults.tolist()):
-            key = (float(lr), float(la))
-            if not (math.isfinite(key[0]) and math.isfinite(key[1])):
-                raise ValidationError(f"pair {key} is not finite")
-            merged[key] = merged.get(key, 0) + m
-        if sum(merged.values()) >= spectral.MAX_BRANCH_RANK:
-            raise ValidationError("total multiplicity must stay below 2**53")
-        object.__setattr__(
-            self, "pairs",
-            tuple((lr, la, m) for (lr, la), m in sorted(merged.items()))
-        )
+    def __init__(self, pairs, label: Optional[str] = None):
+        (grid,) = _eigen_grids(pairs, [len(pairs)], [label])
+        vars(self).update(vars(grid))
 
-    def _column(self, i: int):
-        """Column i of the pairs (0: lam_r, 1: lam_a) and the multiplicities."""
-        return (np.array([p[i] for p in self.pairs], dtype=float),
-                np.array([p[2] for p in self.pairs], dtype=np.int64))
-
-    def _spectrum(self, i: int) -> SpectralData:
-        values, mults = self._column(i)
-        return SpectralData.from_eigenvalues(values, mults=mults)
+    @property
+    def pairs(self) -> tuple:
+        """The rows as (lam_r, lam_a, mult) tuples of Python numbers."""
+        return tuple(zip(self.lam_r.tolist(), self.lam_a.tolist(), self.mult.tolist()))
 
     def shape_spectrum(self) -> SpectralData:
-        return self._spectrum(1)
-
-    def jacobi_spectrum(self) -> SpectralData:
-        return self._spectrum(0)
+        return SpectralData.from_eigenvalues(self.lam_a, mults=self.mult)
 
 
-@dataclass(frozen=True)
+def _merge_rows(rows, counts):
+    """Validate stacked (lam_r, lam_a, mult) rows, grid i holding the next
+    counts[i], and merge each grid's equal rows into the first one seen (of
+    0.0 and -0.0 the first stays), sorted as sorted() sorts tuples.  Returns
+    the merged columns, read-only, and offsets: grid i's are bounds[i]:bounds[i + 1]."""
+    rows = spectral._as_array(rows, None, "pairs")
+    if rows.size and rows.shape[1:] != (3,):
+        raise ValidationError("pairs must be (lambda_R, lambda_A, mult) rows")
+    rows = rows.reshape(-1, 3)
+    mult = spectral._multiplicities(rows[:, 2], "pair")
+    lam_r, lam_a = spectral._as_array(rows[:, :2], float, "pairs").T
+    if not (finite := np.isfinite(lam_r) & np.isfinite(lam_a)).all():
+        i = np.argmin(finite)
+        raise ValidationError(f"pair {(float(lam_r[i]), float(lam_a[i]))} is not finite")
+    gid = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((lam_a, lam_r, gid))        # stable: the first row seen leads
+    gid, lam_r, lam_a = gid[order], lam_r[order], lam_a[order]
+    head = np.ones(len(gid), dtype=bool)
+    head[1:] = (gid[1:] != gid[:-1]) | (lam_r[1:] != lam_r[:-1]) | (lam_a[1:] != lam_a[:-1])
+    # float sums of whole numbers, unlike int64 sums, reach 2**53 when the total does
+    mult = np.bincount(np.cumsum(head) - 1, weights=mult[order])
+    gid = gid[head]
+    if (np.bincount(gid, weights=mult, minlength=len(counts)) >= spectral.MAX_BRANCH_RANK).any():
+        raise ValidationError("total multiplicity must stay below 2**53")
+    columns = lam_r[head], lam_a[head], mult.astype(np.int64)
+    for column in columns:
+        column.flags.writeable = False
+    return (*columns, np.searchsorted(gid, np.arange(len(counts) + 1)))
+
+
+def _eigen_grids(rows, counts, labels) -> list:
+    """EigenGrids of stacked rows, merged by one _merge_rows call, as views."""
+    lam_r, lam_a, mult, bounds = _merge_rows(rows, counts)
+    grids = [EigenGrid.__new__(EigenGrid) for _ in labels]
+    for grid, lo, hi, label in zip(grids, bounds.tolist(), bounds[1:].tolist(), labels):
+        vars(grid).update(lam_r=lam_r[lo:hi], lam_a=lam_a[lo:hi], mult=mult[lo:hi], label=label)
+    return grids
+
+
+@dataclass(frozen=True, eq=False)
 class FocalRadiusSet:
-    """Sorted focal radii with multiplicities inside a window."""
+    """Strictly increasing focal radii inside a window, with multiplicities."""
 
-    entries: tuple        # ((radius, mult), ...) strictly increasing radii
+    radii: np.ndarray
+    multiplicities: np.ndarray
     window: Window
 
     def __post_init__(self):
-        radii = [r for r, _ in self.entries]
-        if any(radii[i + 1] - radii[i] <= MERGE_TOL for i in range(len(radii) - 1)):
+        if (np.diff(self.radii) <= MERGE_TOL).any():
             raise ValidationError("focal radii not separated; merge before constructing")
-        for r, m in self.entries:
-            if not self.window.contains(r):
-                raise ValidationError(f"radius {r} outside window")
-            if m < 1:
-                raise ValidationError("radius multiplicity must be >= 1")
-
-    @property
-    def radii(self):
-        return np.array([r for r, _ in self.entries])
-
-    @property
-    def multiplicities(self):
-        return np.array([m for _, m in self.entries], dtype=int)
+        outside = ~((self.window.lo <= self.radii) & (self.radii <= self.window.hi))
+        if outside.any():
+            raise ValidationError(f"radius {float(self.radii[outside][0])} outside window")
+        if (self.multiplicities < 1).any():
+            raise ValidationError("radius multiplicity must be >= 1")
 
 
 def _cos_sinc(lam_r: float, s: float):
@@ -159,10 +172,9 @@ def jacobi_amplitude_deriv(lam_r: float, lam_a: float, s: float) -> float:
 
 def _stack(grids: Sequence[EigenGrid]):
     """Every grid's (lam_r, lam_a, mult) rows, grid after grid, and each row's grid."""
-    rows = np.array([p for g in grids for p in g.pairs], dtype=float).reshape(-1, 3)
-    gid = np.repeat(np.arange(len(grids)), [len(g.pairs) for g in grids])
-    # multiplicities below 2**53 (EigenGrid's cap) are exact in float64
-    return rows[:, 0], rows[:, 1], rows[:, 2].astype(np.int64), gid
+    columns = (np.concatenate([getattr(g, name) for g in grids])
+               for name in ("lam_r", "lam_a", "mult"))
+    return (*columns, np.repeat(np.arange(len(grids)), [len(g.mult) for g in grids]))
 
 
 def _row_radii(lam_r, lam_a, window: Window):
@@ -235,7 +247,7 @@ def focal_sets(grids: Sequence[EigenGrid], window: Window):
 def focal_set(grid: EigenGrid, window: Window) -> FocalRadiusSet:
     """Union of per-pair focal radii, multiplicities summed on coincidence."""
     radii, mults, _ = focal_sets([grid], window)
-    return FocalRadiusSet(tuple(zip(radii.tolist(), mults.tolist())), window)
+    return FocalRadiusSet(radii, mults, window)
 
 
 def proper_fredholm_witness(fset: FocalRadiusSet) -> dict:
@@ -255,7 +267,7 @@ def proper_fredholm_witness(fset: FocalRadiusSet) -> dict:
     }
     for eps in WITNESS_EPS:
         sub = radii[radii >= eps]
-        gap = float(np.min(np.diff(np.sort(sub)))) if len(sub) >= 2 else float("inf")
+        gap = float(np.min(np.diff(sub))) if len(sub) >= 2 else float("inf")
         report["min_gaps"][eps] = gap
         if gap < 10 * MERGE_TOL:
             report["accumulation_flag"] = True
@@ -315,24 +327,20 @@ def riccati_oracle(lam_r: float, lam_a: float, r: float, steps: int = 1000) -> f
 
 def _parallel_traces(stack, n_grids: int, r: float) -> list:
     """parallel_reg_mean_curvature of every stacked grid.  The transformed
-    rows (lam_r, -Y'/Y, mult) are merged and sorted as EigenGrid does, so a
+    rows (lam_r, -Y'/Y, mult) are merged as a transformed grid's are, so a
     finite-rank grid's trace is the fsum of its merged m * lam, and a longer
     one reads the same SpectralData as its transformed grid."""
     lam_r, lam_a, mult, gid = stack
     lam, focal = _parallel_rows(lam_r, lam_a, r)
-    order = np.lexsort((lam, lam_r, gid))
-    gid, lam_r, lam, mult = gid[order], lam_r[order], lam[order], mult[order]
-    first = np.ones(len(gid), dtype=bool)
-    first[1:] = (gid[1:] != gid[:-1]) | (lam_r[1:] != lam_r[:-1]) | (lam[1:] != lam[:-1])
-    mult = np.bincount(np.cumsum(first) - 1, weights=mult).astype(np.int64)  # below 2**53
-    gid, lam = gid[first], lam[first]
+    is_focal = np.bincount(gid[focal], minlength=n_grids) > 0
+    _, lam, mult, bounds = _merge_rows(np.column_stack((lam_r, lam, mult)),
+                                       np.bincount(gid, minlength=n_grids))
+    gid = np.repeat(np.arange(n_grids), np.diff(bounds))
     finite = spectral._is_finite_rank(np.bincount(gid[lam != 0.0], minlength=n_grids))
-    is_focal = np.bincount(stack[3][focal], minlength=n_grids) > 0
     # a zero entry adds +0.0 or -0.0 to an fsum, which leaves it unchanged
     terms = (mult * lam).tolist()
-    bounds = np.searchsorted(gid, np.arange(n_grids + 1)).tolist()
     traces = []
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         if is_focal[i]:
             traces.append(FOCAL)
         elif finite[i]:
@@ -345,11 +353,10 @@ def _parallel_traces(stack, n_grids: int, r: float) -> list:
 
 def transformed_grid(grid: EigenGrid, r: float) -> Union[EigenGrid, Focal]:
     """EigenGrid of the parallel submanifold at distance r (Focal on collision)."""
-    lam_r, lam_a, mult, _ = _stack([grid])
-    lam, focal = _parallel_rows(lam_r, lam_a, r)
+    lam, focal = _parallel_rows(grid.lam_r, grid.lam_a, r)
     if focal.any():
         return FOCAL
-    return EigenGrid(tuple(zip(lam_r.tolist(), lam.tolist(), mult.tolist())), grid.label)
+    return _eigen_grids(np.column_stack((grid.lam_r, lam, grid.mult)), [len(lam)], [grid.label])[0]
 
 
 def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> Union[TraceValue, Focal]:
@@ -375,8 +382,8 @@ def weakly_isoparametric_check(grids: Sequence[EigenGrid]) -> bool:
     if not grids:
         raise ValidationError("need at least one grid")
     ref = grids[0]
-    return all(_multisets_close(ref._column(i), g._column(i))
-               for g in grids[1:] for i in (0, 1))
+    return all(_multisets_close((ref.lam_r, ref.mult), (g.lam_r, g.mult))
+               and _multisets_close((ref.lam_a, ref.mult), (g.lam_a, g.mult)) for g in grids[1:])
 
 
 def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],
@@ -389,14 +396,13 @@ def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],
     if not grids:
         raise ValidationError("need at least one grid")
     report = {"radii": {}, "focal_collisions": [], "regularizable": True, "passed": True}
-    stack = _stack(grids)
-    # a finite-rank spectrum is regularizable; the others take the truncated route
-    finite = spectral._is_finite_rank(np.bincount(stack[3][stack[1] != 0.0],
-                                                  minlength=len(grids)))
-    for idx in np.flatnonzero(~finite).tolist():
-        if not spectral.is_regularizable(grids[idx].shape_spectrum()):
+    for g in grids:
+        # a finite-rank spectrum is regularizable; the others take the truncated route
+        if not (spectral._is_finite_rank(np.count_nonzero(g.lam_a))
+                or spectral.is_regularizable(g.shape_spectrum())):
             report["regularizable"] = False
             report["passed"] = False
+    stack = _stack(grids)
     for r in radii:
         values = []
         for idx, (g, v) in enumerate(zip(grids, _parallel_traces(stack, len(grids), r))):

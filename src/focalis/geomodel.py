@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .focal import EigenGrid
+from .focal import EigenGrid, _eigen_grids
 
 NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
 MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
@@ -251,10 +251,10 @@ def eigen_grids(model: ModelSubmanifold, xis: np.ndarray, start: int = 0) -> lis
     radii = np.array([r for _, r in cfg.blocks[: cfg.k1]])
     flat = model.tangent_dim - dims.sum(axis=1, keepdims=True)
     zero = np.zeros_like(flat, dtype=float)
-    columns = (np.hstack([comps ** 2 / radii ** 2, zero]).tolist(),
-               np.hstack([lam_a, zero]).tolist(), np.hstack([dims, flat]).tolist())
-    return [EigenGrid(tuple(row for row in zip(*rows) if row[2] > 0), label=f"x{start + p}")
-            for p, rows in enumerate(zip(*columns))]
+    rows = np.stack([np.hstack([comps ** 2 / radii ** 2, zero]), np.hstack([lam_a, zero]),
+                     np.hstack([dims, flat])], axis=-1)
+    keep = rows[:, :, 2] > 0
+    return _eigen_grids(rows[keep], keep.sum(axis=1), [f"x{start + p}" for p in range(len(xis))])
 
 
 def eigen_grid_of(model: ModelSubmanifold, point_index: int,

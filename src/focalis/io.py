@@ -21,7 +21,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .focal import EigenGrid
+from .focal import EigenGrid, _eigen_grids
 from .geomodel import SphereProductConfig
 from .spectral import SpectralData, TailModel, _as_array, _whole_numbers
 from .transport import AlgebraPath
@@ -47,14 +47,23 @@ def read_spectrum(path: str) -> SpectralData:
     return SpectralData.from_entries(pos, neg, model)
 
 
+def read_eigen_grids(paths) -> list:
+    """The eigen grids of the files in paths, all rows merged by one call."""
+    rows, counts, labels = [], [], []
+    for path in paths:
+        data = _load_json(path)
+        try:
+            pairs = [(p["lambdaR"], p["lambdaA"], p.get("mult", 1)) for p in data["pairs"]]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed grid file '{path}': {exc}") from exc
+        rows += pairs
+        counts.append(len(pairs))
+        labels.append(data.get("label"))
+    return _eigen_grids(rows, counts, labels)
+
+
 def read_eigen_grid(path: str) -> EigenGrid:
-    data = _load_json(path)
-    try:
-        pairs = tuple((p["lambdaR"], p["lambdaA"], p.get("mult", 1)) for p in data["pairs"])
-        _as_array(pairs, float, "pairs")    # refuses numbers given as strings
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed grid file '{path}': {exc}") from exc
-    return EigenGrid(pairs, label=data.get("label"))
+    return read_eigen_grids([path])[0]
 
 
 def read_path(path: str) -> AlgebraPath:

@@ -2,16 +2,17 @@ import contextlib
 import io as textio
 import json
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from focalis import cli, hyperpolar, io, spectral, transport
-from focalis.algebras import load_algebra
+from focalis import cli, focal, hyperpolar, io, spectral, transport
+from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
 from focalis.cli import main
 from focalis.focal import FOCAL, EigenGrid
 from focalis.greenop import MAX_BOX_SAMPLES
@@ -412,6 +413,21 @@ class TestFocalAndParallel:
         assert report["result"]["focal_collision"] is False
         assert isinstance(report["result"]["tr_r"], float)
 
+    def test_parallel_evaluates_its_rows_once(self, capsys, monkeypatch, tmp_path):
+        # the transformed grid and tr_r each evaluated every row
+        calls = []
+        rows = focal._parallel_rows
+        monkeypatch.setattr(focal, "_parallel_rows",
+                            lambda *args: calls.append(args) or rows(*args))
+        path = tmp_path / "grid.json"
+        write_eigen_grid(str(path), EigenGrid(((1.0, 0.5, 2), (0.0, 1.0, 1), (-1.0, 0.3, 1),
+                                               (4.0, -0.2, 3), (0.25, 0.0, 1))))
+        code, report = run_json(capsys, "parallel", "--grid", str(path), "--r", "0.3")
+        assert code == 0
+        assert len(calls) == 1 and len(calls[0][0]) == 5
+        assert report["result"]["tr_r"] == focal.parallel_reg_mean_curvature(
+            io.read_eigen_grid(str(path)), 0.3)
+
     @pytest.mark.parametrize("r", ["inf", "nan"])
     def test_parallel_nonfinite_distance_is_usage_error(self, capsys, grid_file, r):
         usage_error(capsys, "parallel", "--grid", grid_file, "--r", r)
@@ -578,6 +594,67 @@ class TestCheckCommand:
         d.mkdir()
         code, _ = run(capsys, "check", "weak", "--grids", str(d))
         assert code == 2
+
+
+# Grid-file fuzz: JSON values of every kind where a grid file holds numbers,
+# kept small (a few rows of small multiplicities or single huge ones).
+_FUZZ_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 4.0, 1e-300, 5e-324, 1e300, -1e300,
+                     1e154, -1e6, 2 ** 53, 2 ** 53 - 1, 10 ** 30, -1, 0, 2.5]),
+    st.integers(min_value=-3, max_value=5))
+_FUZZ_VALUE = st.one_of(_FUZZ_NUMBER, st.booleans(), st.none(),
+                        st.sampled_from(["1.0", "", "x"]), st.just([1.0]), st.just({"a": 1}))
+_CLEAN_PAIR = st.fixed_dictionaries({"lambdaR": st.floats(-5, 5), "lambdaA": st.floats(-5, 5),
+                                     "mult": st.integers(1, 4)})
+_FUZZ_PAIR = st.one_of(
+    _CLEAN_PAIR,
+    st.fixed_dictionaries({"lambdaR": _FUZZ_NUMBER, "lambdaA": _FUZZ_NUMBER},
+                          optional={"mult": st.one_of(st.integers(1, 4), _FUZZ_NUMBER)}),
+    st.dictionaries(st.sampled_from(["lambdaR", "lambdaA", "mult"]), _FUZZ_VALUE, max_size=3),
+    _FUZZ_VALUE)
+_FUZZ_LABEL = st.one_of(st.none(), st.text(max_size=5), _FUZZ_NUMBER, st.just(["a", 1]),
+                        st.just({"k": float("nan")}))
+
+
+@st.composite
+def grid_file_texts(draw):
+    """The text of one grid file: well-formed pairs, strange values, missing
+    keys, empty pairs, other JSON documents or malformed JSON."""
+    kind = draw(st.sampled_from(["clean", "clean", "grid", "grid", "other", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(["", "{", '{"pairs": [', "nul", '{"pairs": [1,]}']))
+    if kind == "other":
+        return json.dumps(draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_NUMBER, max_size=3),
+                                         st.fixed_dictionaries({"pairs": _FUZZ_VALUE}))))
+    doc = {"pairs": draw(st.lists(_CLEAN_PAIR if kind == "clean" else _FUZZ_PAIR, max_size=5))}
+    if draw(st.booleans()):
+        doc["label"] = draw(_FUZZ_LABEL)
+    return json.dumps(doc)     # NaN and Infinity as the tokens json.load reads
+
+
+@given(st.lists(grid_file_texts(), min_size=1, max_size=3),
+       st.sampled_from(["0.0", "0.1", "0.7853981633974483", "2.5"]))
+@settings(max_examples=200, deadline=None)
+# one-element lists for numbers ended in a TypeError traceback (float([1.0]))
+@example(['{"pairs": [{"lambdaR": [1.0], "lambdaA": [0.5], "mult": [1]}]}'], "0.1")
+def test_grid_files_give_a_report_or_an_input_error(texts, r):
+    with tempfile.TemporaryDirectory() as d:
+        for i, text in enumerate(texts):
+            with open(f"{d}/g{i}.json", "w") as fh:
+                fh.write(text)
+        for argv in (["focal", "--grid", f"{d}/g0.json"],
+                     ["parallel", "--grid", f"{d}/g0.json", "--r", r],
+                     ["check", "weak", "--grids", d], ["check", "iso", "--grids", d],
+                     ["check", "equifocal", "--grids", d]):
+            out, err = textio.StringIO(), textio.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().startswith("error:")
+            else:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestInputNumbers:
@@ -926,6 +1003,22 @@ class TestAlgebraCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and str(hyperpolar.MAX_SAMPLES) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("roots", "--algebra", "su40"), ("roots", "--algebra", f"so{MAX_MATRIX_SIZE + 1}"),
+        ("hyperpolar", "--group", "SU(40)", "--k1", "son", "--k2", "son")])
+    def test_algebra_beyond_size_cap_is_input_error(self, capsys, argv):
+        # su40's bracket stack asked numpy for 61 GiB and ended in a traceback
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(MAX_MATRIX_SIZE) in err
+        assert peak < 1 << 20
 
     def test_hyperpolar_mismatched_subgroups(self, capsys):
         code, _ = run(capsys, "hyperpolar", "--group", "SU(2)",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focalis import geomodel, roots, spectral, transport
+from focalis import focal, geomodel, roots, spectral, transport
 from focalis.algebras import load_algebra
 
 # Each factory builds a fresh instance of a frozen dataclass that holds arrays;
@@ -13,6 +13,9 @@ FACTORIES = {
     "LieAlgebraBasis": lambda: load_algebra("su2"),
     "RestrictedRootData": lambda: roots.restricted_root_decomposition(load_algebra("su3"), "conj"),
     "ModelSubmanifold": lambda: geomodel.build_model(geomodel.default_config(), 2, 0),
+    "EigenGrid": lambda: focal.EigenGrid(((1.0, 0.5, 2), (0.0, 0.0, 1)), label="x0"),
+    "FocalRadiusSet": lambda: focal.focal_set(focal.EigenGrid(((1.0, 0.5, 2),)),
+                                              focal.Window(0.1, 5.0)),
 }
 
 

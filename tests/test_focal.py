@@ -4,16 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from focalis import spectral
+from focalis import focal, spectral
 from focalis.errors import OracleUndefinedError, ValidationError
 from focalis.focal import (FOCAL, MAX_FOCAL_RADII, MERGE_TOL, EigenGrid, FocalRadiusSet,
                            Window, equifocal_check, focal_radii_pair, focal_set, focal_sets,
                            isoparametric_check, jacobi_amplitude,
                            jacobi_amplitude_deriv, parallel_reg_mean_curvature,
                            parallel_shape_eigenvalue, proper_fredholm_witness,
-                           riccati_oracle, weakly_isoparametric_check)
+                           riccati_oracle, transformed_grid, weakly_isoparametric_check)
 from focalis.spectral import DIVERGENT, SpectralData, reg_trace
 
 LAM_R_GRID = [-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0]
@@ -168,7 +168,7 @@ def test_focal_scaling(c, lam_r, lam_a):
 class TestFocalSet:
     def test_single_flat_pair(self):
         fset = focal_set(EigenGrid(((0.0, 1.0, 3),)), Window(0.1, 5.0))
-        assert fset.entries == ((1.0, 3),)
+        assert tuple(zip(fset.radii.tolist(), fset.multiplicities.tolist())) == ((1.0, 3),)
 
     def test_merge_and_sort(self):
         grid = EigenGrid(((1.0, 1.0, 2), (0.0, 1.0, 1)))
@@ -181,8 +181,8 @@ class TestFocalSet:
         # both pairs vanish at 1.0
         grid = EigenGrid(((0.0, 1.0, 2), (0.0, 1.0 + 1e-12, 3)))
         fset = focal_set(grid, Window(0.1, 5.0))
-        assert len(fset.entries) == 1
-        assert fset.entries[0][1] == 5
+        assert len(fset.radii) == 1
+        assert fset.multiplicities[0] == 5
 
     @pytest.mark.parametrize("pair", [(math.nan, 1.0, 1), (1.0, math.inf, 2),
                                       (-math.inf, 0.0, 1)])
@@ -212,7 +212,66 @@ class TestFocalSet:
 
     def test_separation_invariant(self):
         with pytest.raises(ValidationError):
-            FocalRadiusSet(((1.0, 1), (1.0 + 1e-12, 1)), Window(0.1, 5.0))
+            FocalRadiusSet(np.array([1.0, 1.0 + 1e-12]), np.array([1, 1]), Window(0.1, 5.0))
+
+
+def eigen_grid_merge_loop(pairs, label=None):
+    """The dict merge EigenGrid made before it held arrays, with the string
+    check io made first, kept as the reference of _merge_rows: (pairs, label)."""
+    spectral._as_array(pairs, float, "pairs")
+    mults = spectral._multiplicities([p[2] for p in pairs], "pair")
+    merged = {}
+    for (lr, la, _), m in zip(pairs, mults.tolist()):
+        key = (float(lr), float(la))
+        if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+            raise ValidationError(f"pair {key} is not finite")
+        merged[key] = merged.get(key, 0) + m
+    if sum(merged.values()) >= spectral.MAX_BRANCH_RANK:
+        raise ValidationError("total multiplicity must stay below 2**53")
+    return tuple((lr, la, m) for (lr, la), m in sorted(merged.items())), label
+
+
+# a pool of rows, so that equal rows recur within and across grids; -0.0 sits
+# next to 0.0, and 2**52 with 2**52 - 1 or 2**52 totals 2**53 - 1 or 2**53
+_MERGE_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0, 3]),
+                         st.floats(-4, 4),
+                         st.sampled_from([math.nan, math.inf, "1.0", True, False]))
+_MERGE_MULT = st.one_of(st.integers(1, 3), st.sampled_from([2 ** 52, 2 ** 52 - 1, 2.0]),
+                        st.sampled_from([2.5, 0, -1, True, "2", math.nan, 10 ** 30]))
+_MERGE_ROW = st.tuples(_MERGE_VALUE, _MERGE_VALUE, _MERGE_MULT)
+
+
+@st.composite
+def grid_stacks(draw):
+    """Grids of rows drawn from one pool, mostly of finite numbers."""
+    clean = st.tuples(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.sampled_from([0.0, -0.0, 2.0]),
+                      st.one_of(st.integers(1, 3), st.sampled_from([2 ** 52, 2 ** 52 - 1])))
+    pool = draw(st.lists(st.one_of(clean, clean, _MERGE_ROW), min_size=1, max_size=6))
+    return [(draw(st.lists(st.sampled_from(pool), max_size=6)),
+             draw(st.sampled_from([None, f"x{i}"]))) for i in range(draw(st.integers(1, 4)))]
+
+
+@given(grid_stacks())
+@settings(max_examples=400, deadline=None)
+@example([([(0.0, 1.0, 2), (-0.0, 1.0, 1), (0.0, 1.0, 3)], "a"),
+          ([(-0.0, -0.0, 1), (0.0, 0.0, 1)], "b")])
+@example([([(0.0, 0.5, 2 ** 52), (0.0, 0.5, 2 ** 52 - 1)], None),
+          ([(0.0, 0.5, 2 ** 52), (1.0, 0.5, 2 ** 52 - 1)], None)])
+@example([([(1.0, 0.5, 2 ** 52)], None), ([(0.0, 0.5, 2 ** 52), (0.0, 0.5, 2 ** 52)], None)])
+def test_merge_matches_the_dict_merge(stack):
+    want = [_outcome(lambda: eigen_grid_merge_loop(pairs, label)) for pairs, label in stack]
+    for (pairs, label), w in zip(stack, want):
+        got = _outcome(lambda: EigenGrid(pairs, label))
+        assert isinstance(got, str) == isinstance(w, str)
+        if not isinstance(w, str):
+            assert repr((got.pairs, got.label)) == repr(w)
+            assert not got.lam_r.flags.writeable and got.mult.dtype == np.int64
+    rows = [row for pairs, _ in stack for row in pairs]
+    got = _outcome(lambda: focal._eigen_grids(rows, [len(p) for p, _ in stack],
+                                              [label for _, label in stack]))
+    assert isinstance(got, str) == any(isinstance(w, str) for w in want)
+    if not isinstance(got, str):
+        assert repr([(g.pairs, g.label) for g in got]) == repr(want)
 
 
 class TestProperFredholmWitness:
@@ -440,7 +499,7 @@ def test_weak_check_matches_expanded_comparison(a, b):
     # zeros stay in the multiset: 1e-10 matches 0.0 within the absolute tolerance
     ga = EigenGrid(tuple((0.0, v, m) for v, m in a))
     gb = EigenGrid(tuple((0.0, v, m) for v, m in b))
-    want = _expanded_multisets_close(ga._column(1), gb._column(1))
+    want = _expanded_multisets_close((ga.lam_a, ga.mult), (gb.lam_a, gb.mult))
     assert weakly_isoparametric_check([ga, gb]) == want
 
 
@@ -518,6 +577,12 @@ def test_isoparametric_check_matches_per_grid_loop(grids, radii):
             assert repr(parallel_reg_mean_curvature(g, r)) == repr(
                 FOCAL if transformed_grid_loop(g, r) is FOCAL
                 else reg_trace(transformed_grid_loop(g, r).shape_spectrum()))
+            # the parallel command's route: the transformed grid's own trace
+            tg = transformed_grid(g, r)
+            assert repr(tg if tg is FOCAL else reg_trace(tg.shape_spectrum())) == repr(
+                parallel_reg_mean_curvature(g, r))
+            if tg is not FOCAL:
+                assert repr(tg.pairs) == repr(transformed_grid_loop(g, r).pairs)
 
 
 def test_merged_parallel_rows_match_per_grid_loop():
@@ -584,7 +649,7 @@ def focal_radii_pair_loop(lam_r, lam_a, window):
             roots.append(math.atanh(q / lam_a) / q)
     elif lam_a != 0.0:
         roots.append(1.0 / lam_a)
-    return [r for r in roots if window.contains(r)]
+    return [r for r in roots if window.lo <= r <= window.hi]
 
 
 def focal_set_loop(grid, window):
@@ -650,7 +715,8 @@ def test_focal_sets_match_per_pair_route(case):
         assert _outcome(lambda: equifocal_check(grids, window)) == want
         return
     for g, entries in zip(grids, want):
-        assert focal_set(g, window).entries == tuple(entries)
+        fset = focal_set(g, window)
+        assert tuple(zip(fset.radii.tolist(), fset.multiplicities.tolist())) == tuple(entries)
         for lam_r, lam_a, _ in g.pairs:
             assert focal_radii_pair(lam_r, lam_a, window) == focal_radii_pair_loop(
                 lam_r, lam_a, window)
