@@ -76,11 +76,6 @@ class LieAlgebraBasis:
     def matrix_size(self) -> int:
         return self.basis[0].shape[0]
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        """(-1)-multiple of the Killing form, evaluated on matrices."""
-        cx, cy = self.coefficients(x), self.coefficients(y)
-        return float(cx @ self.gram @ cy)
-
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of a matrix, or of a stack of matrices along
         the last two axes, in this basis (least squares)."""
@@ -90,10 +85,6 @@ class LieAlgebraBasis:
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
         """Matrix of coefficient vector c; a stack for c of shape (..., dim)."""
         return np.tensordot(np.asarray(c), np.stack(self.basis), axes=1)
-
-    def orthonormal_basis(self) -> List[np.ndarray]:
-        """Basis orthonormal with respect to the (-1)-Killing inner product."""
-        return list(self.from_coefficients(np.linalg.inv(np.linalg.cholesky(self.gram))))
 
 
 def _verify(alg: LieAlgebraBasis):

@@ -328,8 +328,8 @@ def riccati_oracle(lam_r: float, lam_a: float, r: float, steps: int = 1000) -> f
 def _parallel_traces(stack, n_grids: int, r: float) -> list:
     """parallel_reg_mean_curvature of every stacked grid.  The transformed
     rows (lam_r, -Y'/Y, mult) are merged as a transformed grid's are, so a
-    finite-rank grid's trace is the fsum of its merged m * lam, and a longer
-    one reads the same SpectralData as its transformed grid."""
+    finite-rank grid's trace is the stored sum of its merged m * lam, and a
+    longer one reads the same SpectralData as its transformed grid."""
     lam_r, lam_a, mult, gid = stack
     lam, focal = _parallel_rows(lam_r, lam_a, r)
     is_focal = np.bincount(gid[focal], minlength=n_grids) > 0
@@ -337,14 +337,14 @@ def _parallel_traces(stack, n_grids: int, r: float) -> list:
                                        np.bincount(gid, minlength=n_grids))
     gid = np.repeat(np.arange(n_grids), np.diff(bounds))
     finite = spectral._is_finite_rank(np.bincount(gid[lam != 0.0], minlength=n_grids))
-    # a zero entry adds +0.0 or -0.0 to an fsum, which leaves it unchanged
-    terms = (mult * lam).tolist()
+    # a zero entry adds +0.0 or -0.0 to a stored sum, which leaves it unchanged
+    sums = spectral._stored_sums(f"parallel mean curvature at r={r}", lam, mult, bounds)
     traces = []
     for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         if is_focal[i]:
             traces.append(FOCAL)
         elif finite[i]:
-            traces.append(math.fsum(terms[lo:hi]))
+            traces.append(sums[i])
         else:
             traces.append(spectral.reg_trace(
                 SpectralData.from_eigenvalues(lam[lo:hi], mults=mult[lo:hi])))

@@ -152,11 +152,6 @@ def _sample_points(cfg: SphereProductConfig, rng: np.random.Generator,
     return x
 
 
-def _sample_point(cfg: SphereProductConfig, rng: np.random.Generator) -> np.ndarray:
-    """One seeded point: the next draw of _sample_points."""
-    return _sample_points(cfg, rng, 1)[0]
-
-
 def _frames(cfg: SphereProductConfig, points: np.ndarray):
     """Tangent/normal orthonormal frames of M inside the ambient product manifold,
     for every point of the (P, N) stack at once.

@@ -42,7 +42,7 @@ def read_spectrum(path: str) -> SpectralData:
         neg = [(e["value"], e.get("mult", 1)) for e in data.get("negatives", [])]
         tail = data.get("tail")
         model = TailModel(tail["ratio"], tail["scale"]) if tail else None
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:   # AttributeError: not an object
         raise ValidationError(f"malformed spectrum file '{path}': {exc}") from exc
     return SpectralData.from_entries(pos, neg, model)
 

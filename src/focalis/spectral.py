@@ -7,9 +7,10 @@ describing the eigenvalues beyond the stored truncation.  Every trace reads
 the entries as runs of equal values and never expands them: a finite-rank
 trace is the weighted sum of m * lambda, the paired trace sums
 lambda_i^+ - lambda_i^- index-wise over the runs of both branches aligned
-on their common ends, and the power-sum trace evaluates the signed power
-sums of m * lambda**s on a grid of exponents decreasing to 1 and
-extrapolates.
+on their common ends, and the zeta trace is the signed sum of the stored
+entries: the power sums of a finite list are entire in s, so their value at
+s = 1 is that sum.  The finite-rank and zeta totals are each one correctly
+rounded fsum, and a sum of stored entries beyond float range is an input error.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ CAUCHY_THRESHOLD = 1e-6
 RATIO_MAX = 0.95           # increment ratio above which we refuse to extrapolate
 FINITE_RANK_MAX = 64       # at most this many stored entries reads as finite rank
 MAX_BRANCH_RANK = 2 ** 53  # a branch's total multiplicity stays below this
-# power-sum exponents s_k = 1 + 2**-k decreasing to 1; the Neville
-# extrapolation to s = 1 runs through ZETA_ORDER + 1 of them (all twelve)
-ZETA_EXPONENTS = tuple(1.0 + 2.0 ** -k for k in range(1, 13))
-ZETA_ORDER = 11
-ZETA_TOLERANCE = 1e-6      # relative self-estimated error above which it diverges
+ZETA_TOLERANCE = 1e-6      # relative tail bound above which the zeta trace diverges
 
 
 class Divergent:
@@ -67,9 +64,11 @@ class TailModel:
             raise ValidationError(f"tail scale must be finite and >= 0, got {self.scale}")
 
     def remainder(self, start_index: int, power: float = 1.0) -> float:
-        """Bound on sum_{i >= start_index} (C q^i)**power."""
-        qp = self.ratio ** power
-        return (self.scale ** power) * qp ** start_index / (1.0 - qp)
+        """Bound on sum_{i >= start_index} (C q^i)**power; inf beyond float range."""
+        try:
+            return (self.scale * self.ratio ** start_index) ** power / (1.0 - self.ratio ** power)
+        except OverflowError:   # a float power beyond range raises
+            return math.inf
 
 
 def _as_array(x, dtype, name: str) -> np.ndarray:
@@ -199,8 +198,46 @@ class TraceInfo:
     converged: bool
     method: str
 
+    def __post_init__(self):
+        if self.converged and not (math.isfinite(self.value) and math.isfinite(self.error)):
+            raise ValidationError(f"{self.method} trace {self.value!r} with error {self.error!r} "
+                                  "is out of floating-point range")
+
     def as_trace(self) -> TraceValue:
         return self.value if self.converged else DIVERGENT
+
+
+def _stored_sums(name: str, values, mults, bounds=(0, None), power: int = 1) -> list:
+    """The sums of m * v**power over the entries bounds[i]:bounds[i + 1] of (values,
+    mults), all by default, each rounded once: signed terms often nearly cancel.
+    A sum that leaves the float range is refused, naming the trace."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (mults * values ** power).tolist()
+    try:
+        sums = [math.fsum(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    except (OverflowError, ValueError):   # intermediate overflow, inf - inf
+        sums = [math.inf]
+    if not all(map(math.isfinite, sums)):
+        raise ValidationError(f"{name}: the sum of the stored entries is out of "
+                              "floating-point range")
+    return sums
+
+
+def _partial_sums(name: str, values, mults, power: int = 1) -> np.ndarray:
+    """The running sums of m * v**power in stored order, refused as
+    _stored_sums refuses a sum that leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(mults * values ** power)
+    if len(sums) and not np.isfinite(sums[-1]):   # a non-finite sum stays so
+        raise ValidationError(f"{name}: the partial sums of the stored entries are out "
+                              "of floating-point range")
+    return sums
+
+
+def _signed_entries(spec: SpectralData):
+    """The stored entries as one list of signed values and one of multiplicities."""
+    return (np.concatenate((spec.positives, -spec.negatives)),
+            np.concatenate((spec.pos_mults, spec.neg_mults)))
 
 
 def _limit_of_partial_sums(s: np.ndarray, tail_remainder: Optional[float]) -> TraceInfo:
@@ -273,16 +310,14 @@ def _is_finite_rank(n_entries, tail: Optional[TailModel] = None):
 
 def reg_trace_info(spec: SpectralData) -> TraceInfo:
     if _is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
-        # the weighted sum, rounded once: the two branches often nearly cancel
-        value = math.fsum((spec.pos_mults * spec.positives).tolist()
-                          + (spec.neg_mults * -spec.negatives).tolist())
+        value, = _stored_sums("paired trace", *_signed_entries(spec))
         return TraceInfo(value, 0.0, True, "finite-rank")
     # one partial sum per aligned run: inside a run the sums are linear, and a
     # high-multiplicity entry's steps say nothing about the continuation
     lengths, pos, neg = align_runs((spec.positives, spec.pos_mults),
                                    (spec.negatives, spec.neg_mults))
     rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank)
-    return _limit_of_partial_sums(np.cumsum((pos - neg) * lengths), rem)
+    return _limit_of_partial_sums(_partial_sums("paired trace", pos - neg, lengths), rem)
 
 
 def reg_trace(spec: SpectralData) -> TraceValue:
@@ -292,13 +327,12 @@ def reg_trace(spec: SpectralData) -> TraceValue:
 
 def trace_square_info(spec: SpectralData) -> TraceInfo:
     if _is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
-        value = math.fsum((spec.pos_mults * spec.positives ** 2).tolist()
-                          + (spec.neg_mults * spec.negatives ** 2).tolist())
+        value, = _stored_sums("trace of the square", *_signed_entries(spec), power=2)
         return TraceInfo(value, 0.0, True, "finite-rank")
     values = np.concatenate([spec.positives, spec.negatives])
     mults = np.concatenate([spec.pos_mults, spec.neg_mults])
     order = np.argsort(values)[::-1]
-    sums = np.cumsum(values[order] ** 2 * mults[order])
+    sums = _partial_sums("trace of the square", values[order], mults[order], power=2)
     rem = None if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank, power=2.0)
     return _limit_of_partial_sums(sums, rem)
 
@@ -309,34 +343,17 @@ def trace_square(spec: SpectralData) -> TraceValue:
 
 
 def zeta_trace_info(spec: SpectralData) -> TraceInfo:
+    """The signed sum of the stored entries, with the tail model's bound on
+    the paired remainder as its error."""
     if len(spec.positives) == 0 and len(spec.negatives) == 0:
         return TraceInfo(0.0, 0.0, True, "empty")
-    s_grid = np.asarray(ZETA_EXPONENTS)
-    x = s_grid - 1.0
-    vals = np.empty(len(s_grid))
-    for k, s in enumerate(s_grid):
-        vals[k] = ((spec.pos_mults * spec.positives ** s).sum()
-                   - (spec.neg_mults * spec.negatives ** s).sum())
-    # each power sum's truncation remainder (tail model, evaluated at s ~ 1)
-    tail_err = 0.0
-    if spec.tail is not None:
-        tail_err = 2.0 * spec.tail.remainder(spec.rank, power=float(s_grid[-1]))
-    xs, p = x[-(ZETA_ORDER + 1):], vals[-(ZETA_ORDER + 1):].copy()
-    # Neville tableau at 0: after level m, p[i] interpolates points i..i+m,
-    # so p[0] ends on all of them and p[1] on all but the first; their
-    # difference self-estimates the extrapolation error
-    for m in range(1, len(xs)):
-        k = len(xs) - m
-        p[:k] = (xs[:k] * p[1:k + 1] - xs[m:] * p[:k]) / (xs[:k] - xs[m:])
-    value = float(p[0])
-    err = abs(value - float(p[1])) + tail_err
-    if not np.isfinite(value) or err > ZETA_TOLERANCE * (1.0 + abs(value)):
-        return TraceInfo(value, err, False, "extrapolation-failed")
-    return TraceInfo(value, err, True, "neville")
+    value, = _stored_sums("zeta trace", *_signed_entries(spec))
+    err = 0.0 if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank)
+    return TraceInfo(value, err, err <= ZETA_TOLERANCE * (1.0 + abs(value)), "stored-sum")
 
 
 def zeta_trace(spec: SpectralData) -> TraceValue:
-    """Limit as s -> 1+ of the signed power sums, or Divergent."""
+    """Value at s = 1 of the signed power sums of the stored entries, or Divergent."""
     return zeta_trace_info(spec).as_trace()
 
 

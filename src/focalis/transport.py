@@ -60,10 +60,6 @@ class AlgebraPath:
     def n_intervals(self) -> int:
         return self.samples.shape[0] - 1
 
-    def at(self, t: np.ndarray) -> np.ndarray:
-        """Linear interpolation of the samples at parameters t in [0, 1]."""
-        return np.moveaxis(self._lerp(t), -1, 0)
-
     def _lerp(self, t: np.ndarray) -> np.ndarray:
         """Linear interpolation at t as a contiguous batch-last (n, n, K) stack."""
         t = np.atleast_1d(np.clip(t, 0.0, 1.0))

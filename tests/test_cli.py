@@ -387,6 +387,26 @@ class TestTraceCommand:
         assert res["tr_r"] == 0.5e10 and res["tr_sq"] == 0.25e10
         assert res["tr_zeta"] == pytest.approx(0.5e10, rel=1e-9)
 
+    @pytest.mark.parametrize("doc, flags, trace", [
+        # the paired sum overflows inside fsum
+        ({"positives": [{"value": 1e308}, {"value": 1e308}]}, (), "paired trace"),
+        # the weighted terms are +inf and -inf
+        ({"positives": [{"value": 1e308, "mult": 10}],
+          "negatives": [{"value": 1e308, "mult": 10}]}, (), "paired trace"),
+        # the square of 1e200 is beyond float range
+        ({"positives": [{"value": 1e200}, {"value": 1.0}]}, ("--square",), "trace of the square"),
+        # 100 entries take the truncated routes, whose partial sums overflow
+        # before the zeta trace's stored sum would
+        ({"positives": [{"value": 1e308}] + [{"value": 1e307}] * 99}, ("--zeta",), "paired trace"),
+    ])
+    def test_sum_beyond_float_range_is_input_error(self, capsys, tmp_path, doc, flags, trace):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code = main(["trace", "--spec", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {trace}:")
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_spectrum_is_input_error(self, capsys, tmp_path, value):
         path = tmp_path / "bad.json"
@@ -655,6 +675,76 @@ def test_grid_files_give_a_report_or_an_input_error(texts, r):
                 assert out.getvalue() == "" and err.getvalue().startswith("error:")
             else:
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# Spectrum-file fuzz: the grid fuzz's numbers and values in entries,
+# multiplicities and tails, with sorted branches of up to 100 entries each so
+# that both the finite-rank route (<= 64 entries) and the truncated one run.
+_FUZZ_ENTRY = st.one_of(
+    st.fixed_dictionaries({"value": _FUZZ_NUMBER}, optional={"mult": _FUZZ_NUMBER}),
+    st.dictionaries(st.sampled_from(["value", "mult"]), _FUZZ_VALUE, max_size=2),
+    _FUZZ_VALUE)
+_FUZZ_MULT = st.one_of(st.just(1), st.integers(1, 10 ** 6),
+                       st.sampled_from([2 ** 40, 2 ** 52, 2 ** 53 - 1]))
+
+
+@st.composite
+def _spectrum_branch(draw):
+    """A non-increasing run of n entries from a fuzzed top, or fuzzed entries
+    in any order."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(_FUZZ_ENTRY, max_size=5))
+    n = draw(st.integers(0, 100))
+    top = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e154, 1e200, 1e307, 1e308])))
+    ratios = draw(st.sampled_from([1.0, 0.999, 0.9, 0.5])) ** np.arange(n)
+    mults = draw(st.one_of(st.just([1] * n), st.lists(st.integers(1, 40), min_size=n, max_size=n),
+                           st.lists(_FUZZ_MULT, min_size=n, max_size=n)))
+    return [{"value": float(v), "mult": m} for v, m in zip((top * ratios).tolist(), mults)]
+
+
+@st.composite
+def spectrum_file_texts(draw):
+    """The text of one spectrum file: sorted or fuzzed branches with or
+    without a fuzzed tail, other JSON documents or malformed JSON."""
+    kind = draw(st.sampled_from(["spectrum", "spectrum", "spectrum", "other", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(["", "{", '{"positives": [', "nul", '{"positives": [1,]}']))
+    if kind == "other":
+        return json.dumps(draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_NUMBER, max_size=3),
+                                         st.fixed_dictionaries({"positives": _FUZZ_VALUE}))))
+    doc = {"positives": draw(_spectrum_branch()), "negatives": draw(_spectrum_branch())}
+    if draw(st.booleans()):
+        doc["tail"] = draw(st.one_of(
+            st.fixed_dictionaries({"ratio": st.one_of(st.floats(0.0, 1.0), _FUZZ_NUMBER),
+                                   "scale": st.one_of(st.floats(0.0, 1e-3), _FUZZ_NUMBER)}),
+            st.fixed_dictionaries({"ratio": st.floats(0.5, 0.999), "scale": st.just(0.0)}),
+            st.dictionaries(st.sampled_from(["ratio", "scale"]), _FUZZ_VALUE, max_size=2),
+            _FUZZ_VALUE))
+    return json.dumps(doc)     # NaN and Infinity as the tokens json.load reads
+
+
+@given(spectrum_file_texts())
+@settings(max_examples=300, deadline=None)
+# a file that is not a JSON object ended in an AttributeError traceback
+@example("null")
+def test_spectrum_files_give_a_report_or_an_input_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        with open(f"{d}/s.json", "w") as fh:
+            fh.write(text)
+        out, err = textio.StringIO(), textio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["trace", "--spec", f"{d}/s.json", "--zeta", "--square"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        return
+    res = json.loads(out.getvalue(), parse_constant=_reject_constant)["result"]
+    for key in ("tr_r", "tr_sq", "tr_zeta"):
+        assert res[key] == "divergent" or (isinstance(res[key], float)
+                                           and math.isfinite(res[key])), (key, res[key])
+    # a converged paired trace reports a finite error
+    assert (res["tr_r_error"] is None) == (res["tr_r"] == "divergent")
+    assert res["tr_r_error"] is None or math.isfinite(res["tr_r_error"])
 
 
 class TestInputNumbers:

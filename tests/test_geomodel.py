@@ -7,10 +7,15 @@ from focalis import focal, geomodel
 from focalis.errors import ValidationError
 from focalis.focal import Window
 from focalis.geomodel import (MAX_FRAME_ENTRIES, ModelSubmanifold, SphereProductConfig,
-                              _sample_point, build_model, curvature_adapted_check,
+                              _sample_points, build_model, curvature_adapted_check,
                               default_config, dense_operators, eigen_grid_of,
                               eigen_grids, trace_closed_form)
 from focalis.spectral import SpectralData
+
+
+def sample_point(cfg, rng):
+    """One seeded point: the next draw of _sample_points."""
+    return _sample_points(cfg, rng, 1)[0]
 
 
 def random_normal_vector(model, point_index, rng):
@@ -240,7 +245,7 @@ class TestBuildModel:
     def test_points_are_sequential_draws(self, cfg):
         model = build_model(cfg, 7, seed=21)
         rng = np.random.default_rng(21)
-        draws = np.stack([_sample_point(cfg, rng) for _ in range(7)])
+        draws = np.stack([sample_point(cfg, rng) for _ in range(7)])
         assert np.array_equal(model.points, draws)
 
     @pytest.mark.parametrize("cfg", [default_config(), mixed_config(),

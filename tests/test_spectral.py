@@ -5,12 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focalis import spectral
 from focalis.errors import ValidationError
-from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, MAX_BRANCH_RANK,
-                              ZETA_EXPONENTS, ZETA_ORDER, ZETA_TOLERANCE,
+from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, MAX_BRANCH_RANK, ZETA_TOLERANCE,
                               SpectralData, TailModel, TraceInfo, align_runs,
                               is_regularizable, reg_trace, reg_trace_info,
                               trace_square, trace_square_info,
@@ -296,36 +295,6 @@ def _expanded_trace_square_info(spec):
     return spectral._limit_of_partial_sums(sums, rem)
 
 
-def _neville_to_zero(x, y):
-    p = y.astype(float).copy()
-    for m in range(1, len(x)):
-        for i in range(len(x) - m):
-            p[i] = (x[i] * p[i + 1] - x[i + m] * p[i]) / (x[i] - x[i + m])
-    return float(p[0])
-
-
-def _expanded_zeta_trace_info(spec):
-    pos, neg = _expanded(spec)
-    if len(pos) == 0 and len(neg) == 0:
-        return TraceInfo(0.0, 0.0, True, "empty")
-    s_grid = np.asarray(ZETA_EXPONENTS, dtype=float)
-    x = s_grid - 1.0
-    vals = np.array([float(np.sum(pos ** s) - np.sum(neg ** s)) for s in s_grid])
-    tail_err = 0.0
-    if spec.tail is not None:
-        tail_err = 2.0 * spec.tail.remainder(spec.rank, power=float(s_grid[-1]))
-    xs, ys = x[-(ZETA_ORDER + 1):], vals[-(ZETA_ORDER + 1):]
-    # one Neville tableau per suffix of the points
-    estimates = [float(ys[-1])]
-    for m in range(2, len(xs) + 1):
-        estimates.append(_neville_to_zero(xs[-m:], ys[-m:]))
-    value = estimates[-1]
-    err = abs(estimates[-1] - estimates[-2]) + tail_err
-    if not np.isfinite(value) or err > ZETA_TOLERANCE * (1.0 + abs(value)):
-        return TraceInfo(value, err, False, "extrapolation-failed")
-    return TraceInfo(value, err, True, "neville")
-
-
 def _partial_sums_seen(info_fn, spec):
     """The partial sums info_fn hands to the convergence test, or None."""
     with mock.patch.object(spectral, "_limit_of_partial_sums",
@@ -398,27 +367,66 @@ def test_run_sums_match_exact_expanded_sums(pos, neg):
         for k, (got, (exact, abs_sum)) in enumerate(zip(sums, _exact_prefix_sums(squares, ends))):
             assert abs(Fraction(float(got)) - exact) <= _sum_bound(k + 3, abs_sum)
     for info_fn, reference in ((reg_trace_info, _expanded_reg_trace_info),
-                               (trace_square_info, _expanded_trace_square_info),
-                               (zeta_trace_info, _expanded_zeta_trace_info)):
+                               (trace_square_info, _expanded_trace_square_info)):
         got, want = info_fn(spec), reference(spec)
         assert (got.converged, got.method) == (want.converged, want.method)
-    # the weighted power sums differ from the expanded ones by rounding, and
-    # extrapolating to 0 on the default grid multiplies that by at most 8.3
-    values = np.concatenate(_expanded(spec))
-    got, want = zeta_trace_info(spec), _expanded_zeta_trace_info(spec)
-    assert abs(got.value - want.value) <= 1e-12 * (1.0 + np.sum(values + values ** 1.5))
 
 
 @given(_run_branch(), _run_branch())
 @settings(max_examples=60, deadline=None)
 def test_multiplicity_one_traces_are_bit_identical(pos, neg):
-    # one entry per eigenvalue: the truncated traces and every power sum take
-    # the same floating-point steps as the expanded route
+    # one entry per eigenvalue: the truncated traces take the same
+    # floating-point steps as the expanded route
     spec = SpectralData.from_entries([(v, 1) for v, _ in pos], [(v, 1) for v, _ in neg])
-    assert zeta_trace_info(spec) == _expanded_zeta_trace_info(spec)
     if not spectral._is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         assert reg_trace_info(spec) == _expanded_reg_trace_info(spec)
         assert trace_square_info(spec) == _expanded_trace_square_info(spec)
+
+
+@given(_run_branch(), _run_branch(), st.one_of(
+    st.none(), st.tuples(st.floats(0.5, 0.99), st.floats(0.0, 1.0))))
+@settings(max_examples=60, deadline=None)
+@example([], [], None)
+@example([], [], (0.5, 1.0))
+def test_zeta_value_is_the_exact_signed_sum_correctly_rounded(pos, neg, tail):
+    # tail = (ratio, fraction of the smallest stored value as its scale),
+    # so the tail bound sits below every stored entry
+    smallest = min([v for v, _ in pos + neg], default=1.0)
+    model = None if tail is None else TailModel(tail[0], tail[1] * smallest)
+    spec = SpectralData.from_entries(pos, neg, model)
+    info = zeta_trace_info(spec)
+    p, n = ([Fraction(float(v)) for v in b] for b in _expanded(spec))
+    exact = sum(p) - sum(n)
+    # each term m * lambda is rounded once, and their sum once more
+    u = Fraction(2) ** -53
+    assert abs(Fraction(info.value) - exact) <= u * (sum(p) + sum(n) + abs(Fraction(info.value)))
+    if spec.rank == 0:
+        assert (info.value, info.error, info.converged) == (0.0, 0.0, True)
+        return
+    assert info.error == (0.0 if model is None else 2.0 * model.remainder(spec.rank))
+    assert info.converged == (info.error <= ZETA_TOLERANCE * (1.0 + abs(info.value)))
+
+
+@pytest.mark.parametrize("info_fn, name", [(reg_trace_info, "paired trace"),
+                                           (trace_square_info, "trace of the square"),
+                                           (zeta_trace_info, "zeta trace")])
+@pytest.mark.parametrize("n", [2, 100])
+def test_sums_beyond_float_range_are_refused(info_fn, name, n):
+    # both the finite-rank route (2 entries) and the truncated one (100)
+    spec = SpectralData.from_eigenvalues(np.full(n, 1e308))
+    with pytest.raises(ValidationError, match=f"^{name}: "):
+        info_fn(spec)
+
+
+def test_converged_trace_must_be_finite():
+    # a tail bound beyond float range is no certificate
+    spec = SpectralData.from_eigenvalues(np.full(100, 1e300), TailModel(1.0 - 2.0 ** -53, 1e300))
+    with pytest.raises(ValidationError, match="out of floating-point range"):
+        reg_trace_info(spec)
+    assert not zeta_trace_info(spec).converged
+    with pytest.raises(ValidationError):
+        TraceInfo(float("inf"), 0.0, True, "finite-rank")
+    assert TraceInfo(float("inf"), float("inf"), False, "cauchy-failed").as_trace() is DIVERGENT
 
 
 def test_align_runs():

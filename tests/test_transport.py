@@ -32,6 +32,11 @@ def smooth_path(rng, n=101):
     return AlgebraPath(np.stack([np.cos(2 * t) * x + np.sin(3 * t) * y for t in ts]))
 
 
+def at(path, t):
+    """(K, n, n) linear interpolation of the path's samples at parameters t in [0, 1]."""
+    return np.moveaxis(path._lerp(t), -1, 0)
+
+
 def loop_transport_path(u, steps):
     """Per-step reference for transport_path: g_{k+1} = exp(h u(t_{k+1/2})) g_k.
 
@@ -41,7 +46,7 @@ def loop_transport_path(u, steps):
     s = u.n_intervals
     steps = int(np.ceil(steps / s)) * s
     h = 1.0 / steps
-    exps = expm(h * u.at((np.arange(steps) + 0.5) * h))
+    exps = expm(h * at(u, (np.arange(steps) + 0.5) * h))
     g = [np.eye(u.samples.shape[1], dtype=complex)]
     for m in exps:
         g.append(m @ g[-1])
@@ -51,7 +56,7 @@ def loop_transport_path(u, steps):
 def loop_pullback(c, c0, steps):
     """(K, n, n) reference for pullback_connection: -h^-1 (c - c0) h, skewed."""
     h = loop_transport_path(AlgebraPath(-c0.samples), steps)
-    diff = AlgebraPath(c.samples - c0.samples).at(np.linspace(0.0, 1.0, h.shape[0]))
+    diff = at(AlgebraPath(c.samples - c0.samples), np.linspace(0.0, 1.0, h.shape[0]))
     out = -np.einsum("kji,kjl,klm->kim", h.conj(), diff, h)
     return (out - np.conj(np.swapaxes(out, 1, 2))) / 2.0
 
@@ -63,7 +68,7 @@ def loop_rk4(c, steps):
     steps = int(np.ceil(steps / s)) * s
     h = 1.0 / steps
     ts = np.arange(steps) * h
-    u0, um, u1 = path.at(ts), path.at(ts + 0.5 * h), path.at(ts + h)
+    u0, um, u1 = at(path, ts), at(path, ts + 0.5 * h), at(path, ts + h)
     g = np.eye(path.samples.shape[1], dtype=complex)
     for k in range(steps):
         k1 = u0[k] @ g
