@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from . import focal, geomodel, greenop, hyperpolar, io, roots, spectral, transport
 from .errors import SingularOperatorError, ValidationError
-from .focal import FOCAL, Window
-from .spectral import DIVERGENT
+from .focal import Window
+from .spectral import FOCAL, Sentinel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -28,7 +28,8 @@ EXIT_INPUT_ERROR = 2
 
 
 def _jsonable(x):
-    """JSON value of a scalar leaf; a complex number becomes [re, im]."""
+    """JSON value of a scalar leaf; a complex number becomes [re, im] and a
+    sentinel its report spelling."""
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
@@ -36,10 +37,8 @@ def _jsonable(x):
         return float(x) if math.isfinite(x) else None
     if isinstance(x, (np.integer, int)):
         return int(x)
-    if x is DIVERGENT:
-        return "divergent"
-    if x is FOCAL:
-        return "focal"
+    if isinstance(x, Sentinel):
+        return x.value
     if isinstance(x, complex):
         return [_jsonable(x.real), _jsonable(x.imag)]
     return x
@@ -184,8 +183,11 @@ def _emit(report: dict, fmt: str, out: str):
         parts = ["\n".join(_csv_rows(leaves, texts))]
     parts.append("\n")
     if out:
-        with open(out, "w") as fh:
-            fh.writelines(parts)
+        try:
+            with open(out, "w") as fh:
+                fh.writelines(parts)
+        except OSError as exc:
+            raise ValidationError(f"cannot write report file '{out}': {exc}") from exc
     else:
         sys.stdout.writelines(parts)
 
@@ -349,6 +351,7 @@ def _cmd_holonomy(args):
 def _cmd_roots(args):
     data = roots.restricted_root_decomposition(args.algebra, args.theta, seed=args.seed)
     report = roots.verify_bracket_pattern(data)
+    identity = report["dimension_identity"]
     result = {
         "algebra": data.algebra.name,
         "theta": args.theta,
@@ -356,10 +359,10 @@ def _cmd_roots(args):
         "n0": data.n0,
         "roots": [r.tolist() for r in data.roots],
         "multiplicities": list(data.multiplicities),
-        "dimension_identity": data.dimension_identity(),
+        "dimension_identity": identity,
         "bracket_max_residual": report["max_residual"],
         "bracket_max_residual_sum_only": report["max_residual_sum_only"],
-        "passed": bool(report["passed"] and data.dimension_identity()),
+        "passed": bool(report["passed"] and identity),
     }
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
@@ -472,16 +475,11 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
         result, code = args.func(args)
-    except (ValidationError, SingularOperatorError, FileNotFoundError) as exc:
+        _emit({"schema": 1, "version": __version__, "config": config, "result": result},
+              args.format, args.out)
+    except (ValidationError, SingularOperatorError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    report = {
-        "schema": 1,
-        "version": __version__,
-        "config": config,
-        "result": result,
-    }
-    _emit(report, args.format, args.out)
     return code
 
 

@@ -22,32 +22,15 @@ import numpy as np
 
 from . import spectral
 from .errors import OracleUndefinedError, ValidationError
-from .spectral import DIVERGENT, SpectralData, TraceValue
+from .spectral import DIVERGENT, FOCAL, Sentinel, SpectralData, TraceValue
 
-FOCAL_TOL = 1e-9          # |Y(r)| < tol*(1+|Y'(r)|) triggers the Focal sentinel
+FOCAL_TOL = 1e-9          # |Y(r)| < tol*(1+|Y'(r)|) gives the FOCAL sentinel
 MERGE_TOL = 1e-9          # radii closer than this merge, multiplicities summed
 SPEC_ABS_TOL = 1e-9       # multiset comparison tolerances
 SPEC_REL_TOL = 1e-12
 WITNESS_EPS = (0.1, 0.5, 1.0)  # lower ends of the gap scans in proper_fredholm_witness
 MAX_FOCAL_RADII = 2 ** 16  # periods of one arctan family a window may span
 _LINEAR_BRANCH = 1e-300   # |lam_r| below this is treated as exactly zero
-
-
-class Focal:
-    """Sentinel: the queried radius is a focal radius (end-point map degenerates)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Focal"
-
-
-FOCAL = Focal()
 
 
 @dataclass(frozen=True)
@@ -292,7 +275,7 @@ def _parallel_rows(lam_r, lam_a, r: float):
 
 
 def parallel_shape_eigenvalue(lam_r: float, lam_a: float,
-                              r: float) -> Union[float, Focal]:
+                              r: float) -> Union[float, Sentinel]:
     """Shape eigenvalue -Y'(r)/Y(r) of the parallel submanifold at distance r."""
     lam, focal = _parallel_rows([lam_r], [lam_a], r)
     return FOCAL if focal[0] else float(lam[0])
@@ -351,15 +334,15 @@ def _parallel_traces(stack, n_grids: int, r: float) -> list:
     return traces
 
 
-def transformed_grid(grid: EigenGrid, r: float) -> Union[EigenGrid, Focal]:
-    """EigenGrid of the parallel submanifold at distance r (Focal on collision)."""
+def transformed_grid(grid: EigenGrid, r: float) -> Union[EigenGrid, Sentinel]:
+    """EigenGrid of the parallel submanifold at distance r (FOCAL on collision)."""
     lam, focal = _parallel_rows(grid.lam_r, grid.lam_a, r)
     if focal.any():
         return FOCAL
     return _eigen_grids(np.column_stack((grid.lam_r, lam, grid.mult)), [len(lam)], [grid.label])[0]
 
 
-def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> Union[TraceValue, Focal]:
+def parallel_reg_mean_curvature(grid: EigenGrid, r: float) -> TraceValue:
     """Paired trace of the parallel submanifold's shape spectrum at distance r."""
     return _parallel_traces(_stack([grid]), 1, r)[0]
 

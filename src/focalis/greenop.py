@@ -59,7 +59,19 @@ class OperatorMatrix:
         return self.entries @ np.asarray(psi, dtype=float)
 
     def is_invertible(self) -> bool:
-        return bool(np.min(np.abs(self.eigenvalues)) > SINGULAR_TOL)
+        return not _singular_modes(self).any()
+
+
+def _singular_modes(op: OperatorMatrix, refuse: bool = False) -> np.ndarray:
+    """Mask of the modes with |eigenvalue| <= SINGULAR_TOL.  With refuse, a
+    singular operator raises, naming its eigenpair of least magnitude."""
+    w, v = op.eigenvalues, op.eigenvectors
+    small = np.abs(w) <= SINGULAR_TOL
+    if refuse and small.any():
+        k = int(np.argmin(np.abs(w)))
+        raise SingularOperatorError(f"operator is singular (eigenvalue {w[k]:.3e})",
+                                    eigenvalue=float(w[k]), eigenvector=v[:, k].copy())
+    return small
 
 
 def _vector(x, op: OperatorMatrix) -> np.ndarray:
@@ -81,13 +93,8 @@ def green_apply(op: OperatorMatrix, psi: np.ndarray,
     eigenvector.
     """
     psi = _vector(psi, op)
+    small = _singular_modes(op, refuse=not project)
     w, v = op.eigenvalues, op.eigenvectors
-    small = np.abs(w) <= SINGULAR_TOL
-    if small.any() and not project:
-        k = int(np.argmin(np.abs(w)))
-        raise SingularOperatorError(
-            f"operator is singular (eigenvalue {w[k]:.3e})",
-            eigenvalue=float(w[k]), eigenvector=v[:, k].copy())
     coeff = v.T @ psi
     inv = np.where(small, 0.0, coeff / np.where(small, 1.0, w))
     return v @ inv
@@ -96,12 +103,7 @@ def green_apply(op: OperatorMatrix, psi: np.ndarray,
 def green_kernel(op: OperatorMatrix) -> np.ndarray:
     """Dense kernel sum_i eta_i eta_i^T / lambda_i; applying it as a matrix
     agrees with green_apply."""
-    if not op.is_invertible():
-        k = int(np.argmin(np.abs(op.eigenvalues)))
-        raise SingularOperatorError(
-            f"operator is singular (eigenvalue {op.eigenvalues[k]:.3e})",
-            eigenvalue=float(op.eigenvalues[k]),
-            eigenvector=op.eigenvectors[:, k].copy())
+    _singular_modes(op, refuse=True)
     w, v = op.eigenvalues, op.eigenvectors
     return (v / w) @ v.T
 

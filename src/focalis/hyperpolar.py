@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebras import LieAlgebraBasis, bracket, load_algebra
 from .errors import ValidationError
-from .roots import involution, restricted_root_decomposition
+from .roots import restricted_root_decomposition
 from .transport import expm_antiherm
 
 MAX_SAMPLES = 10_000  # sample points of one check: each costs one expm and two products
@@ -22,16 +22,6 @@ MAX_SAMPLES = 10_000  # sample points of one check: each costs one expm and two 
 def _hs_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Real Hilbert-Schmidt pairings <x_i, y_j> of two matrix stacks."""
     return np.einsum("iab,jab->ij", np.conj(x), y).real
-
-
-def _fixed_subalgebra(alg: LieAlgebraBasis, data) -> np.ndarray:
-    """Basis of the (+1)-eigenspace of theta, complementary to p in the onb."""
-    onb = np.stack(data.onb)
-    k_part = (onb + involution(data.theta_name, alg.matrix_size)(onb)) / 2.0
-    k_part = k_part[np.abs(k_part).max(axis=(1, 2)) > 1e-12]
-    q, r = np.linalg.qr(k_part.reshape(len(k_part), -1).T)
-    q = q[:, np.abs(np.diag(r)) > 1e-10]
-    return q.T.reshape(-1, *onb.shape[1:])
 
 
 def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
@@ -48,10 +38,7 @@ def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
         raise ValidationError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
     alg = algebra if isinstance(algebra, LieAlgebraBasis) else load_algebra(algebra)
     data = restricted_root_decomposition(alg, theta, seed=seed + 7)
-    a_mats = np.stack(data.a_basis)
-    k_mats = _fixed_subalgebra(alg, data)
-    if not len(k_mats):
-        raise ValidationError("fixed subalgebra is trivial")
+    a_mats, k_mats = np.stack(data.a_basis), np.stack(data.k_basis)
 
     flat = float(np.max(np.abs(bracket(a_mats[:, None], a_mats[None]))))
 

@@ -49,8 +49,8 @@ def involution(name: str, matrix_size: int) -> Callable[[np.ndarray], np.ndarray
 @dataclass(frozen=True, eq=False)
 class RestrictedRootData:
     algebra: LieAlgebraBasis
-    theta_name: str
     onb: tuple                    # orthonormal basis of the algebra (matrices)
+    k_basis: tuple                # the (+1)-eigenspace k of theta (unit Hilbert-Schmidt matrices)
     structure: np.ndarray         # c'[i, j, k]: [onb_i, onb_j] = sum_k c'_ijk onb_k
     a_basis: tuple                # maximal abelian subspace basis (matrices)
     roots: tuple                  # signed root vectors on the a-basis, len l
@@ -103,9 +103,11 @@ def restricted_root_decomposition(algebra, theta: str,
     onb = alg.from_coefficients(li)
     c = np.einsum("ia,jb,abk,kl->ijl", li, li, alg.structure, l, optimize=True)
 
-    # p = (-1)-eigenspace of theta in coefficient space
+    # k and p = the (+1)- and (-1)-eigenspaces of theta in coefficient space
     tmat = (alg.coefficients(th(onb)) @ l).T
     w, v = np.linalg.eigh((tmat + tmat.T) / 2.0)
+    k_mats = np.tensordot(v[:, w > 0.0].T, onb, axes=1)
+    k_mats /= np.linalg.norm(k_mats, axis=(1, 2))[:, None, None]
     p_c = v[:, w < 0.0]
     if p_c.shape[1] == 0:
         raise ValidationError("theta has no (-1)-eigenspace; the pair is trivial")
@@ -162,13 +164,9 @@ def restricted_root_decomposition(algebra, theta: str,
         bases.append(vc)
     order = np.argsort([np.linalg.norm(r) for r in roots])
     return RestrictedRootData(
-        algebra=alg, theta_name=theta, onb=tuple(onb), structure=c,
+        algebra=alg, onb=tuple(onb), k_basis=tuple(k_mats), structure=c,
         a_basis=tuple(a_mats), roots=tuple(roots[k] for k in order),
         space_bases=tuple([g0] + [bases[k] for k in order]))
-
-
-def _root_close(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < ROOT_MATCH_TOL)
 
 
 def verify_bracket_pattern(data: RestrictedRootData) -> dict:
@@ -189,6 +187,11 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
     cv = np.einsum("ijl,ia,jb,lc->abc", data.structure, v, v, v, optimize=True)
     edges = np.cumsum([0] + [b.shape[1] for b in bases])
     spaces = [np.zeros(len(data.a_basis))] + list(data.roots)
+    r = np.stack(spaces)
+    # hit[s, a, b, c]: lam_c = +-(lam_a + (-1)^s lam_b) within ROOT_MATCH_TOL
+    target = np.stack((r[:, None] + r[None], r[:, None] - r[None]))[..., None, :]
+    hit = np.minimum(np.linalg.norm(target - r, axis=-1),
+                     np.linalg.norm(target + r, axis=-1)) < ROOT_MATCH_TOL
     owner = np.repeat(np.arange(len(bases)), np.diff(edges))
     report = {"pairs": [], "max_residual": 0.0, "max_residual_sum_only": 0.0,
               "passed": True}
@@ -196,8 +199,8 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
         for ib in range(ia, len(spaces)):
             rb = spaces[ib]
             z = cv[edges[ia]:edges[ia + 1], edges[ib]:edges[ib + 1]]
-            out_sum = ~np.array([_root_close(rc, ra + rb) for rc in spaces])[owner]
-            out = out_sum & ~np.array([_root_close(rc, ra - rb) for rc in spaces])[owner]
+            out_sum = ~hit[0, ia, ib][owner]
+            out = out_sum & ~hit[1, ia, ib][owner]
             worst = float(np.linalg.norm(z[..., out], axis=-1).max())
             worst_sum = float(np.linalg.norm(z[..., out_sum], axis=-1).max())
             report["pairs"].append({

@@ -15,6 +15,7 @@ rounded fsum, and a sum of stored entries beyond float range is an input error.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -31,23 +32,18 @@ MAX_BRANCH_RANK = 2 ** 53  # a branch's total multiplicity stays below this
 ZETA_TOLERANCE = 1e-6      # relative tail bound above which the zeta trace diverges
 
 
-class Divergent:
-    """Sentinel returned when a trace fails its convergence test."""
+class Sentinel(enum.Enum):
+    """A value where no number can be given, valued by its report spelling:
+    DIVERGENT for a trace that fails its convergence test, FOCAL for a focal
+    radius (the end-point map degenerates there)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Divergent"
+    DIVERGENT = "divergent"
+    FOCAL = "focal"
 
 
-DIVERGENT = Divergent()
+DIVERGENT, FOCAL = Sentinel.DIVERGENT, Sentinel.FOCAL
 
-TraceValue = Union[float, Divergent]
+TraceValue = Union[float, Sentinel]
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,11 @@ class TailModel:
     scale: float
 
     def __post_init__(self):
+        for name in ("ratio", "scale"):
+            value = _as_array(getattr(self, name), float, f"tail {name}")
+            if value.ndim:
+                raise ValidationError(f"tail {name} must be a number")
+            object.__setattr__(self, name, float(value))
         if not (0.0 < self.ratio < 1.0):
             raise ValidationError(f"tail ratio must lie in (0,1), got {self.ratio}")
         if not (0.0 <= self.scale < np.inf):
@@ -250,10 +251,10 @@ def _limit_of_partial_sums(s: np.ndarray, tail_remainder: Optional[float]) -> Tr
     truncation remainder.
     """
     n = len(s)
-    if n == 0:
-        return TraceInfo(0.0, 0.0, True, "empty")
-    last = float(s[-1])
     tail_err = float(tail_remainder) if tail_remainder is not None else 0.0
+    if n == 0:   # only a declared tail makes an empty spectrum truncated
+        return TraceInfo(0.0, tail_err, True, "tail-certified")
+    last = float(s[-1])
     w = max(1, int(np.ceil(n * CAUCHY_WINDOW)))
     window = s[n - w:]
     spread = float(np.max(window) - np.min(window)) if w > 1 else 0.0
@@ -321,7 +322,7 @@ def reg_trace_info(spec: SpectralData) -> TraceInfo:
 
 
 def reg_trace(spec: SpectralData) -> TraceValue:
-    """Paired trace sum(lambda_i^+ - lambda_i^-), or Divergent."""
+    """Paired trace sum(lambda_i^+ - lambda_i^-), or DIVERGENT."""
     return reg_trace_info(spec).as_trace()
 
 
@@ -338,22 +339,20 @@ def trace_square_info(spec: SpectralData) -> TraceInfo:
 
 
 def trace_square(spec: SpectralData) -> TraceValue:
-    """Trace of the square: sum of all eigenvalues squared, or Divergent."""
+    """Trace of the square: sum of all eigenvalues squared, or DIVERGENT."""
     return trace_square_info(spec).as_trace()
 
 
 def zeta_trace_info(spec: SpectralData) -> TraceInfo:
     """The signed sum of the stored entries, with the tail model's bound on
     the paired remainder as its error."""
-    if len(spec.positives) == 0 and len(spec.negatives) == 0:
-        return TraceInfo(0.0, 0.0, True, "empty")
     value, = _stored_sums("zeta trace", *_signed_entries(spec))
     err = 0.0 if spec.tail is None else 2.0 * spec.tail.remainder(spec.rank)
     return TraceInfo(value, err, err <= ZETA_TOLERANCE * (1.0 + abs(value)), "stored-sum")
 
 
 def zeta_trace(spec: SpectralData) -> TraceValue:
-    """Value at s = 1 of the signed power sums of the stored entries, or Divergent."""
+    """Value at s = 1 of the signed power sums of the stored entries, or DIVERGENT."""
     return zeta_trace_info(spec).as_trace()
 
 

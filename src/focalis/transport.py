@@ -301,6 +301,8 @@ def holonomy_element(omega: AlgebraPath,
     equals transport(pullback_connection(omega, omega0)) up to integration
     error.
     """
+    if omega0 is not None and omega0.samples.shape[1:] != omega.samples.shape[1:]:
+        raise ValidationError("connection matrices differ in size")
     g1 = _rk4_group(omega, steps)
     if omega0 is None:
         return g1

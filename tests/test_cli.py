@@ -300,6 +300,15 @@ class TestReportEnvelope:
         b["config"].pop("out")
         assert a == b
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, target):
+        # a missing directory or a directory as --out ended in a traceback
+        code = main(["box1d", "--samples", "4", "--speed", "1",
+                     "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot write report file")
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _ = run(capsys, "trace", "--spec", str(tmp_path / "nope.json"))
         assert code == 2
@@ -345,6 +354,36 @@ class TestTraceCommand:
                                     "tail": {"ratio": 0.5, "scale": float("nan")}}))
         code, _ = run(capsys, "trace", "--spec", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("scale, spelling", [(True, "booleans"), ("1.0", "strings")])
+    def test_tail_scale_must_be_a_number(self, capsys, tmp_path, scale, spelling):
+        # a boolean scale was read as 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"positives": [{"value": 2.0}],
+                                    "tail": {"ratio": 0.5, "scale": scale}}))
+        code = main(["trace", "--spec", str(path), "--zeta"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: tail scale: numbers are given as {spelling}\n"
+
+    def test_empty_spectrum_reports_its_tail_bound(self, capsys, tmp_path):
+        # the tail declares eigenvalues up to 1, so the trace is 0 within 2 * 1 / (1 - 0.5)
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"tail": {"ratio": 0.5, "scale": 1.0}}))
+        code, report = run_json(capsys, "trace", "--spec", str(path), "--zeta", "--square")
+        assert code == 0
+        res = report["result"]
+        assert (res["tr_r"], res["tr_r_error"], res["method"]) == (0.0, 4.0, "tail-certified")
+        assert res["tr_sq"] == 0.0 and res["tr_zeta"] == "divergent"
+
+    def test_empty_spectrum_tail_bound_beyond_float_range_is_input_error(self, capsys, tmp_path):
+        # the square's bound 2 * (1e300)^2 / (1 - 0.25) is beyond float range
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"tail": {"ratio": 0.5, "scale": 1e300}}))
+        code = main(["trace", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: tail-certified trace 0.0 with error inf")
 
     def test_trace_computes_each_trace_once(self, capsys, monkeypatch, tmp_path):
         calls = []
@@ -637,16 +676,34 @@ _FUZZ_LABEL = st.one_of(st.none(), st.text(max_size=5), _FUZZ_NUMBER, st.just(["
                         st.just({"k": float("nan")}))
 
 
+def _report_or_input_error(argv):
+    """Run the CLI: exit 0 or 1 with a strict JSON report, or exit 2 with an
+    error line and no report."""
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _fuzz_document(draw, key):
+    """A JSON document that is not a well-formed input file, or malformed JSON."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["", "{", f'{{"{key}": [', "nul", f'{{"{key}": [1,]}}']))
+    return json.dumps(draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_NUMBER, max_size=3),
+                                     st.fixed_dictionaries({key: _FUZZ_VALUE}))))
+
+
 @st.composite
 def grid_file_texts(draw):
     """The text of one grid file: well-formed pairs, strange values, missing
     keys, empty pairs, other JSON documents or malformed JSON."""
-    kind = draw(st.sampled_from(["clean", "clean", "grid", "grid", "other", "malformed"]))
-    if kind == "malformed":
-        return draw(st.sampled_from(["", "{", '{"pairs": [', "nul", '{"pairs": [1,]}']))
+    kind = draw(st.sampled_from(["clean", "clean", "grid", "grid", "other", "other"]))
     if kind == "other":
-        return json.dumps(draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_NUMBER, max_size=3),
-                                         st.fixed_dictionaries({"pairs": _FUZZ_VALUE}))))
+        return _fuzz_document(draw, "pairs")
     doc = {"pairs": draw(st.lists(_CLEAN_PAIR if kind == "clean" else _FUZZ_PAIR, max_size=5))}
     if draw(st.booleans()):
         doc["label"] = draw(_FUZZ_LABEL)
@@ -667,14 +724,7 @@ def test_grid_files_give_a_report_or_an_input_error(texts, r):
                      ["parallel", "--grid", f"{d}/g0.json", "--r", r],
                      ["check", "weak", "--grids", d], ["check", "iso", "--grids", d],
                      ["check", "equifocal", "--grids", d]):
-            out, err = textio.StringIO(), textio.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2), argv
-            if code == 2:
-                assert out.getvalue() == "" and err.getvalue().startswith("error:")
-            else:
-                json.loads(out.getvalue(), parse_constant=_reject_constant)
+            _report_or_input_error(argv)
 
 
 # Spectrum-file fuzz: the grid fuzz's numbers and values in entries,
@@ -706,12 +756,8 @@ def _spectrum_branch(draw):
 def spectrum_file_texts(draw):
     """The text of one spectrum file: sorted or fuzzed branches with or
     without a fuzzed tail, other JSON documents or malformed JSON."""
-    kind = draw(st.sampled_from(["spectrum", "spectrum", "spectrum", "other", "malformed"]))
-    if kind == "malformed":
-        return draw(st.sampled_from(["", "{", '{"positives": [', "nul", '{"positives": [1,]}']))
-    if kind == "other":
-        return json.dumps(draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_NUMBER, max_size=3),
-                                         st.fixed_dictionaries({"positives": _FUZZ_VALUE}))))
+    if draw(st.integers(0, 4)) >= 3:
+        return _fuzz_document(draw, "positives")
     doc = {"positives": draw(_spectrum_branch()), "negatives": draw(_spectrum_branch())}
     if draw(st.booleans()):
         doc["tail"] = draw(st.one_of(
@@ -745,6 +791,130 @@ def test_spectrum_files_give_a_report_or_an_input_error(text):
     # a converged paired trace reports a finite error
     assert (res["tr_r_error"] is None) == (res["tr_r"] == "divergent")
     assert res["tr_r_error"] is None or math.isfinite(res["tr_r_error"])
+
+
+# Path-file fuzz: up to 6 samples of matrices up to 4 x 4, anti-Hermitian at
+# scales up to 1e300 or with fuzzed entries, on uniform or fuzzed times.
+_FUZZ_SCALE = st.sampled_from([1.0, 5e-324, 1e-300, 1e6, 1e154, 1e300])
+
+
+@st.composite
+def path_file_texts(draw):
+    kind = draw(st.sampled_from(["clean", "clean", "fuzzed", "other"]))
+    if kind == "other":
+        return _fuzz_document(draw, "samples")
+    count, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(np.float64, (count, n, n, 2), elements=st.floats(-4, 4)))
+    z = parts[..., 0] + 1j * parts[..., 1]
+    z = draw(_FUZZ_SCALE) * (z - np.conj(np.swapaxes(z, 1, 2)))
+    mats = np.stack((z.real, z.imag), axis=-1).tolist()
+    times = np.linspace(0.0, 1.0, count).tolist()
+    if kind == "fuzzed":
+        entry = st.one_of(st.lists(_FUZZ_NUMBER, min_size=2, max_size=2), _FUZZ_VALUE)
+        for i, j, k in draw(st.lists(st.tuples(*(st.integers(0, m - 1) for m in (count, n, n))),
+                                     min_size=1, max_size=3)):
+            mats[i][j][k] = draw(entry)
+        times = [draw(st.one_of(st.just(t), _FUZZ_VALUE)) for t in times]
+    return json.dumps({"group": "SU2", "samples": [list(s) for s in zip(times, mats)]})
+
+
+@given(path_file_texts(), path_file_texts(), st.integers(-1, 64))
+@settings(max_examples=200, deadline=None)
+# matrices of different sizes ended in a ValueError traceback in holonomy
+@example('{"samples": [[0.0, [[[0.0, 0.0]]]], [1.0, [[[0.0, 0.0]]]]]}',
+         '{"samples": [[0.0, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]], '
+         '[1.0, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]]}', 1)
+def test_path_files_give_a_report_or_an_input_error(text, text0, steps):
+    with tempfile.TemporaryDirectory() as d:
+        for name, t in (("u", text), ("u0", text0)):
+            with open(f"{d}/{name}.json", "w") as fh:
+                fh.write(t)
+        for argv in (["transport", "--path", f"{d}/u.json"],
+                     ["holonomy", "--omega", f"{d}/u.json"],
+                     ["holonomy", "--omega", f"{d}/u.json", "--omega0", f"{d}/u0.json"]):
+            _report_or_input_error(argv + ["--steps", str(steps)])
+
+
+# Operator-file fuzz: symmetric (possibly singular) matrices up to 8 x 8 at
+# fuzzed scales, fuzzed entries and shapes, and vectors of fuzzed lengths.
+@st.composite
+def operator_file_texts(draw):
+    """The texts of one operator file and one vector file."""
+    n = draw(st.integers(0, 8))
+    m = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-4, 4)))
+    m = draw(_FUZZ_SCALE) * (m + m.T)
+    k = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    m[:k] = m[:, :k] = 0.0          # zero leading rows and columns make it singular
+    op = m.tolist()
+    psi = draw(hnp.arrays(np.float64, n, elements=st.floats(-4, 4))).tolist()
+    kind = draw(st.sampled_from(["clean", "clean", "fuzzed", "other"]))
+    if kind == "fuzzed" and n:
+        if draw(st.booleans()):
+            psi = psi[:-1] if draw(st.booleans()) else psi + [1.0]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  min_size=1, max_size=3)):
+            op[i][j] = draw(_FUZZ_VALUE)
+        if draw(st.booleans()):
+            op[-1] = op[-1][:-1]                # a ragged row
+        if psi and draw(st.booleans()):
+            psi[0] = draw(_FUZZ_VALUE)
+    texts = [json.dumps(op), json.dumps(psi)]
+    if kind == "other":
+        texts[draw(st.integers(0, 1))] = _fuzz_document(draw, "rows")
+    return texts
+
+
+@given(operator_file_texts(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_operator_files_give_a_report_or_an_input_error(texts, project):
+    with tempfile.TemporaryDirectory() as d:
+        for name, t in zip(("op", "psi"), texts):
+            with open(f"{d}/{name}.json", "w") as fh:
+                fh.write(t)
+        _report_or_input_error(["green", "--op", f"{d}/op.json", "--psi", f"{d}/psi.json"]
+                               + ["--project"] * project)
+
+
+# Config-file fuzz: blocks, slice radii and slot counts with fuzzed values, an
+# ambient dimension of at most 48 so that every accepted config stays small.
+_FUZZ_DIM = st.one_of(st.integers(-2, 48), st.sampled_from([2.5, 0.0, float("nan")]),
+                      st.booleans(), st.none(), st.sampled_from(["8", ""]), st.just([8]))
+
+
+@st.composite
+def config_file_texts(draw):
+    kind = draw(st.sampled_from(["clean", "clean", "fuzzed", "other"]))
+    if kind == "other":
+        return _fuzz_document(draw, "blocks")
+    blocks = draw(st.lists(st.tuples(st.integers(2, 5), st.floats(0.1, 2.0)).map(list),
+                           min_size=1, max_size=3))
+    k1 = draw(st.integers(0, len(blocks)))
+    doc = {"blocks": blocks, "k1": k1,
+           "rprime": [r * draw(st.floats(0.05, 0.95)) for _, r in blocks[:k1]],
+           "k2": draw(st.integers(0, 3)), "ambient_dim": draw(st.integers(8, 48))}
+    if kind == "fuzzed":
+        key = draw(st.sampled_from(["blocks", "block", "k1", "rprime", "k2", "ambient_dim"]))
+        if key == "block":
+            doc["blocks"][0][draw(st.integers(0, 1))] = draw(_FUZZ_VALUE)
+        elif key == "ambient_dim":
+            doc[key] = draw(_FUZZ_DIM)
+        elif key == "rprime" and doc["rprime"]:
+            doc["rprime"][0] = draw(_FUZZ_VALUE)
+        elif draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_VALUE, max_size=2)))
+    return json.dumps(doc)
+
+
+@given(config_file_texts())
+@settings(max_examples=150, deadline=None)
+def test_config_files_give_a_report_or_an_input_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        with open(f"{d}/cfg.json", "w") as fh:
+            fh.write(text)
+        _report_or_input_error(["example41", "--config", f"{d}/cfg.json",
+                                "--points", "2", "--trials", "2"])
 
 
 class TestInputNumbers:

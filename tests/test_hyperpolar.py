@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from focalis.errors import ValidationError
-from focalis.hyperpolar import _fixed_subalgebra, section_orthogonality_check
+from focalis.hyperpolar import section_orthogonality_check
 from focalis.roots import restricted_root_decomposition
 
 
@@ -55,14 +55,13 @@ class TestSectionOrthogonality:
         # reference: the orbit direction X - g Y g^-1 paired with every A
         report = section_orthogonality_check("su3", "ad_diag", n_samples=4, seed=5)
         data = restricted_root_decomposition("su3", "ad_diag", seed=12)
-        k_mats = _fixed_subalgebra(data.algebra, data)
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(4):
             h = sum(c * a for c, a in zip(rng.normal(size=len(data.a_basis)), data.a_basis))
             g = expm(h)
-            for x in k_mats:
-                for y in k_mats:
+            for x in data.k_basis:
+                for y in data.k_basis:
                     orbit = x - g @ y @ np.conj(g.T)
                     for a in data.a_basis:
                         worst = max(worst, abs(np.sum(np.conj(orbit) * a).real))

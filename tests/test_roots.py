@@ -97,6 +97,22 @@ class TestDecomposition:
         assert d1.n0 == d2.n0
         assert sorted(d1.multiplicities) == sorted(d2.multiplicities)
 
+    @pytest.mark.parametrize("alg, theta, dim_k", [
+        ("su2", "conj", 1), ("su3", "conj", 3), ("su3", "ad_diag", 4),
+        ("so5", "ad_diag", 6), ("su4", "ad_diag_2", 7)])
+    def test_k_basis_is_the_fixed_subalgebra(self, alg, theta, dim_k):
+        # reference: the (+1)-eigenspace of theta in matrix space, spanned by
+        # the projections (x + theta x) / 2 of a basis
+        data = restricted_root_decomposition(alg, theta)
+        k = np.stack(data.k_basis)
+        basis = np.stack(load_algebra(alg).basis)
+        th = involution(theta, basis.shape[-1])
+        assert len(k) == dim_k == np.linalg.matrix_rank(
+            ((basis + th(basis)) / 2.0).reshape(len(basis), -1))
+        assert np.max(np.abs(th(k) - k)) < 1e-14
+        gram = np.einsum("iab,jab->ij", k.conj(), k).real
+        assert np.max(np.abs(gram - np.eye(dim_k))) < 1e-14
+
     def test_rejects_trivial_pair(self):
         alg = load_algebra("su2")
         # conjugation by -id is the identity automorphism: empty p
