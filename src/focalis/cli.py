@@ -12,6 +12,7 @@ import glob
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -328,10 +329,20 @@ def _cmd_example41(args):
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
+def _residual(compute, name: str) -> float:
+    """A report's residual compute(), refused unless finite (its answer left the float range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(compute())
+    if not math.isfinite(value):
+        raise ValidationError(f"the {name} is beyond float range")
+    return value
+
+
 def _cmd_transport(args):
     u = io.read_path(args.path)
     g1 = transport.transport(u, steps=args.steps)
-    unit = float(np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))))
+    unit = _residual(lambda: np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))),
+                     "unitarity residual")
     result = {"steps": args.steps, "endpoint": g1, "unitarity_residual": unit}
     return result, EXIT_OK
 
@@ -342,7 +353,7 @@ def _cmd_holonomy(args):
     hol = transport.holonomy_element(omega, omega0, steps=args.steps)
     mu = transport.pullback_connection(omega, omega0, steps=args.steps)
     phi_mu = transport.transport(mu, steps=args.steps)
-    agreement = float(np.max(np.abs(hol - phi_mu)))
+    agreement = _residual(lambda: np.max(np.abs(hol - phi_mu)), "factorization residual")
     result = {"holonomy": hol, "transport_of_pullback": phi_mu,
               "factorization_residual": agreement, "passed": agreement < 1e-6}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
@@ -367,16 +378,18 @@ def _cmd_roots(args):
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
-_INVOLUTIONS = {"u1diag": "ad_diag", "so2": "conj", "so3": "conj", "son": "conj"}
+_INVOLUTIONS = {"u1diag": "ad_diag", "son": "conj"}
 
 
 def _cmd_hyperpolar(args):
     if args.k1 != args.k2:
         raise ValidationError("only symmetric pairs with k1 == k2 are supported")
-    theta = _INVOLUTIONS.get(args.k1.lower())
-    if theta is None:
-        raise ValidationError(f"unknown subgroup spec '{args.k1}'")
     algebra = args.group.lower().replace("(", "").replace(")", "")
+    spec = args.k1.lower()
+    # soK is SO(n), the fixed group of conj in SU(n), only for K = n
+    theta = _INVOLUTIONS.get("son" if spec == re.sub(r"^su_?0*", "so", algebra) else spec)
+    if theta is None:
+        raise ValidationError(f"unknown subgroup spec '{args.k1}' for group '{args.group}'")
     result = hyperpolar.section_orthogonality_check(
         algebra, theta, n_samples=args.samples, seed=args.seed)
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
@@ -386,7 +399,7 @@ def _cmd_green(args):
     op = greenop.OperatorMatrix(io.read_matrix(args.op))
     psi = io.read_vector(args.psi)
     sigma = greenop.green_apply(op, psi, project=args.project)
-    residual = float(np.linalg.norm(op.apply(sigma) - psi))
+    residual = _residual(lambda: np.linalg.norm(op.apply(sigma) - psi), "residual")
     result = {"sigma": sigma, "residual": residual,
               "projected": bool(args.project)}
     return result, EXIT_OK

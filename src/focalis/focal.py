@@ -125,32 +125,34 @@ class FocalRadiusSet:
             raise ValidationError("radius multiplicity must be >= 1")
 
 
-def _cos_sinc(lam_r: float, s: float):
-    """(C(s), S(s)) = (cos(s q), sin(s q)/q) with q = sqrt(lam_r), their
-    hyperbolic forms for lam_r < 0, and (1, s) at lam_r = 0."""
-    if lam_r > _LINEAR_BRANCH:
-        q, cos, sin = math.sqrt(lam_r), math.cos, math.sin
-    elif lam_r < -_LINEAR_BRANCH:
-        q, cos, sin = math.sqrt(-lam_r), math.cosh, math.sinh
-    else:
-        return 1.0, s
-    try:
-        return cos(s * q), sin(s * q) / q
-    except (OverflowError, ValueError) as exc:  # cosh beyond float range, cos(inf)
-        raise ValidationError(f"Jacobi amplitude at lambda_R={lam_r}, r={s} is out of "
-                              "floating-point range") from exc
+def _amplitudes(lam_r, lam_a, s: float):
+    """(Y(s), Y'(s)) of arrays of rows at one s.  C(s), S(s) are cos(s q),
+    sin(s q)/q with q = sqrt(lam_r), their hyperbolic forms for lam_r < 0, and
+    (1, s) at lam_r = 0.  A row whose Y or Y' leaves the float range is refused."""
+    lam_r, lam_a = np.asarray(lam_r, dtype=float), np.asarray(lam_a, dtype=float)
+    q = np.sqrt(np.abs(lam_r))
+    c, sn = np.ones(lam_r.shape), np.full(lam_r.shape, float(s))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are refused below
+        for rows, cos, sin in ((lam_r > _LINEAR_BRANCH, np.cos, np.sin),
+                               (lam_r < -_LINEAR_BRANCH, np.cosh, np.sinh)):
+            x = s * q[rows]
+            c[rows], sn[rows] = cos(x), sin(x) / q[rows]
+        y, yp = c - lam_a * sn, -lam_r * sn - lam_a * c
+    bad = ~(np.isfinite(y) & np.isfinite(yp))
+    if bad.any():
+        raise ValidationError(f"Jacobi amplitude at lambda_R={float(lam_r[bad][0])}, "
+                              f"r={float(s)} is out of floating-point range")
+    return y, yp
 
 
 def jacobi_amplitude(lam_r: float, lam_a: float, s: float) -> float:
     """Scalar Jacobi amplitude Y(s) = C(s) - lam_a S(s) on the eigenspace."""
-    c, sn = _cos_sinc(lam_r, s)
-    return c - lam_a * sn
+    return float(_amplitudes([lam_r], [lam_a], s)[0][0])
 
 
 def jacobi_amplitude_deriv(lam_r: float, lam_a: float, s: float) -> float:
     """Y'(s) = -lam_r S(s) - lam_a C(s)."""
-    c, sn = _cos_sinc(lam_r, s)
-    return -lam_r * sn - lam_a * c
+    return float(_amplitudes([lam_r], [lam_a], s)[1][0])
 
 
 def _stack(grids: Sequence[EigenGrid]):
@@ -259,16 +261,8 @@ def proper_fredholm_witness(fset: FocalRadiusSet) -> dict:
 
 def _parallel_rows(lam_r, lam_a, r: float):
     """parallel_shape_eigenvalue on arrays of rows: the eigenvalues (0 on a
-    focal row) and the rows for which r is focal.  Y and Y' are evaluated as
-    arrays from each row's _cos_sinc; a row where they overflow is refused."""
-    lam_r, lam_a = np.asarray(lam_r, dtype=float), np.asarray(lam_a, dtype=float)
-    c, sn = np.array([_cos_sinc(lr, r) for lr in lam_r.tolist()]).reshape(-1, 2).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, yp = c - lam_a * sn, -lam_r * sn - lam_a * c
-    bad = ~(np.isfinite(y) & np.isfinite(yp))
-    if bad.any():
-        raise ValidationError(f"Jacobi amplitude at lambda_R={float(lam_r[bad][0])}, "
-                              f"r={float(r)} is out of floating-point range")
+    focal row) and the rows for which r is focal."""
+    y, yp = _amplitudes(lam_r, lam_a, r)
     focal = np.abs(y) < FOCAL_TOL * (1.0 + np.abs(yp))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(focal, 0.0, -yp / y), focal

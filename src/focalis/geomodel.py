@@ -32,6 +32,7 @@ from .focal import EigenGrid, _eigen_grids
 NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
 MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
 TRIAL_CHUNK_ENTRIES = 2 ** 20  # floats of factors per chunk of commutator trials
+RADIUS_RANGE = (2.0 ** -250, 2.0 ** 250)  # commutators hold radii to the power -4
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,14 @@ class SphereProductConfig:
             raise ValidationError("k1 exceeds the number of blocks")
         if len(self.rprime) != self.k1:
             raise ValidationError("rprime must have k1 entries")
+        lo, hi = RADIUS_RANGE
         for m, r in self.blocks:
-            if m < 2 or not 0.0 < r < np.inf:
-                raise ValidationError(f"bad block (m={m}, r={r})")
+            if m < 2 or not lo <= r <= hi:
+                raise ValidationError(f"bad block (m={m}, r={r}): need m >= 2 and "
+                                      "2**-250 <= r <= 2**250")
         for (m, r), rp in zip(self.blocks[: self.k1], self.rprime):
-            if not (0.0 < rp < r):
-                raise ValidationError(f"need 0 < rprime={rp} < r={r}")
+            if not (lo <= rp < r):
+                raise ValidationError(f"need 2**-250 <= rprime={rp} < r={r}")
         even_needed = sum(m for m, _ in self.blocks)
         even_slots = self.ambient_dim // 2
         odd_slots = self.ambient_dim - even_slots

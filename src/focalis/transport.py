@@ -24,6 +24,8 @@ UNITARY_TOL = 1e-10
 # 16 n^2 bytes per step, so the cap bounds what a user-given --steps allocates.
 MAX_STEPS = 2 ** 20
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_MAX_STEP_PHASE = 1.0 / np.finfo(float).eps
+_OUT_OF_RANGE = "the transport leaves the floating-point range; use more steps"
 
 
 def _square_stack(samples) -> np.ndarray:
@@ -31,17 +33,14 @@ def _square_stack(samples) -> np.ndarray:
     s = np.asarray(samples, dtype=complex)
     if s.ndim != 3 or s.shape[0] < 2 or s.shape[1] != s.shape[2]:
         raise ValidationError("need >= 2 square matrix samples")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("samples must be finite")
-    return s
+    return _finite(s, "samples must be finite")
 
 
-def expm_antiherm(batch: np.ndarray) -> np.ndarray:
-    """exp of a batch of anti-Hermitian matrices via Hermitian eigendecomposition."""
-    herm = 1j * batch
-    w, v = np.linalg.eigh(herm)
-    phase = np.exp(-1j * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
+def _finite(a: np.ndarray, error: str) -> np.ndarray:
+    """a, refused with ValidationError(error) unless every entry is finite."""
+    if not np.isfinite(a).all():
+        raise ValidationError(error)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +141,13 @@ def _expm_offset(y: np.ndarray) -> np.ndarray:
     return d
 
 
+def expm_antiherm(batch: np.ndarray) -> np.ndarray:
+    """exp of a (K, n, n) batch of anti-Hermitian matrices: the batch-first
+    view I + _expm_offset."""
+    d = _expm_offset(np.ascontiguousarray(np.moveaxis(batch, 0, -1)))
+    return np.eye(d.shape[0]) + np.moveaxis(d, -1, 0)
+
+
 def _product(steps: np.ndarray) -> np.ndarray:
     """Ordered product M_{K-1} ... M_0 of the steps M_k = I + steps[:, :, k].
 
@@ -149,11 +155,12 @@ def _product(steps: np.ndarray) -> np.ndarray:
     composes neighbours in one batched product and carries an odd last step,
     so about log2 K products in all.
     """
-    while steps.shape[-1] > 1:
-        count = steps.shape[-1]
-        paired = _compose(steps[..., 1::2], steps[..., :count - 1:2])
-        steps = np.concatenate([paired, steps[..., -1:]], axis=-1) if count % 2 else paired
-    return np.eye(steps.shape[0]) + steps[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is refused unless finite
+        while steps.shape[-1] > 1:
+            count = steps.shape[-1]
+            paired = _compose(steps[..., 1::2], steps[..., :count - 1:2])
+            steps = np.concatenate([paired, steps[..., -1:]], axis=-1) if count % 2 else paired
+    return _finite(np.eye(steps.shape[0]) + steps[..., 0], _OUT_OF_RANGE)
 
 
 def _prefix(steps: np.ndarray) -> np.ndarray:
@@ -172,36 +179,41 @@ def _prefix(steps: np.ndarray) -> np.ndarray:
     pad = np.zeros((n, n, blocks * width - count), dtype=steps.dtype)
     local = np.concatenate([steps, pad], axis=-1).reshape(n, n, blocks, width)
     local = np.ascontiguousarray(local.transpose(0, 1, 3, 2))
-    for j in range(1, width):
-        local[:, :, j] = _compose(local[:, :, j], local[:, :, j - 1])
-    carry = np.zeros((n, n, blocks), dtype=steps.dtype)
-    for b in range(1, blocks):
-        carry[..., b] = _compose(local[:, :, -1, b - 1], carry[..., b - 1])
-    scanned = _compose(local, carry[:, :, None]).transpose(0, 1, 3, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is refused unless finite
+        for j in range(1, width):
+            local[:, :, j] = _compose(local[:, :, j], local[:, :, j - 1])
+        carry = np.zeros((n, n, blocks), dtype=steps.dtype)
+        for b in range(1, blocks):
+            carry[..., b] = _compose(local[:, :, -1, b - 1], carry[..., b - 1])
+        scanned = _compose(local, carry[:, :, None]).transpose(0, 1, 3, 2)
     g = np.zeros((n, n, count + 1), dtype=steps.dtype)
     g[..., 1:] = scanned.reshape(n, n, -1)[..., :count]
-    return g + np.eye(n)[..., None]
+    return _finite(g + np.eye(n)[..., None], _OUT_OF_RANGE)
 
 
-def _fine_steps(steps: int, intervals: int) -> int:
-    """Step count rounded up to a multiple of the sample intervals.
+def _fine_steps(steps: int, u: AlgebraPath) -> int:
+    """Step count rounded up to a multiple of u's sample intervals.
 
     The result sizes every (n, n, steps) stack, so it is refused above
-    MAX_STEPS before anything is allocated.
+    MAX_STEPS before anything is allocated.  A step h u with an entry above
+    1/eps = 2^52 is refused too: float64 holds no digit of its phase.
     """
     if steps < 1:
         raise ValidationError("steps must be positive")
-    fine = -(-steps // intervals) * intervals
+    fine = -(-steps // u.n_intervals) * u.n_intervals
     if fine > MAX_STEPS:
         raise ValidationError(
-            f"{fine} steps (steps rounded up to a multiple of the {intervals} "
+            f"{fine} steps (steps rounded up to a multiple of the {u.n_intervals} "
             f"sample intervals) exceed the cap of {MAX_STEPS}")
+    if (peak := float(np.abs(u.samples).max())) / fine > _MAX_STEP_PHASE:
+        raise ValidationError(f"steps of 1/{fine} on a path with entries up to {peak:.6g} "
+                              "have no representable phase (h |u| above 2**52)")
     return fine
 
 
 def _midpoint_steps(u: AlgebraPath, steps: int) -> np.ndarray:
     """Offsets exp(h u(t_{k+1/2})) - I on the fine grid aligned with the samples."""
-    steps = _fine_steps(steps, u.n_intervals)
+    steps = _fine_steps(steps, u)
     h = 1.0 / steps
     return _expm_offset(h * u._lerp((np.arange(steps) + 0.5) * h))
 
@@ -267,7 +279,8 @@ def pullback_connection(omega: AlgebraPath,
         fine_t = np.linspace(0.0, 1.0, h.shape[-1])
         diff = AlgebraPath(omega.samples - omega0.samples)._lerp(fine_t)
         out = -_mul(_mul(np.conj(h).transpose(1, 0, 2), diff), h)
-    out = (out - np.conj(out).transpose(1, 0, 2)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # AlgebraPath refuses inf and nan
+        out = (out - np.conj(out).transpose(1, 0, 2)) / 2.0
     return AlgebraPath(np.moveaxis(out, -1, 0))
 
 
@@ -280,7 +293,7 @@ def _rk4_group(c: AlgebraPath, steps: int = 4000) -> np.ndarray:
     at the start, middle and end of the step.
     """
     path = AlgebraPath(-c.samples)
-    steps = _fine_steps(steps, path.n_intervals)
+    steps = _fine_steps(steps, path)
     h = 1.0 / steps
     ts = np.arange(steps) * h
     um = path._lerp(ts + 0.5 * h)
@@ -307,4 +320,5 @@ def holonomy_element(omega: AlgebraPath,
     if omega0 is None:
         return g1
     g0 = _rk4_group(omega0, steps)
-    return np.conj(g0.T) @ g1
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is refused unless finite
+        return _finite(np.conj(g0.T) @ g1, _OUT_OF_RANGE)

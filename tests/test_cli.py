@@ -677,16 +677,16 @@ _FUZZ_LABEL = st.one_of(st.none(), st.text(max_size=5), _FUZZ_NUMBER, st.just(["
 
 
 def _report_or_input_error(argv):
-    """Run the CLI: exit 0 or 1 with a strict JSON report, or exit 2 with an
-    error line and no report."""
+    """Run the CLI: exit 0 or 1 with a strict JSON report, which is returned,
+    or exit 2 with an error line and no report."""
     out, err = textio.StringIO(), textio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
-    else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return None
+    return json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def _fuzz_document(draw, key):
@@ -824,6 +824,11 @@ def path_file_texts(draw):
 @example('{"samples": [[0.0, [[[0.0, 0.0]]]], [1.0, [[[0.0, 0.0]]]]]}',
          '{"samples": [[0.0, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]], '
          '[1.0, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]]}', 1)
+# steps without a representable phase gave endpoint 0, or null holonomy entries
+@example('{"samples": [[0.0, [[[0.0, 2e154]]]], [1.0, [[[0.0, 2e154]]]]]}', 'null', 1)
+@example('{"samples": [[0.0, [[[0.0, 2e300]]]], [1.0, [[[0.0, 2e300]]]]]}', 'null', 1)
+# the two RK4 endpoints were finite, but the holonomy g0^-1 g1 overflowed to null
+@example(*[json.dumps({"samples": [[t, [[[0.0, 2e6]] * 3] * 3] for t in (0.0, 1.0)]})] * 2, 7)
 def test_path_files_give_a_report_or_an_input_error(text, text0, steps):
     with tempfile.TemporaryDirectory() as d:
         for name, t in (("u", text), ("u0", text0)):
@@ -832,7 +837,10 @@ def test_path_files_give_a_report_or_an_input_error(text, text0, steps):
         for argv in (["transport", "--path", f"{d}/u.json"],
                      ["holonomy", "--omega", f"{d}/u.json"],
                      ["holonomy", "--omega", f"{d}/u.json", "--omega0", f"{d}/u0.json"]):
-            _report_or_input_error(argv + ["--steps", str(steps)])
+            report = _report_or_input_error(argv + ["--steps", str(steps)])
+            for key in ("endpoint", "holonomy"):
+                if report is not None and key in report["result"]:
+                    assert None not in np.ravel(report["result"][key]).tolist(), argv
 
 
 # Operator-file fuzz: symmetric (possibly singular) matrices up to 8 x 8 at
@@ -866,6 +874,10 @@ def operator_file_texts(draw):
 
 @given(operator_file_texts(), st.booleans())
 @settings(max_examples=200, deadline=None)
+# singular at scale 1e300 but not refused: the residual's norm overflowed to null
+@example(['[[9.52319983478651e+87, 1e+300, 1e+300], [1e+300, 9.52319983478651e+87, '
+          '9.52319983478651e+87], [1e+300, 9.52319983478651e+87, 9.52319983478651e+87]]',
+          '[1.0, 1.0, 1.0]'], False)
 def test_operator_files_give_a_report_or_an_input_error(texts, project):
     with tempfile.TemporaryDirectory() as d:
         for name, t in zip(("op", "psi"), texts):
@@ -909,6 +921,8 @@ def config_file_texts(draw):
 
 @given(config_file_texts())
 @settings(max_examples=150, deadline=None)
+# a slice radius of 1e-300: the normal frame divided 0 by 0
+@example('{"blocks": [[2, 1.0]], "k1": 1, "rprime": [1e-300], "k2": 1, "ambient_dim": 8}')
 def test_config_files_give_a_report_or_an_input_error(text):
     with tempfile.TemporaryDirectory() as d:
         with open(f"{d}/cfg.json", "w") as fh:
@@ -1150,6 +1164,16 @@ class TestTransportCommands:
         code, _ = run(capsys, command, flag, str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("argv,value", [
+        (("transport", "--path", "{}", "--steps", "5"), 2e154),   # exit 0, endpoint 0
+        (("holonomy", "--omega", "{}"), 1e5)])                    # exit 1, null entries
+    def test_unrepresentable_transport_is_input_error(self, capsys, tmp_path, argv, value):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"samples": [[0, [[[0, value]]]], [1, [[[0, value]]]]]}))
+        code = main([a.format(path) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_nan_time_is_input_error(self, capsys, tmp_path):
         z = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
         bad = tmp_path / "bad.json"
@@ -1284,6 +1308,18 @@ class TestAlgebraCommands:
         code, _ = run(capsys, "hyperpolar", "--group", "SU(2)",
                       "--k1", "u1diag", "--k2", "so2")
         assert code == 2
+
+    @pytest.mark.parametrize("group,spec,code,k_dim", [
+        ("SU(4)", "so3", 2, None), ("SU(2)", "so3", 2, None), ("SU(3)", "so2", 2, None),
+        ("SU(2)", "so2", 0, 1), ("SU(3)", "so3", 0, 3), ("SU(4)", "so4", 0, 6),
+        ("SU(4)", "son", 0, 6), ("SU(3)", "u1diag", 0, 4)])
+    def test_hyperpolar_numbered_subgroup_is_so_n_of_the_group(self, capsys, group, spec,
+                                                              code, k_dim):
+        # so3 on SU(4) ran so(4), the fixed algebra of complex conjugation
+        got, out = run(capsys, "hyperpolar", "--group", group, "--k1", spec, "--k2", spec,
+                       "--samples", "3")
+        assert got == code
+        assert (json.loads(out)["result"]["subgroup_dim"] if out else None) == k_dim
 
 
 class TestGreenCommands:

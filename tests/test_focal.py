@@ -34,10 +34,30 @@ def loop_riccati(lam_r, lam_a, r, steps):
     return -yp / y
 
 
+EPS = np.finfo(float).eps
+
+
+def scalar_amplitudes(lam_r, lam_a, s):
+    """(Y, Y') from math's cos/sin (cosh/sinh) one row at a time, the scalar
+    route that the array route replaced, and the scales |C| + |lam_a S| and
+    |lam_r S| + |lam_a C| of the two differences."""
+    if lam_r > 1e-300:
+        q = math.sqrt(lam_r)
+        c, sn = math.cos(s * q), math.sin(s * q) / q
+    elif lam_r < -1e-300:
+        q = math.sqrt(-lam_r)
+        c, sn = math.cosh(s * q), math.sinh(s * q) / q
+    else:
+        c, sn = 1.0, s
+    return (c - lam_a * sn, -lam_r * sn - lam_a * c,
+            abs(c) + abs(lam_a * sn), abs(lam_r * sn) + abs(lam_a * c))
+
+
 def dense_sign_change_zeros(lam_r, lam_a, lo, hi, step=1e-3):
-    """Independent zero finder: sign changes of Y on a dense grid, bisected."""
+    """Independent zero finder: sign changes of Y on a dense grid, bisected,
+    with Y from the scalar math formulas."""
     s = np.arange(lo, hi + step, step)
-    y = np.array([jacobi_amplitude(lam_r, lam_a, si) for si in s])
+    y = np.array([scalar_amplitudes(lam_r, lam_a, si)[0] for si in s.tolist()])
     zeros = []
     for i in range(len(s) - 1):
         if y[i] == 0.0:
@@ -46,7 +66,8 @@ def dense_sign_change_zeros(lam_r, lam_a, lo, hi, step=1e-3):
             a, b = s[i], s[i + 1]
             for _ in range(60):
                 m = 0.5 * (a + b)
-                if jacobi_amplitude(lam_r, lam_a, a) * jacobi_amplitude(lam_r, lam_a, m) <= 0:
+                if (scalar_amplitudes(lam_r, lam_a, a)[0]
+                        * scalar_amplitudes(lam_r, lam_a, m)[0] <= 0):
                     b = m
                 else:
                     a = m
@@ -82,6 +103,47 @@ class TestJacobiAmplitude:
                 fn(lam_r, 0.5, s)
         with pytest.raises(ValidationError):
             parallel_shape_eigenvalue(lam_r, 0.5, s)
+
+    def test_flat_amplitude_out_of_float_range_is_validation_error(self):
+        # Y = 1 - 1e309 overflows though Y' does not: jacobi_amplitude returned
+        # -inf where parallel_shape_eigenvalue refused the same row
+        for fn in (jacobi_amplitude, jacobi_amplitude_deriv, parallel_shape_eigenvalue):
+            with pytest.raises(ValidationError, match=re.escape("lambda_R=0.0, r=10.0")):
+                fn(0.0, 1e308, 10.0)
+
+    @staticmethod
+    def rows(seed, count=2000):
+        """Rows of every branch: trig, hyperbolic, flat and the tiny |lam_r| of
+        the linear branch."""
+        rng = np.random.default_rng(seed)
+        lam_r = rng.choice([-1.0, 1.0, 0.0, 1e-301, -1e-301], count) * rng.uniform(0.0, 50.0, count)
+        return lam_r, rng.uniform(-8.0, 8.0, count)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.7, 2.9, 4.5])
+    def test_array_rows_equal_scalar_calls(self, s):
+        lam_r, lam_a = self.rows(0)
+        y, yp = focal._amplitudes(lam_r, lam_a, s)
+        lam, focal_rows = focal._parallel_rows(lam_r, lam_a, s)
+        for i, row in enumerate(zip(lam_r.tolist(), lam_a.tolist(), [s] * len(lam_r))):
+            assert repr(jacobi_amplitude(*row)) == repr(float(y[i]))
+            assert repr(jacobi_amplitude_deriv(*row)) == repr(float(yp[i]))
+            want = parallel_shape_eigenvalue(*row)
+            assert want is FOCAL if focal_rows[i] else repr(want) == repr(float(lam[i]))
+
+    @pytest.mark.parametrize("s", [0.3, 1.1, 2.9, 4.5])
+    def test_rows_match_the_scalar_math_formulas(self, s):
+        # np.cos/np.sin are math.cos/math.sin bit for bit; np.cosh/np.sinh are
+        # not math's, and move a hyperbolic row by at most an ulp or two of
+        # its terms' scale |C| + |lam_a S|
+        lam_r, lam_a = self.rows(1)
+        y, yp = focal._amplitudes(lam_r, lam_a, s)
+        for i, row in enumerate(zip(lam_r.tolist(), lam_a.tolist(), [s] * len(lam_r))):
+            want_y, want_yp, scale_y, scale_yp = scalar_amplitudes(*row)
+            if row[0] < -focal._LINEAR_BRANCH:
+                assert abs(y[i] - want_y) <= 4 * EPS * scale_y
+                assert abs(yp[i] - want_yp) <= 4 * EPS * scale_yp
+            else:
+                assert repr((float(y[i]), float(yp[i]))) == repr((want_y, want_yp))
 
     def test_derivative_matches_finite_differences(self):
         h = 1e-6

@@ -194,6 +194,23 @@ class TestConfig:
             SphereProductConfig(blocks=((3, 1.0),), k1=1, rprime=(1.5,),
                                 k2=0, ambient_dim=8)
 
+    @pytest.mark.parametrize("blocks,rprime", [
+        (((2, 1e300), (3, 1.0)), ()), (((2, 1e-300), (3, 1.0)), ()),
+        (((2, 1.0), (3, 1.0)), (1e-300,)), (((2, 1.0), (3, 1.0)), (5e-324,)),
+        (((2, 2.0 ** 251), (3, 1.0)), (0.5,))])
+    def test_radii_beyond_the_float_range_of_their_fourth_powers(self, blocks, rprime):
+        # the frames and operators of such radii overflowed or divided by zero
+        with pytest.raises(ValidationError, match=r"2\*\*-250"):
+            SphereProductConfig(blocks=blocks, k1=len(rprime), rprime=rprime,
+                                k2=1, ambient_dim=12)
+
+    def test_radii_at_the_range_ends_are_kept(self):
+        cfg = SphereProductConfig(blocks=((2, 2.0 ** 250), (3, 2.0 ** -249)), k1=2,
+                                  rprime=(2.0 ** -250, 2.0 ** -250), k2=1, ambient_dim=12)
+        model, rng = build_model(cfg, 3, seed=0), np.random.default_rng(1)
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(3)])
+        assert all(np.isfinite(g.lam_a).all() for g in eigen_grids(model, xis))
+
     def test_too_small_ambient(self):
         with pytest.raises(ValidationError):
             SphereProductConfig(blocks=((10, 1.0),), k1=0, rprime=(),

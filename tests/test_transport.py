@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from focalis.algebras import load_algebra
 from focalis.errors import ValidationError
 from focalis.transport import (MAX_STEPS, AlgebraPath, GaugePath,
-                               _expm_offset, _rk4_group, gauge_act,
+                               _expm_offset, _rk4_group, expm_antiherm, gauge_act,
                                holonomy_element, pullback_connection, transport,
                                transport_path)
 
@@ -265,6 +265,18 @@ class TestOffsetExponential:
             g = np.eye(len(y)) + _expm_offset(y[:, :, None])[:, :, 0]
             assert np.max(np.abs(g.conj().T @ g - np.eye(len(y)))) < 1e-14
 
+    def test_antihermitian_batch_matches_scipy(self):
+        # expm_antiherm is the batch-first view I + _expm_offset; at 1-norm 50
+        # scipy's own expm rounds at about 1e-14 too
+        rng = np.random.default_rng(11)
+        thetas = np.array([1e-3, 0.5, 5.0, 20.0, 50.0, 50.0])
+        for n in range(2, 9):
+            z = np.stack([rand_u(n, rng) for _ in thetas])
+            z *= (thetas / np.abs(z).sum(axis=1).max(axis=1))[:, None, None]
+            got = expm_antiherm(z)
+            assert got.shape == z.shape
+            assert np.max(np.abs(got - np.stack([expm(y) for y in z]))) < 1e-14
+
 
 class TestStepCap:
     # (samples, steps): over the cap as given, and over it only once rounded
@@ -280,6 +292,32 @@ class TestStepCap:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    # h |u| above 2**52 leaves float64 no digit of the step's phase: the
+    # Taylor route returned 0 for exp(2e154 i / 5), whose modulus is 1
+    @pytest.mark.parametrize("scale,steps", [(2e154, 5), (2e300, 1), (2.0 ** 55, 4)])
+    def test_step_without_representable_phase_is_refused(self, scale, steps):
+        u = AlgebraPath(np.full((2, 1, 1), 1j * scale))
+        for route in (transport, transport_path, holonomy_element):
+            with pytest.raises(ValidationError, match="representable phase"):
+                route(u, steps=steps)
+
+    def test_step_at_the_phase_bound_is_kept(self):
+        u = AlgebraPath(np.full((2, 1, 1), 1j * 2.0 ** 52))
+        assert np.isfinite(transport(u, 1)).all()
+        assert np.isfinite(holonomy_element(u, steps=1)).all()
+
+    def test_rk4_beyond_float_range_is_refused(self):
+        # h |u| = 25: each RK4 step grows by about 25**4 / 24, and 4000 of them overflow
+        u = AlgebraPath(np.full((2, 1, 1), 1e5j))
+        with pytest.raises(ValidationError, match="floating-point range"):
+            holonomy_element(u, steps=4000)
+        assert abs(transport(u, 4000)[0, 0] - np.exp(1e5j)) < 1e-10
+        # two finite RK4 endpoints whose product g0^-1 g1 overflows
+        u = AlgebraPath(np.full((2, 3, 3), 2e6j))
+        assert np.isfinite(holonomy_element(u, steps=7)).all()
+        with pytest.raises(ValidationError, match="floating-point range"):
+            holonomy_element(u, u, steps=7)
 
 
 class TestGaugeAction:
