@@ -343,8 +343,9 @@ def _cmd_transport(args):
     g1 = transport.transport(u, steps=args.steps)
     unit = _residual(lambda: np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))),
                      "unitarity residual")
-    result = {"steps": args.steps, "endpoint": g1, "unitarity_residual": unit}
-    return result, EXIT_OK
+    result = {"steps": args.steps, "endpoint": g1, "unitarity_residual": unit,
+              "passed": unit <= transport.UNITARY_TOL}
+    return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_holonomy(args):

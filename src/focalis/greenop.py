@@ -63,10 +63,11 @@ class OperatorMatrix:
 
 
 def _singular_modes(op: OperatorMatrix, refuse: bool = False) -> np.ndarray:
-    """Mask of the modes with |eigenvalue| <= SINGULAR_TOL.  With refuse, a
-    singular operator raises, naming its eigenpair of least magnitude."""
+    """Mask of the modes with |eigenvalue| <= SINGULAR_TOL * max(1, max |eigenvalue|).
+    With refuse, a singular operator raises, naming its eigenpair of least
+    magnitude."""
     w, v = op.eigenvalues, op.eigenvectors
-    small = np.abs(w) <= SINGULAR_TOL
+    small = np.abs(w) <= SINGULAR_TOL * np.max(np.abs(w), initial=1.0)
     if refuse and small.any():
         k = int(np.argmin(np.abs(w)))
         raise SingularOperatorError(f"operator is singular (eigenvalue {w[k]:.3e})",

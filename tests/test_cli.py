@@ -931,6 +931,44 @@ def test_config_files_give_a_report_or_an_input_error(text):
                                 "--points", "2", "--trials", "2"])
 
 
+# Flag fuzz for roots and hyperpolar: su(n) and so(n) with n up to 6, so
+# that every accepted algebra loads in milliseconds, names beyond the size cap
+# or outside both families, involutions ad_diag_p with p from -1 to n + 1,
+# and subgroup specs soK that may miss the group's n.  Flags are passed as
+# --flag=value, so that a value starting with "-" is not read as a flag.
+_FUZZ_ALGEBRA_JUNK = st.one_of(st.sampled_from(["su17", "so17", "sp4", "su", "so-3", "su2x",
+                                                "", " su3 ", "SU_3", "su03"]),
+                               st.text(max_size=4))
+
+
+@st.composite
+def algebra_flags(draw):
+    """argv of one roots or hyperpolar command line."""
+    n = draw(st.integers(0, 6))
+    family = draw(st.sampled_from(["su", "so"]))
+    seed = ["--seed=" + str(draw(st.integers(0, 2 ** 64)))] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        algebra = draw(st.one_of(st.just(f"{family}{n}"), _FUZZ_ALGEBRA_JUNK))
+        theta = draw(st.one_of(st.sampled_from(["conj", "ad_diag"]),
+                               st.integers(-1, n + 1).map("ad_diag_{}".format)))
+        return ["roots", f"--algebra={algebra}", f"--theta={theta}"] + seed
+    group = draw(st.one_of(st.just(f"{family.upper()}({n})"), _FUZZ_ALGEBRA_JUNK))
+    spec = st.one_of(st.sampled_from(["son", "u1diag", "so", "u1"]),
+                     st.integers(0, 7).map("so{}".format))
+    k1 = draw(spec)
+    k2 = k1 if draw(st.booleans()) else draw(spec)
+    samples = draw(st.sampled_from([[], ["--samples=0"], ["--samples=1"], ["--samples=10001"]]))
+    return ["hyperpolar", f"--group={group}", f"--k1={k1}", f"--k2={k2}"] + samples + seed
+
+
+@given(algebra_flags())
+@settings(max_examples=150, deadline=None)
+def test_algebra_flags_give_a_report_or_an_input_error(argv):
+    report = _report_or_input_error(argv)
+    if report is not None:
+        assert isinstance(report["result"]["passed"], bool), argv
+
+
 class TestInputNumbers:
     """Numbers in every input format must be JSON numbers, and multiplicities
     whole numbers; a string or a fraction used to be parsed or truncated."""
@@ -1133,6 +1171,19 @@ class TestTransportCommands:
                         for row in report["result"]["endpoint"]])
         assert np.max(np.abs(got - expm(x))) < 1e-8
         assert report["result"]["unitarity_residual"] < 1e-10
+        assert report["result"]["passed"] is True
+
+    @pytest.mark.parametrize("value,residual", [(2.0 ** 40, 1e-4), (2.0 ** 52, 0.3)],
+                             ids=["2^40", "2^52"])
+    def test_transport_unitarity_failure_exits_one(self, capsys, tmp_path, value, residual):
+        # one step of i 2^40 is representable, but its endpoint is not unitary
+        # to UNITARY_TOL; the report said nothing and exited 0
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"samples": [[0, [[[0, value]]]], [1, [[[0, value]]]]]}))
+        code, report = run_json(capsys, "transport", "--path", str(path), "--steps", "1")
+        assert code == 1
+        assert report["result"]["passed"] is False
+        assert report["result"]["unitarity_residual"] > residual
 
     def test_holonomy_factorization(self, capsys, tmp_path):
         samples, _ = self.su2_sample(3, 21)
@@ -1340,6 +1391,23 @@ class TestGreenCommands:
         code, _ = run(capsys, "green", "--op", str(op_path),
                       "--psi", str(psi_path))
         assert code == 2
+
+    def test_green_singular_at_large_scale(self, capsys, tmp_path):
+        # eigh gives the null mode (1, -1, 0) an eigenvalue of order 1e84; an
+        # absolute rule took it as invertible and exited 0 with residual 0.714
+        op_path, psi_path = tmp_path / "op.json", tmp_path / "psi.json"
+        op_path.write_text(json.dumps([[1e100, 1e100, 3e99], [1e100, 1e100, 3e99],
+                                       [3e99, 3e99, 7e99]]))
+        psi_path.write_text(json.dumps([1.0, 2.0, 3.0]))
+        code, out = run(capsys, "green", "--op", str(op_path), "--psi", str(psi_path))
+        assert code == 2 and out == ""
+        code, report = run_json(capsys, "green", "--op", str(op_path),
+                                "--psi", str(psi_path), "--project")
+        assert code == 0
+        sigma = np.array(report["result"]["sigma"])
+        # the null mode is dropped: the residual is psi's part along it, 1/sqrt(2)
+        assert abs(sigma[0] - sigma[1]) < 1e-12 * np.linalg.norm(sigma)
+        assert report["result"]["residual"] == pytest.approx(2 ** -0.5, rel=1e-12)
 
     def test_green_nan_operator_is_input_error(self, capsys, tmp_path):
         op_path, psi_path = tmp_path / "op.json", tmp_path / "psi.json"

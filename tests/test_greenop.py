@@ -41,6 +41,10 @@ class TestOperatorMatrix:
     def test_invertibility_flag(self):
         assert OperatorMatrix(np.eye(3)).is_invertible()
         assert not OperatorMatrix(np.diag([1.0, 0.0])).is_invertible()
+        # the singular bound is SINGULAR_TOL for every spectrum within [-1, 1]
+        for scale in (1e-6, 1.0):
+            assert not OperatorMatrix(np.diag([scale, 1e-12])).is_invertible()
+            assert OperatorMatrix(np.diag([scale, 2e-12])).is_invertible()
 
     def test_spectrum_computed_once_on_first_use(self, monkeypatch):
         calls = []
@@ -100,6 +104,19 @@ class TestGreenApply:
         op = OperatorMatrix(np.diag([2.0, 0.0, 4.0]))
         sigma = green_apply(op, np.array([2.0, 5.0, 4.0]), project=True)
         assert np.allclose(sigma, [1.0, 0.0, 1.0])
+
+    def test_singular_relative_to_the_spectrum_scale(self):
+        # rows 0 and 1 agree, and eigh gives the null mode an eigenvalue of
+        # order 1e84: absolute to SINGULAR_TOL it passed as invertible
+        op = OperatorMatrix(np.array([[1e100, 1e100, 3e99], [1e100, 1e100, 3e99],
+                                      [3e99, 3e99, 7e99]]))
+        assert not op.is_invertible()
+        with pytest.raises(SingularOperatorError) as exc:
+            green_apply(op, np.array([1.0, 2.0, 3.0]))
+        null = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        assert abs(exc.value.eigenvector @ null) == pytest.approx(1.0, rel=1e-12)
+        sigma = green_apply(op, np.array([1.0, 2.0, 3.0]), project=True)
+        assert abs(sigma @ null) < 1e-12 * np.linalg.norm(sigma)
 
     def test_length_mismatch(self):
         op = OperatorMatrix(np.eye(3))

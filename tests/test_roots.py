@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
+from focalis import algebras, roots
 from focalis.algebras import bracket, load_algebra
+from focalis.cli import main
 from focalis.errors import ValidationError
 from focalis.roots import (involution, restricted_root_decomposition,
                            verify_bracket_pattern)
@@ -58,6 +60,8 @@ class TestDecomposition:
         assert data.n0 == 2
         assert data.multiplicities == (2, 2, 2)
         assert data.dimension_identity()
+        # each entry counts the cluster k_lam + p_lam, twice m_lam = dim p_lam = 1
+        assert data.dim - len(data.k_basis) == 2 + sum(data.multiplicities) / 2
 
     def test_su2_ad_diag(self):
         data = restricted_root_decomposition("su2", "ad_diag")
@@ -113,6 +117,15 @@ class TestDecomposition:
         gram = np.einsum("iab,jab->ij", k.conj(), k).real
         assert np.max(np.abs(gram - np.eye(dim_k))) < 1e-14
 
+    @pytest.mark.parametrize("theta,message", [(lambda x: 2 * x, "not involutive"),
+                                               (lambda x: -x, "not an automorphism")],
+                             ids=["2x", "-x"])
+    def test_rejects_a_theta_that_is_no_involutive_automorphism(self, monkeypatch, theta,
+                                                                message):
+        monkeypatch.setattr(roots, "involution", lambda name, size: theta)
+        with pytest.raises(ValidationError, match=message):
+            restricted_root_decomposition("su3", "conj")
+
     def test_rejects_trivial_pair(self):
         alg = load_algebra("su2")
         # conjugation by -id is the identity automorphism: empty p
@@ -150,6 +163,8 @@ class TestHelgasonTables:
         got = {float(k): sorted(m for m, r in zip(data.multiplicities, ratio) if r == k)
                for k in np.unique(ratio)}
         assert got == clusters
+        # a multiplicity counts the cluster k_lam + p_lam, of dimension 2 m_lam
+        assert data.dim - len(data.k_basis) == rank + sum(data.multiplicities) / 2
         # Cartan integers 2<a, b>/<b, b> of a (possibly non-reduced) root system
         roots = np.array(data.roots)
         cartan = 2.0 * (roots @ roots.T) / sq[None, :]
@@ -219,3 +234,28 @@ class TestBracketPattern:
             data = restricted_root_decomposition(name, "conj")
             verify_bracket_pattern(data)
         assert time.time() - t0 < 5.0
+
+
+class TestBoundedWork:
+    @pytest.mark.parametrize("alg,theta,n", [("su4", "conj", 4), ("so5", "ad_diag", 5)])
+    def test_one_bracket_stack_per_report(self, monkeypatch, alg, theta, n):
+        # theta, a and the root spaces are checked through the structure
+        # constants; the one matrix bracket is load_algebra's stack
+        shapes = []
+
+        def counted(x, y):
+            shapes.append(np.broadcast_shapes(x.shape, y.shape))
+            return bracket(x, y)
+
+        monkeypatch.setattr(algebras, "bracket", counted)
+        assert "bracket" not in vars(roots)
+        data = restricted_root_decomposition(alg, theta)
+        verify_bracket_pattern(data)
+        assert shapes == [(data.dim, data.dim, n, n)]
+
+    def test_su12_roots_within_budget(self, capsys):
+        # loading su12 alone took 18 s with a Jacobi check per basis element
+        t0 = time.perf_counter()
+        code = main(["roots", "--algebra", "su12"])
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 0 and capsys.readouterr().err == ""
