@@ -343,8 +343,9 @@ def _cmd_transport(args):
     g1 = transport.transport(u, steps=args.steps)
     unit = _residual(lambda: np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))),
                      "unitarity residual")
-    result = {"steps": args.steps, "endpoint": g1, "unitarity_residual": unit,
-              "passed": unit <= transport.UNITARY_TOL}
+    result = {"steps": args.steps, "fine_steps": transport.fine_steps(args.steps, u),
+              "integrator": transport.INTEGRATOR, "endpoint": g1,
+              "unitarity_residual": unit, "passed": unit <= transport.UNITARY_TOL}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -355,7 +356,9 @@ def _cmd_holonomy(args):
     mu = transport.pullback_connection(omega, omega0, steps=args.steps)
     phi_mu = transport.transport(mu, steps=args.steps)
     agreement = _residual(lambda: np.max(np.abs(hol - phi_mu)), "factorization residual")
-    result = {"holonomy": hol, "transport_of_pullback": phi_mu,
+    result = {"fine_steps": transport.fine_steps(args.steps, mu),
+              "integrator": transport.INTEGRATOR, "oracle": transport.ORACLE,
+              "holonomy": hol, "transport_of_pullback": phi_mu,
               "factorization_residual": agreement, "passed": agreement < 1e-6}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
@@ -447,7 +450,7 @@ _COMMANDS = {
         ("--path", _REQUIRED), ("--steps", {"type": int, "default": 1000}))),
     "holonomy": ("holonomy element of a connection path", _cmd_holonomy, (
         ("--omega", _REQUIRED), ("--omega0", {"default": None}),
-        ("--steps", {"type": int, "default": 4000}))),
+        ("--steps", {"type": int, "default": 500}))),
     "roots": ("restricted-root decomposition report", _cmd_roots, (
         ("--algebra", _REQUIRED), ("--theta", {"default": "conj"}), _SEED)),
     "hyperpolar": ("two-sided action section check", _cmd_hyperpolar, (

@@ -20,6 +20,7 @@ SYMMETRY_TOL = 1e-12
 SINGULAR_TOL = 1e-12
 # box_operator_1d builds a dense S x S matrix (32 MiB at the cap)
 MAX_BOX_SAMPLES = 2048
+SPEED_RANGE = (2.0 ** -250, 2.0 ** 250)  # entries hold the speed to the power -2
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +114,9 @@ def _box_step(samples: int, speed: float) -> float:
     """Grid step h = 1/S of a valid box operator."""
     if not 4 <= samples <= MAX_BOX_SAMPLES:
         raise ValidationError(f"samples must lie in [4, {MAX_BOX_SAMPLES}]")
-    if not speed > 0:
-        raise ValidationError("speed must be positive")
+    lo, hi = SPEED_RANGE
+    if not lo <= speed <= hi:
+        raise ValidationError("speed must lie in [2**-250, 2**250]")
     return 1.0 / int(samples)
 
 

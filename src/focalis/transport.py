@@ -2,11 +2,13 @@
 
 An algebra-valued path u determines the group path g_u with right-logarithmic
 derivative u (g' = u g, g(0) = e); its endpoint g_u(1) is the parallel
-transport map.  A connection restricted to a curve is represented by its
-sampled coefficient path in a fixed trivialization, which lives in the Lie
-algebra and so is an AlgebraPath too; the pull-back map negates (and, for a
-nonzero reference coefficient, conjugates) it, and the holonomy element is
-the endpoint mismatch between the two parallel transports.
+transport map, computed by two-point Gauss Magnus steps (order 4).  A
+connection restricted to a curve is represented by its sampled coefficient
+path in a fixed trivialization, which lives in the Lie algebra and so is an
+AlgebraPath too; the pull-back map negates it, and for a nonzero reference
+coefficient conjugates it along the reference lift, evaluated at the Gauss
+nodes the steps read (GaussNodes).  The holonomy element is the endpoint
+mismatch between the two parallel transports.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ MAX_STEPS = 2 ** 20
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _MAX_STEP_PHASE = 1.0 / np.finfo(float).eps
 _OUT_OF_RANGE = "the transport leaves the floating-point range; use more steps"
+# the two Gauss-Legendre nodes on [0, 1]
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
+INTEGRATOR = "gauss-magnus-4"
+ORACLE = "rk4"
 
 
 def _square_stack(samples) -> np.ndarray:
@@ -43,6 +49,13 @@ def _finite(a: np.ndarray, error: str) -> np.ndarray:
     return a
 
 
+def _anti_hermitian(s: np.ndarray, what: str) -> np.ndarray:
+    """A stack of matrices on its last two axes, refused unless anti-Hermitian."""
+    if np.max(np.abs(s + np.conj(np.swapaxes(s, -1, -2)))) > ANTIHERM_TOL * (1 + np.abs(s).max()):
+        raise ValidationError(f"{what} are not anti-Hermitian")
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraPath:
     """Uniform samples u(t_k), t_k = k/S, of a path in a matrix Lie algebra."""
@@ -50,17 +63,14 @@ class AlgebraPath:
     samples: np.ndarray            # (S+1, n, n) complex
 
     def __post_init__(self):
-        s = _square_stack(self.samples)
-        if np.max(np.abs(s + np.conj(np.swapaxes(s, 1, 2)))) > ANTIHERM_TOL * (1 + np.abs(s).max()):
-            raise ValidationError("samples are not anti-Hermitian")
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", _anti_hermitian(_square_stack(self.samples), "samples"))
 
     @property
     def n_intervals(self) -> int:
         return self.samples.shape[0] - 1
 
     def _lerp(self, t: np.ndarray) -> np.ndarray:
-        """Linear interpolation at t as a contiguous batch-last (n, n, K) stack."""
+        """Linear interpolation at t as a contiguous batch-last (n, n, *t.shape) stack."""
         t = np.atleast_1d(np.clip(t, 0.0, 1.0))
         s = self.n_intervals
         pos = t * s
@@ -73,6 +83,61 @@ class AlgebraPath:
         out *= pos - k
         out += lo
         return out
+
+    def _gauss_steps(self, fine: int, fractions=(1.0,)) -> np.ndarray:
+        """Offsets of the Gauss Magnus steps over [t_k, t_k + c h] from each
+        node t_k = k h of the fine grid h = 1/fine, for each c in fractions,
+        all in (0, 1].
+
+        The fine grid is aligned with the samples, and u is linear on a
+        sample interval, u_j + b_j (t - t_j) with b_j = S (u_{j+1} - u_j).
+        There the two Gauss nodes give exactly the mean u(t_k + c h/2) and the
+        bracket (c h/12) [b_j, u_j], so the bracket is taken once per sample
+        interval, not once per step.  Returns (n, n, len(fractions) * fine),
+        one run of fine steps per fraction.
+        """
+        s, n = self.n_intervals, self.samples.shape[1]
+        c = np.asarray(fractions, dtype=float)[:, None]
+        width = 1.0 / fine
+        mean = self._lerp((np.arange(fine) + c / 2) * width).reshape(n, n, len(c), s, -1)
+        widths = c[:, :, None] * width
+        u = np.ascontiguousarray(np.moveaxis(self.samples, 0, -1))
+        bracket = _bracket(s * (u[..., 1:] - u[..., :-1]), u[..., :-1])
+        return _magnus_steps(widths, mean, bracket[:, :, None, :, None] * (widths / 12))
+
+
+@dataclass(frozen=True, eq=False)
+class GaussNodes:
+    """A path in a matrix Lie algebra known at the two Gauss nodes
+    t_k + (1/2 -+ sqrt(3)/6) h of each step of a uniform grid of K steps.
+
+    These are the values a Gauss Magnus step reads, so a path given by a
+    formula (the pull-back along a reference lift) is transported without
+    being sampled onto a grid and re-interpolated.  The grid is its own:
+    transport takes exactly its K steps.
+    """
+
+    samples: np.ndarray            # (K, 2, n, n) complex: samples[k, i] at node i of step k
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=complex)
+        if s.ndim != 4 or s.shape[0] < 1 or s.shape[1] != 2 or s.shape[2] != s.shape[3]:
+            raise ValidationError("need a (K, 2, n, n) stack of node values")
+        s = _anti_hermitian(_finite(s, "node values must be finite"), "node values")
+        object.__setattr__(self, "samples", s)
+
+    @property
+    def n_intervals(self) -> int:
+        return self.samples.shape[0]
+
+    def _gauss_steps(self, fine: int) -> np.ndarray:
+        """Offsets of the Gauss Magnus steps on the nodes' own grid of fine steps."""
+        if fine != self.n_intervals:
+            raise ValidationError(f"the path is known on its grid of {self.n_intervals} "
+                                  f"steps only, not on {fine}")
+        a = np.moveaxis(self.samples, (0, 1), (3, 2))
+        return _magnus_steps(1.0 / fine, (a[:, :, 0] + a[:, :, 1]) / 2.0,
+                             _bracket(a[:, :, 1], a[:, :, 0]) * (np.sqrt(3.0) / 12.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +164,13 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for n = 3.
     """
     return np.einsum("ij...,jl...->il...", a, b)
+
+
+def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of two batch-last stacks of anti-Hermitian matrices, as p - p^H
+    with p = x y, since (x y)^H = y x: one product, exactly anti-Hermitian."""
+    p = _mul(x, y)
+    return p - np.conj(np.swapaxes(p, 0, 1))
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,8 +263,9 @@ def _prefix(steps: np.ndarray) -> np.ndarray:
     return _finite(g + np.eye(n)[..., None], _OUT_OF_RANGE)
 
 
-def _fine_steps(steps: int, u: AlgebraPath) -> int:
-    """Step count rounded up to a multiple of u's sample intervals.
+def fine_steps(steps: int, u: AlgebraPath | GaussNodes) -> int:
+    """The step count transport takes: steps rounded up to a multiple of u's
+    intervals (a GaussNodes path takes its own K steps).
 
     The result sizes every (n, n, steps) stack, so it is refused above
     MAX_STEPS before anything is allocated.  A step h u with an entry above
@@ -211,26 +284,38 @@ def _fine_steps(steps: int, u: AlgebraPath) -> int:
     return fine
 
 
-def _midpoint_steps(u: AlgebraPath, steps: int) -> np.ndarray:
-    """Offsets exp(h u(t_{k+1/2})) - I on the fine grid aligned with the samples."""
-    steps = _fine_steps(steps, u)
-    h = 1.0 / steps
-    return _expm_offset(h * u._lerp((np.arange(steps) + 0.5) * h))
+def _magnus_steps(width, mean: np.ndarray, bracket: np.ndarray) -> np.ndarray:
+    """Offsets exp(Omega) - I of two-point Gauss Magnus steps of the given
+    width (a scalar, or an array that broadcasts against the batch axes).
 
-
-def transport_path(u: AlgebraPath, steps: int = 1000) -> np.ndarray:
-    """Group path g(t_k) on the fine grid, by midpoint-exponential stepping.
-
-    g_{k+1} = exp(h u(t_{k+1/2})) g_k is order 2, stays on the group, and is
-    exact for piecewise-constant u when the fine grid aligns with the samples.
-    Returns a (K + 1, n, n) stack.
+    With A1 and A2 the integrand at the Gauss nodes of a step, the caller
+    supplies mean = (A1 + A2)/2 and bracket = (sqrt(3)/12) [A2, A1] as
+    batch-last stacks (bracket may broadcast), and
+    Omega = width mean + width^2 bracket is the Magnus logarithm through its
+    second term: order 4, on the group, and exact where the integrand is
+    linear over the step and commutes with itself (Iserles, Munthe-Kaas,
+    Norsett and Zanna, Acta Numerica 9, 2000).
+    Returns (n, n, K) with K the product of the batch axes.
     """
-    return np.moveaxis(_prefix(_midpoint_steps(u, steps)), -1, 0)
+    omega = width * mean
+    omega += (width * width) * bracket
+    return _expm_offset(omega.reshape(omega.shape[0], omega.shape[1], -1))
 
 
-def transport(u: AlgebraPath, steps: int = 1000) -> np.ndarray:
+def transport_path(u: AlgebraPath | GaussNodes, steps: int = 1000) -> np.ndarray:
+    """Group path g(t_k) on the fine grid of fine_steps(steps, u) steps, by
+    two-point Gauss Magnus stepping, g_{k+1} = exp(Omega_k) g_k.
+
+    Order 4, on the group, and exact for commuting paths f(t) A and for
+    piecewise-constant u on the fine grid aligned with the samples.  Returns a
+    (K + 1, n, n) stack.
+    """
+    return np.moveaxis(_prefix(u._gauss_steps(fine_steps(steps, u))), -1, 0)
+
+
+def transport(u: AlgebraPath | GaussNodes, steps: int = 1000) -> np.ndarray:
     """Endpoint g_u(1) of the group path with right-logarithmic derivative u."""
-    return _product(_midpoint_steps(u, steps))
+    return _product(u._gauss_steps(fine_steps(steps, u)))
 
 
 def _derivative(samples: np.ndarray) -> np.ndarray:
@@ -261,27 +346,34 @@ def gauge_act(g: GaugePath, u: AlgebraPath) -> AlgebraPath:
 
 def pullback_connection(omega: AlgebraPath,
                         omega0: Optional[AlgebraPath] = None,
-                        steps: int = 1000) -> AlgebraPath:
+                        steps: int = 1000) -> AlgebraPath | GaussNodes:
     """Negated connection coefficient along the reference horizontal lift.
 
-    With a nonzero reference coefficient the trivialization is moved onto the
-    reference lift first: -Ad(h(t)^{-1})(c - c0) with h' = -c0 h.
+    Without a reference this is the sampled path -c.  With one, the
+    trivialization is moved onto the reference lift first,
+    mu = -Ad(h(t)^{-1})(c - c0) with h' = -c0 h, and mu is evaluated at the
+    Gauss nodes of the fine grid of fine_steps(steps, omega) steps, where
+    transport's steps read it.  The lift h is the order-4 transport path at
+    the fine nodes, and one Magnus sub-step from t_k reaches each Gauss node
+    of step k, so mu is never sampled onto a grid and re-interpolated.
     """
-    c = np.moveaxis(omega.samples, 0, -1)
     if omega0 is None:
-        out = -c
-    else:
-        if omega0.samples.shape != omega.samples.shape:
-            raise ValidationError("connection grids differ")
-        # conjugate on the fine grid: sub-sampling back to the coarse nodes
-        # would re-linearize Ad(h(t)^{-1}) and lose two orders of accuracy
-        h = np.moveaxis(transport_path(AlgebraPath(-omega0.samples), steps), 0, -1)
-        fine_t = np.linspace(0.0, 1.0, h.shape[-1])
-        diff = AlgebraPath(omega.samples - omega0.samples)._lerp(fine_t)
-        out = -_mul(_mul(np.conj(h).transpose(1, 0, 2), diff), h)
-    with np.errstate(over="ignore", invalid="ignore"):  # AlgebraPath refuses inf and nan
-        out = (out - np.conj(out).transpose(1, 0, 2)) / 2.0
-    return AlgebraPath(np.moveaxis(out, -1, 0))
+        return AlgebraPath(-omega.samples)
+    if omega0.samples.shape != omega.samples.shape:
+        raise ValidationError("connection grids differ")
+    reference = AlgebraPath(-omega0.samples)
+    lift = np.moveaxis(transport_path(reference, steps), 0, -1)[:, :, None, :-1]
+    n, fine = lift.shape[0], lift.shape[-1]
+    h = lift + _mul(reference._gauss_steps(fine, _GAUSS_NODES).reshape(n, n, 2, fine), lift)
+    diff = AlgebraPath(omega.samples - omega0.samples)._lerp(
+        (np.arange(fine) + _GAUSS_NODES[:, None]) * (1.0 / fine))
+    p = _mul(_mul(np.conj(np.swapaxes(h, 0, 1)), diff), h)
+    # mu = -p, skewed exactly: (p^H - p)/2
+    with np.errstate(over="ignore", invalid="ignore"):  # GaussNodes refuses inf and nan
+        mu = np.conj(np.swapaxes(p, 0, 1))
+        mu -= p
+        mu *= 0.5
+    return GaussNodes(np.moveaxis(mu, (2, 3), (1, 0)))
 
 
 def _rk4_group(c: AlgebraPath, steps: int = 4000) -> np.ndarray:
@@ -293,7 +385,7 @@ def _rk4_group(c: AlgebraPath, steps: int = 4000) -> np.ndarray:
     at the start, middle and end of the step.
     """
     path = AlgebraPath(-c.samples)
-    steps = _fine_steps(steps, path)
+    steps = fine_steps(steps, path)
     h = 1.0 / steps
     ts = np.arange(steps) * h
     um = path._lerp(ts + 0.5 * h)
@@ -310,9 +402,9 @@ def holonomy_element(omega: AlgebraPath,
                      steps: int = 4000) -> np.ndarray:
     """Group element relating parallel transport of omega to the reference.
 
-    Computed as g_ref(1)^{-1} g_omega(1) from two independent RK4 transports;
-    equals transport(pullback_connection(omega, omega0)) up to integration
-    error.
+    Computed as g_ref(1)^{-1} g_omega(1) from two independent RK4 transports
+    (the oracle, order 4); equals transport(pullback_connection(omega, omega0,
+    steps), steps) up to the two integrators' errors, both order 4.
     """
     if omega0 is not None and omega0.samples.shape[1:] != omega.samples.shape[1:]:
         raise ValidationError("connection matrices differ in size")

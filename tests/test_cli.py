@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from focalis import cli, focal, hyperpolar, io, spectral, transport
 from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
-from focalis.cli import main
+from focalis.cli import build_parser, main
 from focalis.focal import FOCAL, EigenGrid
 from focalis.greenop import MAX_BOX_SAMPLES
 from focalis.spectral import DIVERGENT, SpectralData, TailModel
@@ -969,6 +969,81 @@ def test_algebra_flags_give_a_report_or_an_input_error(argv):
         assert isinstance(report["result"]["passed"], bool), argv
 
 
+# Flag fuzz for the flags no file fuzz reaches: box1d's --samples and --speed,
+# and --window, --radii, --tol, --points and --trials of example41, focal and
+# check.  Numbers are written as text, lists of them joined by commas, with
+# junk among them; flags are passed as --flag=value, so that a value starting
+# with "-" is not read as a flag.  Points and trials stay at most 5, and box1d
+# samples at most 40, so that every accepted command line runs in milliseconds.
+_FLAG_NUMBER = st.one_of(_FUZZ_NUMBER.map(str),
+                         st.sampled_from(["", "x", " 1", "1e", "-", "0x10", "1_0"]))
+
+
+@st.composite
+def _flag_list(draw, clean, max_size):
+    """A comma-separated list: increasing clean numbers, or fuzzed entries."""
+    if draw(st.booleans()):
+        return ",".join(map(str, sorted(draw(st.lists(clean, min_size=1, max_size=max_size)))))
+    return ",".join(draw(st.lists(_FLAG_NUMBER, max_size=max_size)))
+
+
+_WINDOWS = _flag_list(st.floats(1e-4, 20.0), 3)
+_RADII = _flag_list(st.floats(1e-3, 2.0), 4)
+_TOLS = st.one_of(st.sampled_from(["1e-8", "1e-3"]), _FLAG_NUMBER)
+
+
+def _flags_report_or_error(argv):
+    """_report_or_input_error, or argparse's refusal: exit 2, no report and a
+    usage line with the error."""
+    out, err = textio.StringIO(), textio.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            build_parser(argv[0]).parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2 and out.getvalue() == "" and "error:" in err.getvalue(), argv
+        return None
+    return _report_or_input_error(argv)
+
+
+@given(st.one_of(st.integers(-2, 40), st.sampled_from([MAX_BOX_SAMPLES + 1, 10 ** 9])),
+       _FLAG_NUMBER, st.booleans())
+@settings(max_examples=150, deadline=None)
+# speed 1e-300 squared underflowed to 0: a RuntimeWarning and an infinite matrix
+@example(4, "1e-300", False)
+def test_box1d_flags_give_a_report_or_an_input_error(samples, speed, periodic):
+    argv = ["box1d", f"--samples={samples}", f"--speed={speed}"] + ["--periodic"] * periodic
+    report = _flags_report_or_error(argv)
+    if report is not None:
+        res = report["result"]
+        assert 4 <= res["samples"] <= 40 and len(res["matrix"]) == res["samples"], argv
+        assert 1.0 <= res["smallest_eigenvalue"] <= res["largest_eigenvalue"], argv
+
+
+@given(st.integers(-1, 5), st.integers(-1, 5), _WINDOWS, _RADII, _TOLS)
+@settings(max_examples=60, deadline=None)
+def test_example41_flags_give_a_report_or_an_input_error(points, trials, window, radii, tol):
+    report = _flags_report_or_error(
+        ["example41", f"--points={points}", f"--trials={trials}", f"--window={window}",
+         f"--radii={radii}", f"--tol={tol}"])
+    if report is not None:
+        assert isinstance(report["result"]["passed"], bool)
+
+
+@given(_WINDOWS, _RADII, _TOLS)
+@settings(max_examples=100, deadline=None)
+def test_focal_and_check_flags_give_a_report_or_an_input_error(window, radii, tol):
+    with tempfile.TemporaryDirectory() as d:
+        for i, radius in enumerate((1.0, 2.0)):
+            write_eigen_grid(f"{d}/g{i}.json", EigenGrid(
+                ((1.0 / radius, 0.0, 2), (0.0, 2.0, 1)), label=f"x{i}"))
+        _flags_report_or_error(["focal", f"--grid={d}/g0.json", f"--window={window}"])
+        for kind in ("weak", "iso", "equifocal"):
+            report = _flags_report_or_error(["check", kind, f"--grids={d}", f"--window={window}",
+                                             f"--radii={radii}", f"--tol={tol}"])
+            if report is not None:
+                assert isinstance(report["result"]["passed"], bool)
+
+
 class TestInputNumbers:
     """Numbers in every input format must be JSON numbers, and multiplicities
     whole numbers; a string or a fraction used to be parsed or truncated."""
@@ -1269,6 +1344,25 @@ class TestTransportCommands:
         got = np.array([[complex(re, im) for re, im in row]
                         for row in report["result"]["transport_of_pullback"]])
         assert np.array_equal(got, want)
+        assert report["result"]["fine_steps"] == 2000
+
+    def test_reports_say_how_they_integrate(self, capsys, tmp_path):
+        # 4000 steps on a 300-interval path round up to 4200; holonomy's
+        # default 500 rounds up to 600
+        p1, p0 = tmp_path / "om.json", tmp_path / "om0.json"
+        write_path(str(p1), self.su2_sample(3, 301)[0])
+        write_path(str(p0), self.su2_sample(4, 301)[0])
+        code, report = run_json(capsys, "transport", "--path", str(p1), "--steps", "4000")
+        res = report["result"]
+        assert code == 0
+        assert (res["steps"], res["fine_steps"], res["integrator"]) == (4000, 4200, "gauss-magnus-4")
+        for reference in ([], ["--omega0", str(p0)]):
+            code, report = run_json(capsys, "holonomy", "--omega", str(p1), *reference)
+            res = report["result"]
+            assert code == 0 and report["config"]["steps"] == 500
+            assert (res["fine_steps"], res["integrator"], res["oracle"]) == (600, "gauss-magnus-4",
+                                                                             "rk4")
+            assert res["factorization_residual"] < 1e-10
 
     def test_nonuniform_path_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -174,7 +174,9 @@ class TestBoxOperator:
         assert np.allclose(op.apply(ones), ones)
 
     def test_validation(self):
-        for samples, speed in [(3, 1.0), (8, 0.0), (8, np.nan),
+        # speeds outside [2**-250, 2**250]: 1e-300 squared underflowed to 0
+        # and the operator divided by it
+        for samples, speed in [(3, 1.0), (8, 0.0), (8, np.nan), (8, 1e-300), (8, 1e300),
                                (MAX_BOX_SAMPLES + 1, 1.0), (10 ** 8, 1.0)]:
             for build in (box_operator_1d, box_eigenvalues_1d):
                 with pytest.raises(ValidationError):
