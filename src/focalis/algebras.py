@@ -63,7 +63,7 @@ def _so_basis(n: int) -> List[np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class LieAlgebraBasis:
     name: str
-    basis: tuple                 # matrices spanning the algebra
+    basis: np.ndarray            # (dim, m, m) matrices spanning the algebra
     structure: np.ndarray        # c[i, j, k]: [e_i, e_j] = sum_k c_ijk e_k
     gram: np.ndarray             # inner products from the (-1)-Killing form
     coef_map: np.ndarray         # (dim, m*m) pseudo-inverse of the stacked basis
@@ -74,7 +74,7 @@ class LieAlgebraBasis:
 
     @property
     def matrix_size(self) -> int:
-        return self.basis[0].shape[0]
+        return self.basis.shape[-1]
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Expansion coefficients of a matrix, or of a stack of matrices along
@@ -84,7 +84,7 @@ class LieAlgebraBasis:
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
         """Matrix of coefficient vector c; a stack for c of shape (..., dim)."""
-        return np.tensordot(np.asarray(c), np.stack(self.basis), axes=1)
+        return np.tensordot(np.asarray(c), self.basis, axes=1)
 
 
 def _verify(alg: LieAlgebraBasis, brackets: np.ndarray):
@@ -95,7 +95,7 @@ def _verify(alg: LieAlgebraBasis, brackets: np.ndarray):
     satisfy it exactly, so the Jacobi defect of c is a linear image of the
     reproduction residual."""
     c = alg.structure
-    rec = np.tensordot(c, np.stack(alg.basis), axes=1)
+    rec = np.tensordot(c, alg.basis, axes=1)
     rec -= brackets
     if np.max(np.abs(rec)) > IDENTITY_TOL:
         raise ValidationError("structure constants do not reproduce brackets")
@@ -121,7 +121,7 @@ def load_algebra(name: str) -> LieAlgebraBasis:
     brackets = bracket(b[:, None], b[None])
     c = (brackets.reshape(dim * dim, -1) @ coef_map.T).real.reshape(dim, dim, dim)
     gram = -np.einsum("iba,jab->ij", c, c)      # -tr(ad_i ad_j), ad_i = c[i]^T
-    alg = LieAlgebraBasis(name=f"{family}{n}", basis=tuple(b), structure=c,
+    alg = LieAlgebraBasis(name=f"{family}{n}", basis=b, structure=c,
                           gram=gram, coef_map=coef_map)
     _verify(alg, brackets)
     return alg

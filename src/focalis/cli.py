@@ -372,7 +372,7 @@ def _cmd_roots(args):
         "theta": args.theta,
         "rank": len(data.a_basis),
         "n0": data.n0,
-        "roots": [r.tolist() for r in data.roots],
+        "roots": data.roots.tolist(),
         "multiplicities": list(data.multiplicities),
         "dimension_identity": identity,
         "bracket_max_residual": report["max_residual"],

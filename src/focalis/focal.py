@@ -353,11 +353,19 @@ def _multisets_close(a, b) -> bool:
                        <= SPEC_ABS_TOL + SPEC_REL_TOL * np.maximum(np.abs(x), np.abs(y))))
 
 
+def _check_inputs(grids: Sequence[EigenGrid], tol: float = 0.0):
+    """Refuse an empty grid list, and a tol that decides every comparison:
+    a NaN tol passes them all and a negative one fails them all."""
+    if not grids:
+        raise ValidationError("need at least one grid")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
+
+
 def weakly_isoparametric_check(grids: Sequence[EigenGrid]) -> bool:
     """Orthogonal equivalence across base points: equal spectra with multiplicity
     (zero eigenvalues included)."""
-    if not grids:
-        raise ValidationError("need at least one grid")
+    _check_inputs(grids)
     ref = grids[0]
     return all(_multisets_close((ref.lam_r, ref.mult), (g.lam_r, g.mult))
                and _multisets_close((ref.lam_a, ref.mult), (g.lam_a, g.mult)) for g in grids[1:])
@@ -370,8 +378,7 @@ def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],
     Returns a report with per-(grid, r) values, the max spread per radius,
     focal collisions, and the overall verdict.
     """
-    if not grids:
-        raise ValidationError("need at least one grid")
+    _check_inputs(grids, tol)
     report = {"radii": {}, "focal_collisions": [], "regularizable": True, "passed": True}
     for g in grids:
         # a finite-rank spectrum is regularizable; the others take the truncated route
@@ -402,8 +409,7 @@ def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],
 def equifocal_check(grids: Sequence[EigenGrid], window: Window,
                     tol: float = 1e-8) -> bool:
     """Focal radii and multiplicities independent of the base point."""
-    if not grids:
-        raise ValidationError("need at least one grid")
+    _check_inputs(grids, tol)
     radii, mults, bounds = focal_sets(grids, window)
     counts = np.diff(bounds)
     if (counts != counts[0]).any():

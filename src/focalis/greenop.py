@@ -9,6 +9,7 @@ operator's spectrum in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,15 +166,19 @@ def ls2_inner(u: np.ndarray, v: np.ndarray, op: OperatorMatrix,
     """Graded inner product <u, L^s v> through eigenvalue powers.
 
     Integer s works for any symmetric L; fractional s requires a positive
-    spectrum.
+    spectrum.  A value beyond the float range is refused.
     """
     u, v = _vector(u, op), _vector(v, op)
-    if s < 0:
-        raise ValidationError("grading exponent must be >= 0")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValidationError(f"grading exponent must be a finite number >= 0, got {s}")
     w = op.eigenvalues
     if float(s) != int(s) and np.any(w <= 0):
         raise ValidationError("fractional power of a non-positive spectrum")
-    powers = w ** float(s) if float(s) != int(s) else w ** int(s)
     cu = op.eigenvectors.T @ u
     cv = op.eigenvectors.T @ v
-    return float(np.sum(cu * powers * cv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = w ** float(s) if float(s) != int(s) else w ** int(s)
+        value = float(np.sum(cu * powers * cv))
+    if not math.isfinite(value):
+        raise ValidationError(f"<u, L^s v> at s = {s} is beyond the float range")
+    return value

@@ -39,7 +39,7 @@ def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
         raise ValidationError(f"n_samples must lie in [1, {MAX_SAMPLES}], got {n_samples}")
     alg = algebra if isinstance(algebra, LieAlgebraBasis) else load_algebra(algebra)
     data = restricted_root_decomposition(alg, theta, seed=seed + 7)
-    a_mats, k_mats = np.stack(data.a_basis), np.stack(data.k_basis)
+    a_mats, k_mats = data.a_basis, data.k_basis
 
     flat = float(np.max(np.abs(bracket(a_mats[:, None], a_mats[None]))))
 

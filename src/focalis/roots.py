@@ -49,11 +49,11 @@ def involution(name: str, matrix_size: int) -> Callable[[np.ndarray], np.ndarray
 @dataclass(frozen=True, eq=False)
 class RestrictedRootData:
     algebra: LieAlgebraBasis
-    onb: tuple                    # orthonormal basis of the algebra (matrices)
-    k_basis: tuple                # the (+1)-eigenspace k of theta (unit Hilbert-Schmidt matrices)
+    onb: np.ndarray               # (dim, m, m) orthonormal basis of the algebra
+    k_basis: np.ndarray           # the (+1)-eigenspace k of theta (unit Hilbert-Schmidt matrices)
     structure: np.ndarray         # c'[i, j, k]: [onb_i, onb_j] = sum_k c'_ijk onb_k
-    a_basis: tuple                # maximal abelian subspace basis (matrices)
-    roots: tuple                  # signed root vectors on the a-basis, len l
+    a_basis: np.ndarray           # (rank, m, m) maximal abelian subspace basis
+    roots: np.ndarray             # (l, rank) signed root vectors on the a-basis
     space_bases: tuple            # coefficient bases (dim, n_a) per root, g_0 first
     # space_bases[0] is g_0; space_bases[i] corresponds to roots[i-1]
 
@@ -119,55 +119,51 @@ def restricted_root_decomposition(algebra, theta: str,
     _, s, vt = np.linalg.svd(_ad(h_gen, c)[0] @ p_c)
     rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
     a_c = p_c @ vt[rank:].T
-    a_mats = np.tensordot(a_c.T, onb, axes=1)
     # abelian + maximality checks, ad_a[i] @ x = coordinates of [a_i, x]
     ad_a = _ad(a_c, c)
     if np.max(np.abs(ad_a @ a_c)) > 1e-10:
         raise ValidationError("candidate a is not abelian")
     # maximal: no direction of p outside a commutes with all of a
-    if a_c.shape[1] < p_c.shape[1]:
-        dev = np.abs(ad_a @ (p_c @ vt[:rank].T)).max(axis=1)
-        if np.any(np.all(dev < 1e-10, axis=0)):
-            raise ValidationError("candidate a is not maximal abelian")
+    dev = np.abs(ad_a @ (p_c @ vt[:rank].T)).max(axis=1)
+    if np.any(np.all(dev < 1e-10, axis=0)):
+        raise ValidationError("candidate a is not maximal abelian")
 
-    weights = np.random.default_rng(seed + 1).normal(size=len(a_mats))
+    # clusters of -ad(H)^2 eigenvalues for generic H in a: a cluster runs
+    # while eigenvalues stay within CLUSTER_TOL of its first one, its head
+    weights = np.random.default_rng(seed + 1).normal(size=a_c.shape[1])
     Ag = np.tensordot(weights, ad_a, axes=1)
     Ag = (Ag - Ag.T) / 2.0
     m2 = -(Ag @ Ag)
     w2, v2 = np.linalg.eigh((m2 + m2.T) / 2.0)
     order = np.argsort(w2)
     w2, v2 = w2[order], v2[:, order]
-    clusters = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs(w2[j + 1] - w2[i]) < CLUSTER_TOL * (1.0 + abs(w2[i])):
-            j += 1
-        clusters.append((max(w2[i], 0.0), v2[:, i: j + 1]))
-        i = j + 1
-    g0 = np.zeros((n, 0))
-    roots, bases = [], []
-    for c2, vc in clusters:
-        if np.sqrt(c2) < 1e-7:
-            g0 = np.hstack([g0, vc])
-            continue
-        v1 = vc[:, 0]
-        lam = (ad_a @ v1) @ (Ag @ v1) / np.sqrt(c2)
-        # sign normalization: first nonzero component positive
-        nz = np.flatnonzero(np.abs(lam) > 1e-9)
-        if len(nz) and lam[nz[0]] < 0:
-            lam = -lam
-        # eigenspace verification: ad(H_i)^2 acts as -lambda_i^2 on the space
-        res = np.abs(ad_a @ ad_a @ vc + lam[:, None, None] ** 2 * vc).max(axis=(1, 2))
-        if np.any(res > 1e-9 * (1.0 + lam ** 2)):
-            raise ValidationError("root space fails the ad(H)^2 eigen test")
-        roots.append(lam)
-        bases.append(vc)
-    order = np.argsort([np.linalg.norm(r) for r in roots])
+    heads = [0]
+    for j in range(1, n):
+        if abs(w2[j] - w2[heads[-1]]) >= CLUSTER_TOL * (1.0 + abs(w2[heads[-1]])):
+            heads.append(j)
+    bounds = np.array(heads + [n])
+    c2 = np.maximum(w2[heads], 0.0)
+    is_root = np.sqrt(c2) >= 1e-7
+    in_root = np.repeat(is_root, np.diff(bounds))      # per column of v2
+    # the root of a cluster from its head v: lam_i = <[H_i, v], [H, v]> / sqrt(c2)
+    lams = np.array([(ad_a @ v2[:, i]) @ (Ag @ v2[:, i])
+                     for i in bounds[:-1][is_root]]) / np.sqrt(c2[is_root])[:, None]
+    # sign normalization: first nonzero component positive
+    big = np.abs(lams) > 1e-9
+    lead = np.take_along_axis(lams, np.argmax(big, axis=1)[:, None], axis=1)
+    lams *= np.where(big.any(axis=1, keepdims=True) & (lead < 0.0), -1.0, 1.0)
+    # eigenspace verification: ad(H_i)^2 acts as -lambda_i^2 on each root space
+    lam2 = np.repeat(lams, np.diff(bounds)[is_root], axis=0).T ** 2   # (rank, columns)
+    w_root = v2[:, in_root]
+    res = np.abs((ad_a @ ad_a) @ w_root + lam2[:, None] * w_root).max(axis=1)
+    if np.any(res > 1e-9 * (1.0 + lam2)):
+        raise ValidationError("root space fails the ad(H)^2 eigen test")
+    order = np.argsort([np.linalg.norm(r) for r in lams])
     return RestrictedRootData(
-        algebra=alg, onb=tuple(onb), k_basis=tuple(k_mats), structure=c,
-        a_basis=tuple(a_mats), roots=tuple(roots[k] for k in order),
-        space_bases=tuple([g0] + [bases[k] for k in order]))
+        algebra=alg, onb=onb, k_basis=k_mats, structure=c,
+        a_basis=np.tensordot(a_c.T, onb, axes=1), roots=lams[order],
+        space_bases=(v2[:, ~in_root],) + tuple(
+            v2[:, bounds[k]:bounds[k + 1]] for k in np.flatnonzero(is_root)[order]))
 
 
 def verify_bracket_pattern(data: RestrictedRootData) -> dict:
@@ -177,7 +173,9 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
     Allowed targets: [g_0, g_0] in g_0; [g_0, g_lam] in g_lam; and
     [g_lam, g_mu] in g_{lam+mu} + g_{|lam-mu|} (a summand drops whenever
     lam+mu resp. lam-mu is not a restricted root; lam = mu adds g_0).
-    Also reports, per pair, the residual of the printed sum-only target.
+    Also reports the residual of the sum-only target.  `residuals[a, b]` is
+    the worst distance of a bracket [g_a, g_b] from its allowed targets,
+    index 0 being g_0 and index i roots[i-1]; the maxima run over a <= b.
 
     The space bases together form an orthonormal basis V of the algebra, so a
     bracket's distance from a sum of spaces is the norm of its V-coordinates
@@ -186,33 +184,23 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
     bases = data.space_bases
     v = np.hstack(bases)
     cv = np.einsum("ijl,ia,jb,lc->abc", data.structure, v, v, v, optimize=True)
-    edges = np.cumsum([0] + [b.shape[1] for b in bases])
-    spaces = [np.zeros(len(data.a_basis))] + list(data.roots)
-    r = np.stack(spaces)
-    # hit[s, a, b, c]: lam_c = +-(lam_a + (-1)^s lam_b) within ROOT_MATCH_TOL
-    target = np.stack((r[:, None] + r[None], r[:, None] - r[None]))[..., None, :]
-    hit = np.minimum(np.linalg.norm(target - r, axis=-1),
-                     np.linalg.norm(target + r, axis=-1)) < ROOT_MATCH_TOL
-    owner = np.repeat(np.arange(len(bases)), np.diff(edges))
-    report = {"pairs": [], "max_residual": 0.0, "max_residual_sum_only": 0.0,
-              "passed": True}
-    for ia, ra in enumerate(spaces):
-        for ib in range(ia, len(spaces)):
-            rb = spaces[ib]
-            z = cv[edges[ia]:edges[ia + 1], edges[ib]:edges[ib + 1]]
-            out_sum = ~hit[0, ia, ib][owner]
-            out = out_sum & ~hit[1, ia, ib][owner]
-            worst = float(np.linalg.norm(z[..., out], axis=-1).max())
-            worst_sum = float(np.linalg.norm(z[..., out_sum], axis=-1).max())
-            report["pairs"].append({
-                "root_a": None if ia == 0 else ra.tolist(),
-                "root_b": None if ib == 0 else rb.tolist(),
-                "residual": worst,
-                "residual_sum_only": worst_sum,
-            })
-            report["max_residual"] = max(report["max_residual"], worst)
-            report["max_residual_sum_only"] = max(report["max_residual_sum_only"],
-                                                  worst_sum)
+    sizes = [b.shape[1] for b in bases]
+    starts = np.cumsum([0] + sizes[:-1])
+    owner = np.repeat(np.arange(len(bases)), sizes)
+    sq = np.add.reduceat(np.square(cv, out=cv), starts, axis=2)   # per target space
+    # hit[k][a, b, c]: lam_c = +-(lam_a + sigma_k lam_b) within ROOT_MATCH_TOL,
+    # from the Gram matrix: min over signs of |t -+ r|^2 is |t|^2 + |r|^2 - 2 |t.r|
+    g = np.pad(data.roots @ data.roots.T, (1, 0))    # g_0 has the root 0
+    nrm = np.diag(g)
+    hit = [nrm[:, None, None] + nrm[None, :, None] + 2.0 * sigma * g[:, :, None]
+           + nrm - 2.0 * np.abs(g[:, None, :] + sigma * g[None]) < ROOT_MATCH_TOL ** 2
+           for sigma in (1.0, -1.0)]
+    report = {}
+    for suffix, outside in (("", ~(hit[0] | hit[1])), ("_sum_only", ~hit[0])):
+        worst = np.einsum("xys,xys->xy", sq, outside[owner[:, None], owner])
+        worst = np.maximum.reduceat(np.maximum.reduceat(worst, starts, axis=0), starts, axis=1)
+        report["residuals" + suffix] = np.sqrt(worst)
+        report["max_residual" + suffix] = float(np.triu(report["residuals" + suffix]).max())
     report["passed"] = report["max_residual"] < RESIDUAL_TOL
     report["dimension_identity"] = data.dimension_identity()
     return report

@@ -19,8 +19,7 @@ def orthonormal_basis(alg):
 
 def bracket_stack(alg):
     """The (dim, dim, n, n) stack of matrix brackets of the basis."""
-    b = np.stack(alg.basis)
-    return bracket(b[:, None], b[None])
+    return bracket(alg.basis[:, None], alg.basis[None])
 
 
 def levi_civita():
@@ -135,7 +134,7 @@ class TestVerifyMutations:
             _verify(replace(alg, structure=c), bracket_stack(alg))
         # a stack that c reproduces exactly leaves only the antisymmetry check to see it
         with pytest.raises(ValidationError, match="antisymmetric"):
-            _verify(replace(alg, structure=c), np.tensordot(c, np.stack(alg.basis), axes=1))
+            _verify(replace(alg, structure=c), np.tensordot(c, alg.basis, axes=1))
 
     def test_jacobi_violated(self, alg):
         # antisymmetric, so only the reproduction check can see it: the Jacobi

@@ -593,6 +593,14 @@ class TestCheckCommand:
         d = self.write_grids(tmp_path, [g, g])
         usage_error(capsys, "check", kind, "--grids", d, "--tol", tol)
 
+    @pytest.mark.parametrize("kind", ["iso", "equifocal"])
+    def test_negative_tol_is_input_error(self, capsys, tmp_path, kind):
+        # a negative tol fails every comparison, so it decides nothing
+        g = EigenGrid(((1.0, 0.5, 2),), label="p")
+        d = self.write_grids(tmp_path, [g, g])
+        code, out = run(capsys, "check", kind, "--grids", d, "--radii", "0.1", "--tol=-1")
+        assert code == 2 and out == ""
+
     def test_nonfinite_grid_file_is_input_error(self, capsys, tmp_path):
         d = tmp_path / "grids"
         d.mkdir()
@@ -1209,7 +1217,7 @@ class TestModelCommand:
     @pytest.mark.parametrize("argv", [
         ("--radii", "abc"), ("--radii", "0.05,inf"), ("--radii", "0.05,nan"),
         ("--radii", "0.05,"), ("--points", "0"), ("--points", "-2"),
-        ("--trials", "0")])
+        ("--trials", "0"), ("--tol=-1",)])
     def test_example41_bad_input_is_input_error(self, capsys, argv):
         code, out = run(capsys, "example41", "--points", "3", "--trials", "3", *argv)
         assert code == 2

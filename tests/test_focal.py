@@ -515,6 +515,21 @@ class TestChecks:
         b = EigenGrid(((1.0, 2.0, 1),))
         assert not equifocal_check([a, b], Window(0.01, 5.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_that_decides_every_comparison_rejected(self, tol):
+        # NaN and inf pass these differing grids, a negative tol fails even equal ones
+        grids, window = [EigenGrid(((1, 0.5, 2),)), EigenGrid(((1, 0.9, 2),))], Window(0.01, 5.0)
+        assert not isoparametric_check(grids, [0.1])["passed"]
+        assert not equifocal_check(grids, window)
+        with pytest.raises(ValidationError, match="tol"):
+            isoparametric_check(grids, [0.1], tol=tol)
+        with pytest.raises(ValidationError, match="tol"):
+            equifocal_check(grids, window, tol=tol)
+
+    def test_zero_tol_accepted(self):
+        assert isoparametric_check(self.grids(), [0.1], tol=0.0)["passed"]
+        assert equifocal_check(self.grids(), Window(0.01, 5.0), tol=0.0)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
             weakly_isoparametric_check([])

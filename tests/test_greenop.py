@@ -233,3 +233,11 @@ class TestGradedInner:
         op = OperatorMatrix(np.eye(2))
         with pytest.raises(ValidationError):
             ls2_inner(np.ones(2), np.ones(2), op, -1.0)
+
+    @pytest.mark.parametrize("s", [np.inf, np.nan, 1e308, 2000])
+    def test_exponent_without_a_float_result_rejected(self, s):
+        # 2 ** 2000 is beyond the float range; inf and nan are no exponents
+        op = OperatorMatrix(np.diag([1.0, 2.0]))
+        with pytest.raises(ValidationError):
+            ls2_inner(np.ones(2), np.ones(2), op, s)
+        assert ls2_inner(np.array([1.0, 0.0]), np.ones(2), op, 1000) == 1.0

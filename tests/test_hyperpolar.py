@@ -76,7 +76,7 @@ class TestSectionOrthogonality:
         n_samples = hyperpolar._CHUNK + 3
         report = section_orthogonality_check("su3", "conj", n_samples=n_samples, seed=5)
         data = restricted_root_decomposition("su3", "conj", seed=12)
-        a_mats, k_mats = np.stack(data.a_basis), np.stack(data.k_basis)
+        a_mats, k_mats = data.a_basis, data.k_basis
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(n_samples):
@@ -98,7 +98,7 @@ class TestSectionOrthogonality:
         n_samples = hyperpolar._CHUNK + 3
         report = section_orthogonality_check(algebra, theta, n_samples=n_samples, seed=9)
         data = restricted_root_decomposition(algebra, theta, seed=16)
-        a_mats, k_mats = np.stack(data.a_basis), np.stack(data.k_basis)
+        a_mats, k_mats = data.a_basis, data.k_basis
         xa = np.einsum("iab,jab->ij", np.conj(k_mats), a_mats).real
         worst = 0.0
         for g in np.concatenate(exps):

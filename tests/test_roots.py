@@ -1,4 +1,7 @@
 import time
+import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,7 +74,7 @@ class TestDecomposition:
 
     def test_a_inside_g0(self):
         data = restricted_root_decomposition("su3", "conj")
-        onb = list(data.onb)
+        onb = data.onb
         g0 = data.space_bases[0]
         for a in data.a_basis:
             coeffs = np.array([np.real(np.sum(np.conj(m) * a)) for m in onb])
@@ -83,7 +86,7 @@ class TestDecomposition:
 
     def test_eigenspace_property(self):
         data = restricted_root_decomposition("su3", "conj")
-        onb = list(data.onb)
+        onb = data.onb
 
         def to_mat(c):
             return sum(ci * m for ci, m in zip(c, onb))
@@ -108,8 +111,8 @@ class TestDecomposition:
         # reference: the (+1)-eigenspace of theta in matrix space, spanned by
         # the projections (x + theta x) / 2 of a basis
         data = restricted_root_decomposition(alg, theta)
-        k = np.stack(data.k_basis)
-        basis = np.stack(load_algebra(alg).basis)
+        k = data.k_basis
+        basis = load_algebra(alg).basis
         th = involution(theta, basis.shape[-1])
         assert len(k) == dim_k == np.linalg.matrix_rank(
             ((basis + th(basis)) / 2.0).reshape(len(basis), -1))
@@ -124,6 +127,38 @@ class TestDecomposition:
                                                                 message):
         monkeypatch.setattr(roots, "involution", lambda name, size: theta)
         with pytest.raises(ValidationError, match=message):
+            restricted_root_decomposition("su3", "conj")
+
+    @pytest.mark.parametrize("shift,message", [(-1, "is not abelian"),
+                                               (1, "is not maximal abelian")])
+    def test_rejects_a_wrong_centralizer(self, monkeypatch, shift, message):
+        # an svd that miscounts the nonzero singular values of ad(h) on p by
+        # one makes the candidate a one dimension too large or too small
+        alg, svd = load_algebra("su3"), np.linalg.svd
+
+        def miscounted(m):
+            u, s, vt = svd(m)
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            s = s.copy()
+            if shift > 0:
+                s[rank] = s[0]
+            else:
+                s[rank - 1] = 0.0
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", miscounted)
+        with pytest.raises(ValidationError, match=message):
+            restricted_root_decomposition(alg, "conj")
+
+    def test_rejects_a_cluster_of_two_roots(self, monkeypatch):
+        # an H on the wall alpha(H) = beta(H) merges g_alpha and g_beta into
+        # one eigenspace of ad(H)^2, on which ad(H_i)^2 is no multiple of 1
+        alpha, beta = restricted_root_decomposition("su3", "conj").roots[:2]
+        wall = np.array([alpha[1] - beta[1], beta[0] - alpha[0]])
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(
+            normal=lambda size: wall) if seed == 8 else default_rng(seed))
+        with pytest.raises(ValidationError, match="eigen test"):
             restricted_root_decomposition("su3", "conj")
 
     def test_rejects_trivial_pair(self):
@@ -166,9 +201,10 @@ class TestHelgasonTables:
         # a multiplicity counts the cluster k_lam + p_lam, of dimension 2 m_lam
         assert data.dim - len(data.k_basis) == rank + sum(data.multiplicities) / 2
         # Cartan integers 2<a, b>/<b, b> of a (possibly non-reduced) root system
-        roots = np.array(data.roots)
-        cartan = 2.0 * (roots @ roots.T) / sq[None, :]
+        cartan = 2.0 * (data.roots @ data.roots.T) / sq[None, :]
         assert np.max(np.abs(cartan - np.round(cartan))) < 1e-9
+        # the sign of a root vector is fixed by its first nonzero component
+        assert all(r[np.flatnonzero(np.abs(r) > 1e-9)[0]] > 0 for r in data.roots)
         assert verify_bracket_pattern(data)["max_residual"] < 1e-9
 
 
@@ -191,14 +227,15 @@ class TestBracketPattern:
     def test_g0_bracket_closed(self):
         data = restricted_root_decomposition("su3", "conj")
         report = verify_bracket_pattern(data)
-        g0_pair = [p for p in report["pairs"] if p["root_a"] is None and p["root_b"] is None]
-        assert len(g0_pair) == 1 and g0_pair[0]["residual"] < 1e-12
+        s = len(data.roots) + 1
+        assert report["residuals"].shape == report["residuals_sum_only"].shape == (s, s)
+        assert report["residuals"][0, 0] < 1e-12
 
     def test_matches_matrix_space_reference(self):
         # reference: brackets of root-space vectors as matrices, projected
         # onto the allowed targets through a Hilbert-Schmidt expansion
         data = restricted_root_decomposition("su3", "ad_diag")
-        onb = np.stack(data.onb)
+        onb = data.onb
         hs = np.einsum("iab,jab->ij", onb.conj(), onb).real
 
         def coeffs(x):
@@ -209,12 +246,11 @@ class TestBracketPattern:
 
         spaces = [np.zeros(1)] + list(data.roots)
         report = verify_bracket_pattern(data)
-        k = 0
         for ia, va in enumerate(data.space_bases):
             for ib, vb in enumerate(data.space_bases[ia:], start=ia):
                 ra, rb = spaces[ia], spaces[ib]
-                for key, allowed in (("residual", (ra + rb, ra - rb)),
-                                     ("residual_sum_only", (ra + rb,))):
+                for key, allowed in (("residuals", (ra + rb, ra - rb)),
+                                     ("residuals_sum_only", (ra + rb,))):
                     proj = np.hstack([np.zeros((len(onb), 0))] + [
                         v for r, v in zip(spaces, data.space_bases)
                         if any(close(r, s) for s in allowed)])
@@ -224,9 +260,23 @@ class TestBracketPattern:
                             z = coeffs(bracket(np.tensordot(x, onb, 1),
                                                np.tensordot(y, onb, 1)))
                             worst = max(worst, np.linalg.norm(z - proj @ (proj.T @ z)))
-                    assert abs(report["pairs"][k][key] - worst) < 1e-12
-                k += 1
-        assert k == len(report["pairs"])
+                    assert abs(report[key][ia, ib] - worst) < 1e-12
+
+    def test_disallowed_bracket_fails_at_its_pair(self):
+        # mutation: [x, y] = -[y, x] gains weight eps in g_beta for x in g_0
+        # and y in g_alpha, where only g_alpha is allowed
+        data = restricted_root_decomposition("su3", "conj")
+        x, y, z = (data.space_bases[i][:, 0] for i in (0, 1, 2))
+        eps = 1e-6
+        bump = eps * np.einsum("i,j,k->ijk", x, y, z)
+        bumped = replace(data, structure=data.structure + bump - bump.transpose(1, 0, 2))
+        before, after = verify_bracket_pattern(data), verify_bracket_pattern(bumped)
+        assert before["passed"] and not after["passed"]
+        assert after["residuals"][0, 1] == pytest.approx(eps, abs=1e-12)
+        assert after["max_residual"] == after["residuals"][0, 1]
+        untouched = np.ones(before["residuals"].shape, dtype=bool)
+        untouched[[0, 1], [1, 0]] = False
+        assert np.max(np.abs(after["residuals"] - before["residuals"])[untouched]) < 1e-14
 
     def test_runtime_budget(self):
         t0 = time.time()
@@ -234,6 +284,14 @@ class TestBracketPattern:
             data = restricted_root_decomposition(name, "conj")
             verify_bracket_pattern(data)
         assert time.time() - t0 < 5.0
+
+
+@pytest.fixture(scope="module")
+def su12():
+    """su12 and the seconds its load took, loaded once for the tests below."""
+    t0 = time.perf_counter()
+    alg = load_algebra("su12")
+    return alg, time.perf_counter() - t0
 
 
 class TestBoundedWork:
@@ -253,9 +311,26 @@ class TestBoundedWork:
         verify_bracket_pattern(data)
         assert shapes == [(data.dim, data.dim, n, n)]
 
-    def test_su12_roots_within_budget(self, capsys):
+    def test_su12_roots_within_budget(self, capsys, monkeypatch, su12):
         # loading su12 alone took 18 s with a Jacobi check per basis element
+        alg, load_s = su12
+        monkeypatch.setattr(roots, "load_algebra", lambda name: alg)
         t0 = time.perf_counter()
         code = main(["roots", "--algebra", "su12"])
-        assert time.perf_counter() - t0 < 10.0
+        assert load_s + time.perf_counter() - t0 < 10.0
         assert code == 0 and capsys.readouterr().err == ""
+
+    def test_su12_bracket_pattern_memory(self, su12):
+        # cv, the structure constants in the space basis V, is the largest
+        # array the pattern needs; no table with both a space-triple and a
+        # rank axis, nor per-pair copies of cv, fits beside it
+        data = restricted_root_decomposition(su12[0], "conj")
+        cv_bytes = data.dim ** 3 * 8
+        tracemalloc.start()
+        try:
+            report = verify_bracket_pattern(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["passed"]
+        assert peak < 4 * cv_bytes
