@@ -105,10 +105,23 @@ _BATCH_MAX = 4096  # elements: a larger array leaf is formatted alone, when writ
 
 
 def _flat_texts(flat: np.ndarray) -> list:
-    """JSON text of every element of a flat real, integer or boolean array."""
+    """JSON text of every element of a flat real, integer or boolean array.
+
+    Every +0.0 gets the one shared text "0.0" and only the other floats are
+    formatted: box1d's dense matrix is almost all zeros."""
     if flat.dtype.kind == "b":
         return ["true" if v else "false" for v in flat.tolist()]
-    items = list(map(float.__repr__ if flat.dtype.kind == "f" else int.__repr__, flat.tolist()))
+    if flat.dtype.kind != "f":
+        return list(map(int.__repr__, flat.tolist()))
+    # NaN, the infinities and -0.0 are formatted too
+    formatted = (flat != 0) | np.signbit(flat)
+    if formatted.all():
+        items = list(map(float.__repr__, flat.tolist()))
+    else:
+        items = ["0.0"] * flat.size
+        where = np.flatnonzero(formatted)
+        for k, text in zip(where.tolist(), map(float.__repr__, flat[where].tolist())):
+            items[k] = text
     for k in np.flatnonzero(~np.isfinite(flat)).tolist():
         items[k] = "null"
     return items

@@ -166,7 +166,8 @@ def ls2_inner(u: np.ndarray, v: np.ndarray, op: OperatorMatrix,
     """Graded inner product <u, L^s v> through eigenvalue powers.
 
     Integer s works for any symmetric L; fractional s requires a positive
-    spectrum.  A value beyond the float range is refused.
+    spectrum.  A mode with cu = 0 or cv = 0 adds 0, even where its eigenvalue
+    power overflows; a value beyond the float range is refused.
     """
     u, v = _vector(u, op), _vector(v, op)
     if not (math.isfinite(s) and s >= 0):
@@ -178,7 +179,7 @@ def ls2_inner(u: np.ndarray, v: np.ndarray, op: OperatorMatrix,
     cv = op.eigenvectors.T @ v
     with np.errstate(over="ignore", invalid="ignore"):
         powers = w ** float(s) if float(s) != int(s) else w ** int(s)
-        value = float(np.sum(cu * powers * cv))
+        value = float(np.sum(np.where((cu == 0) | (cv == 0), 0.0, cu * powers * cv)))
     if not math.isfinite(value):
         raise ValidationError(f"<u, L^s v> at s = {s} is beyond the float range")
     return value

@@ -28,10 +28,12 @@ from .transport import AlgebraPath
 
 
 def _load_json(path: str):
+    """The JSON value of a UTF-8 file (RFC 8259); a file that is not UTF-8
+    text or nests too deep for the decoder is refused like malformed JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read JSON file '{path}': {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from focalis import cli, focal, hyperpolar, io, spectral, transport
 from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
 from focalis.cli import build_parser, main
 from focalis.focal import FOCAL, EigenGrid
-from focalis.greenop import MAX_BOX_SAMPLES
+from focalis.greenop import MAX_BOX_SAMPLES, box_operator_1d
 from focalis.spectral import DIVERGENT, SpectralData, TailModel
 
 
@@ -189,6 +189,63 @@ def test_emitter_writes_nonfinite_complex_parts_as_null():
     assert json.loads(text, parse_constant=_reject_constant) == {"z": [None, 1.0]}
 
 
+def _per_element_texts(flat):
+    """The route cli._flat_texts replaced: every element formatted on its own."""
+    return [(float.__repr__(v) if math.isfinite(v) else "null") if isinstance(v, float)
+            else json.dumps(v) for v in flat.tolist()]
+
+
+def _flat_float_arrays(dtype):
+    info = np.finfo(dtype)
+    tiny = float(info.smallest_subnormal)
+    special = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny,
+                               float(info.smallest_normal), float(info.max)])
+    arrays = hnp.arrays(dtype, st.integers(0, 40), elements=st.floats(width=info.bits) | special)
+
+    def variant(drawn, kind):
+        # with every zero replaced, the array takes the one-pass route
+        if kind == "zeros":
+            return np.zeros_like(drawn)
+        return np.where(drawn == 0, dtype(1.5), drawn) if kind == "no zeros" else drawn
+    return st.builds(variant, arrays, st.sampled_from(["drawn", "zeros", "no zeros"]))
+
+
+@given(st.sampled_from([np.float64, np.float32, np.float16]).flatmap(_flat_float_arrays))
+@settings(max_examples=300, deadline=None)
+def test_flat_texts_match_per_element_route(flat):
+    texts = cli._flat_texts(flat)
+    assert texts == _per_element_texts(flat)
+    # +0.0 is not formatted per element: all its texts are one object
+    zeros = [t for t, z in zip(texts, (flat == 0) & ~np.signbit(flat)) if z]
+    assert all(t is zeros[0] for t in zeros)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_box1d_report_matches_per_element_route(capsys, monkeypatch, fmt, periodic):
+    argv = ["box1d", "--samples", "512", "--speed", "1.7", "--format", fmt,
+            *(["--periodic"] if periodic else [])]
+    code, out = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_flat_texts", _per_element_texts)
+    assert run(capsys, *argv) == (code, out) and code == 0
+
+
+def test_box_report_memory_at_the_cap(tmp_path):
+    # a 1024-sample periodic box report: formatting every +0.0 on its own held
+    # 11.5 x the matrix's bytes (92 MiB) under tracemalloc, the shared text 4.9 x
+    op = box_operator_1d(1024, 1.7, periodic=True)
+    report = {"schema": 1, "result": {"matrix": op.entries, "samples": 1024}}
+    tracemalloc.start()
+    try:
+        cli._emit(report, "json", str(tmp_path / "box.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(json.loads((tmp_path / "box.json").read_text())["result"]["matrix"],
+                          op.entries)
+    assert peak < 6 * op.entries.nbytes
+
+
 # a valid command line of every subcommand
 _COMMAND_LINES = {
     "trace": ["--spec", "s.json", "--zeta"],
@@ -318,6 +375,33 @@ class TestReportEnvelope:
         bad.write_text("{not json")
         code, _ = run(capsys, "focal", "--grid", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("content", [b"\xff{}", b"{}\xc3", b"[" * 200_000],
+                             ids=["not UTF-8", "cut UTF-8", "nested too deep"])
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--spec", "{bad}"), ("focal", "--grid", "{bad}"),
+        ("check", "weak", "--grids", "{dir}"), ("transport", "--path", "{bad}"),
+        ("holonomy", "--omega", "{bad}"), ("green", "--op", "{bad}", "--psi", "{vector}"),
+        ("green", "--op", "{matrix}", "--psi", "{bad}"),
+        ("example41", "--config", "{bad}", "--points", "2", "--trials", "2")])
+    def test_unreadable_json_is_input_error(self, capsys, tmp_path, argv, content):
+        # bytes that are not UTF-8 and 200,000 open brackets ended in tracebacks
+        (tmp_path / "d").mkdir()
+        files = {"bad": tmp_path / "d" / "bad.json", "dir": tmp_path / "d",
+                 "matrix": tmp_path / "m.json", "vector": tmp_path / "v.json"}
+        files["bad"].write_bytes(content)
+        _write_json(files["matrix"], [[2.0, 0.0], [0.0, 4.0]])
+        _write_json(files["vector"], [1.0, 1.0])
+        code = main([a.format(**files) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot read JSON file '{files['bad']}'")
+
+    def test_files_are_read_as_utf8(self, capsys, tmp_path):
+        grid = tmp_path / "g.json"
+        grid.write_bytes('{"label": "∂é", "pairs": []}'.encode("utf-8"))
+        code, report = run_json(capsys, "focal", "--grid", str(grid))
+        assert code == 0 and report["result"]["label"] == "∂é"
 
 
 class TestTraceCommand:

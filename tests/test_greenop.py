@@ -241,3 +241,14 @@ class TestGradedInner:
         with pytest.raises(ValidationError):
             ls2_inner(np.ones(2), np.ones(2), op, s)
         assert ls2_inner(np.array([1.0, 0.0]), np.ones(2), op, 1000) == 1.0
+
+    @pytest.mark.parametrize("s", [2000, 2000.5, 1e308])
+    @pytest.mark.parametrize("u,v", [((1.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 3.0)),
+                                     ((1.0, 3.0), (1.0, 0.0))])
+    def test_unweighted_mode_does_not_decide(self, s, u, v):
+        # 2 ** s overflows, but its mode has cu * cv = 0: the exact value is 1
+        # (the overflowing product 0 * inf gave nan and a refusal)
+        op = OperatorMatrix(np.diag([1.0, 2.0]))
+        assert ls2_inner(np.array(u), np.array(v), op, s) == 1.0
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            ls2_inner(np.ones(2), np.ones(2), op, s)
