@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import itertools
 import json
 import math
 import os
@@ -170,17 +171,28 @@ def _array_json(items: list, shape: tuple, level: int) -> str:
 _CSV_WORDS = {"null": "None", "true": "True", "false": "False"}
 
 
-def _csv_rows(leaves, texts: list) -> list:
-    """key,value rows: one per scalar leaf and per array element.  texts holds
-    the element texts of the array leaves, the last leaf's first."""
-    rows = ["key,value"]
+def _csv_rows(leaves, texts: list):
+    """Text of the key,value rows, one per scalar leaf and per array element,
+    yielded one last-axis run of an array at a time, so that no key or row
+    list of a whole array is held.  texts holds the element texts of the
+    array leaves, the last leaf's first."""
+    yield "key,value"
     for path, value in leaves:
-        keys = ["".join(f"{k}." for k in path)]
+        prefix = "".join(f"{k}." for k in path)
         items = [value] if isinstance(value, str) else _leaf_texts(value, texts)
-        for n in () if isinstance(value, str) else value.shape:
-            keys = [f"{k}{i}." for k in keys for i in range(n)]
-        rows += [f"{k.rstrip('.')},{_CSV_WORDS.get(t, t)}" for k, t in zip(keys, items)]
-    return rows
+        if isinstance(value, str) or value.ndim == 0:
+            yield f"\n{prefix.rstrip('.')},{_CSV_WORDS.get(items[0], items[0])}"
+            continue
+        # a run's text is "".join of (head, "i,", text) triples, laid out by
+        # slice assignment rather than one concatenation per element
+        n = value.shape[-1]
+        parts = [None] * (3 * n)
+        parts[1::3] = [f"{i}," for i in range(n)]
+        for row, index in enumerate(itertools.product(*map(range, value.shape[:-1]))):
+            run = items[row * n:(row + 1) * n]
+            parts[0::3] = ["\n" + prefix + "".join(f"{i}." for i in index)] * n
+            parts[2::3] = map(_CSV_WORDS.get, run, run)
+            yield "".join(parts)
 
 
 def _emit(report: dict, fmt: str, out: str):
@@ -194,8 +206,8 @@ def _emit(report: dict, fmt: str, out: str):
                  else _array_json(_leaf_texts(c[1], texts), c[1].shape, len(c[0]))
                  for c in chunks]
     else:
-        parts = ["\n".join(_csv_rows(leaves, texts))]
-    parts.append("\n")
+        parts = _csv_rows(leaves, texts)
+    parts = itertools.chain(parts, ["\n"])
     if out:
         try:
             with open(out, "w") as fh:

@@ -1,10 +1,12 @@
 """Spectral Green operators and a one-dimensional box-operator model.
 
-An OperatorMatrix wraps a symmetric matrix and computes its
-eigendecomposition on first use; the Green operator inverts it through the
-eigenbasis, and box_operator_1d builds the discrete id - (1/a^2) D^2 used as
-the weight in the s-graded inner product.  box_eigenvalues_1d gives that
-operator's spectrum in closed form.
+An OperatorMatrix wraps a symmetric matrix and computes its spectrum on
+first use.  The Green operator decides singularity from the eigenvalues
+alone and gets sigma from one LU solve; eigenvectors are computed only to
+name the eigenpair of a refusal, for the projected solution, for the dense
+kernel and for ls2_inner.  box_operator_1d builds the discrete
+id - (1/a^2) D^2 used as the weight in the s-graded inner product.
+box_eigenvalues_1d gives that operator's spectrum in closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ SPEED_RANGE = (2.0 ** -250, 2.0 ** 250)  # entries hold the speed to the power -
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Symmetric matrix; its eigendecomposition is computed on first use."""
+    """Symmetric matrix; its eigenvalues, and its eigenvectors where a caller
+    needs them, are computed on first use."""
 
     entries: np.ndarray
 
@@ -45,6 +48,13 @@ class OperatorMatrix:
     def _eigh(self):
         return np.linalg.eigh(self.entries)
 
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        """Eigenvalues alone, for the singular verdict: eigh's where it has
+        run, else eigvalsh's, which skips the eigenvectors."""
+        eigh = self.__dict__.get("_eigh")
+        return eigh[0] if eigh is not None else np.linalg.eigvalsh(self.entries)
+
     @property
     def eigenvalues(self) -> np.ndarray:
         return self._eigh[0]
@@ -61,20 +71,22 @@ class OperatorMatrix:
         return self.entries @ np.asarray(psi, dtype=float)
 
     def is_invertible(self) -> bool:
-        return not _singular_modes(self).any()
+        return not _singular_modes(self._eigvals).any()
 
 
-def _singular_modes(op: OperatorMatrix, refuse: bool = False) -> np.ndarray:
-    """Mask of the modes with |eigenvalue| <= SINGULAR_TOL * max(1, max |eigenvalue|).
-    With refuse, a singular operator raises, naming its eigenpair of least
-    magnitude."""
-    w, v = op.eigenvalues, op.eigenvectors
-    small = np.abs(w) <= SINGULAR_TOL * np.max(np.abs(w), initial=1.0)
-    if refuse and small.any():
+def _singular_modes(w: np.ndarray) -> np.ndarray:
+    """Mask of the modes with |eigenvalue| <= SINGULAR_TOL * max(1, max |eigenvalue|)."""
+    return np.abs(w) <= SINGULAR_TOL * np.max(np.abs(w), initial=1.0)
+
+
+def _refuse_singular(op: OperatorMatrix):
+    """Raise when op is singular, naming its eigenpair of least magnitude
+    (both from one eigh)."""
+    if _singular_modes(op._eigvals).any():
+        w, v = op.eigenvalues, op.eigenvectors
         k = int(np.argmin(np.abs(w)))
         raise SingularOperatorError(f"operator is singular (eigenvalue {w[k]:.3e})",
                                     eigenvalue=float(w[k]), eigenvector=v[:, k].copy())
-    return small
 
 
 def _vector(x, op: OperatorMatrix) -> np.ndarray:
@@ -88,16 +100,22 @@ def _vector(x, op: OperatorMatrix) -> np.ndarray:
 
 def green_apply(op: OperatorMatrix, psi: np.ndarray,
                 project: bool = False) -> np.ndarray:
-    """Solution sigma with op(sigma) = psi, via the eigenbasis.
+    """Solution sigma with op(sigma) = psi.
 
-    With project=True, components along near-null eigenvectors are dropped and
-    the remaining modes inverted (the projected solution for a singular
-    operator); otherwise a singular operator raises, naming the offending
-    eigenvector.
+    The eigenvalues alone decide singularity; a nonsingular operator is then
+    solved by one LU solve (np.linalg.solve), with no eigenvectors: at n = 512
+    that costs an eigvalsh and a solve, about half of one eigh.  A singular
+    operator raises, naming the offending eigenvector.  With project=True,
+    components along near-null eigenvectors are dropped and the remaining
+    modes inverted in the eigenbasis (the projected solution for a singular
+    operator).
     """
     psi = _vector(psi, op)
-    small = _singular_modes(op, refuse=not project)
+    if not project:
+        _refuse_singular(op)
+        return np.linalg.solve(op.entries, psi)
     w, v = op.eigenvalues, op.eigenvectors
+    small = _singular_modes(w)
     coeff = v.T @ psi
     inv = np.where(small, 0.0, coeff / np.where(small, 1.0, w))
     return v @ inv
@@ -106,8 +124,8 @@ def green_apply(op: OperatorMatrix, psi: np.ndarray,
 def green_kernel(op: OperatorMatrix) -> np.ndarray:
     """Dense kernel sum_i eta_i eta_i^T / lambda_i; applying it as a matrix
     agrees with green_apply."""
-    _singular_modes(op, refuse=True)
     w, v = op.eigenvalues, op.eigenvectors
+    _refuse_singular(op)
     return (v / w) @ v.T
 
 

@@ -40,13 +40,16 @@ def _load_json(path: str):
 def read_spectrum(path: str) -> SpectralData:
     data = _load_json(path)
     try:
-        pos = [(e["value"], e.get("mult", 1)) for e in data.get("positives", [])]
-        neg = [(e["value"], e.get("mult", 1)) for e in data.get("negatives", [])]
+        branches = []
+        for key in ("positives", "negatives"):
+            entries = data.get(key, [])
+            # an entry whose "value" reads is an object, so .get cannot fail
+            branches += [[e["value"] for e in entries], [e.get("mult", 1) for e in entries]]
         tail = data.get("tail")
         model = TailModel(tail["ratio"], tail["scale"]) if tail else None
     except (KeyError, TypeError, AttributeError) as exc:   # AttributeError: not an object
         raise ValidationError(f"malformed spectrum file '{path}': {exc}") from exc
-    return SpectralData.from_entries(pos, neg, model)
+    return SpectralData(*branches, model)
 
 
 def read_eigen_grids(paths) -> list:

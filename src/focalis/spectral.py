@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -85,7 +86,10 @@ def _as_array(x, dtype, name: str) -> np.ndarray:
         if kind == "O":
             types = set(map(type, arr.flat))
         elif not isinstance(x, np.ndarray) and ((arr == 0) | (arr == 1)).any():
-            types = set(map(type, np.asarray(x, dtype=object).flat))
+            items = [x]
+            for _ in range(arr.ndim):
+                items = chain.from_iterable(items)
+            types = set(map(type, items))
         if kind in "SU" or any(issubclass(t, str) for t in types):
             raise TypeError("numbers are given as strings")
         if kind == "b" or any(issubclass(t, (bool, np.bool_)) for t in types):

@@ -246,6 +246,26 @@ def test_box_report_memory_at_the_cap(tmp_path):
     assert peak < 6 * op.entries.nbytes
 
 
+def test_box_csv_report_memory_at_the_cap(tmp_path):
+    # the CSV rows of a 1024-sample periodic box report are written one matrix
+    # row at a time: holding a key and a row string per element peaked at
+    # 22 x the matrix's bytes (177 MiB) under tracemalloc, the streamed rows 1.3 x
+    op = box_operator_1d(1024, 1.7, periodic=True)
+    report = {"schema": 1, "result": {"matrix": op.entries, "samples": 1024}}
+    tracemalloc.start()
+    try:
+        cli._emit(report, "csv", str(tmp_path / "box.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "box.csv").read_text().splitlines()
+    assert lines[:2] == ["key,value", f"result.matrix.0.0,{float(op.entries[0, 0])!r}"]
+    assert lines[-2:] == ["result.samples,1024", "schema,1"]
+    values = [line.rpartition(",")[2] for line in lines[1:-2]]
+    assert np.array_equal(np.array(values, dtype=float).reshape(op.entries.shape), op.entries)
+    assert peak < 2 * op.entries.nbytes
+
+
 # a valid command line of every subcommand
 _COMMAND_LINES = {
     "trace": ["--spec", "s.json", "--zeta"],
@@ -1270,6 +1290,70 @@ class TestInputNumbers:
     def test_points_beyond_the_frame_cap(self, capsys):
         code, out = run(capsys, "example41", "--points", str(10 ** 9))
         assert code == 2 and out == ""
+
+
+_SPECTRUM_VALUES = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def spectrum_documents(draw):
+    """A valid spectrum document: two non-increasing branches, mult keys kept
+    or left out entry by entry, a tail (below every entry) or none."""
+    doc = {}
+    for key in ("positives", "negatives"):
+        values = sorted(draw(st.lists(_SPECTRUM_VALUES, max_size=20)), reverse=True)
+        entries = []
+        for v in values:
+            mult = draw(st.one_of(st.none(), st.integers(1, 5), st.just(2.0)))
+            entries.append({"value": v} if mult is None else {"value": v, "mult": mult})
+        if entries or draw(st.booleans()):
+            doc[key] = entries
+    if draw(st.booleans()):
+        doc["tail"] = {"ratio": draw(st.floats(0.01, 0.99)), "scale": 0.0}
+    elif draw(st.booleans()):
+        doc["tail"] = None
+    return doc
+
+
+@given(spectrum_documents())
+@settings(max_examples=100, deadline=None)
+def test_read_spectrum_matches_from_entries(doc):
+    with tempfile.TemporaryDirectory() as d:
+        _write_json(f"{d}/s.json", doc)
+        spec = io.read_spectrum(f"{d}/s.json")
+    tail = doc.get("tail")
+    want = SpectralData.from_entries(
+        *[[(e["value"], e.get("mult", 1)) for e in doc.get(key, [])]
+          for key in ("positives", "negatives")],
+        TailModel(tail["ratio"], tail["scale"]) if tail else None)
+    for field in ("positives", "pos_mults", "negatives", "neg_mults"):
+        got, ref = getattr(spec, field), getattr(want, field)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+    assert spec.tail == want.tail
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"positives": [{"value": 0.5}, 0.25]}, "'float' object is not subscriptable"),
+    ({"negatives": [[0.5, 1]]}, "list indices must be integers or slices, not str"),
+    ({"positives": ["0.5"]}, "string indices must be integers, not 'str'"),
+    ({"positives": [{"value": 0.5}, {"mult": 2}]}, "'value'"),
+    ({"positives": 3}, "'int' object is not iterable"),
+    ({"negatives": {"value": 0.5}}, "string indices must be integers, not 'str'"),
+    ([1, 2], "'list' object has no attribute 'get'")])
+def test_malformed_spectrum_file_message(capsys, tmp_path, doc, message):
+    path = tmp_path / "spec.json"
+    _write_json(path, doc)
+    assert main(["trace", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed spectrum file '{path}': {message}\n"
+
+
+def test_boolean_multiplicity_message(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    _write_json(path, {"positives": [{"value": 0.5, "mult": True}]})
+    assert main(["trace", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == "error: positives: numbers are given as booleans\n"
 
 
 class TestModelCommand:

@@ -58,17 +58,34 @@ class TestOperatorMatrix:
         green_apply(op, np.ones(6))
         assert calls == [(6, 6)]
 
+    def test_green_apply_reads_eigenvalues_alone(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, real=real, name=name: calls.append(name) or real(m))
+        op = OperatorMatrix(random_spd(6, 3))
+        green_apply(op, np.ones(6))
+        assert op.is_invertible()
+        green_apply(op, np.ones(6))
+        assert calls == ["eigvalsh"]
+
     @pytest.mark.parametrize("make", [lambda: random_spd(40, 4),
                                       lambda: box_operator_1d(40, 0.8, periodic=False).entries])
     def test_results_bit_identical_to_eager_eigh(self, make):
         # the route before the spectrum became lazy: eigh of the symmetrised
-        # matrix at construction
+        # matrix at construction.  green_kernel and ls2_inner read it bit for
+        # bit; green_apply solves by LU, which is backward stable (Higham,
+        # ch. 9), so it meets the eigenbasis formula within 10 eps cond(A)
         m = make()
         w, v = np.linalg.eigh((m + m.T) / 2.0)
         rng = np.random.default_rng(5)
         psi, u = rng.normal(size=40), rng.normal(size=40)
         op = OperatorMatrix(m)
-        assert np.array_equal(green_apply(op, psi), v @ ((v.T @ psi) / w))
+        ref = v @ ((v.T @ psi) / w)
+        cond = np.max(np.abs(w)) / np.min(np.abs(w))
+        bound = 10 * np.finfo(float).eps * cond * np.max(np.abs(ref))
+        assert np.max(np.abs(green_apply(op, psi) - ref)) <= bound
         assert np.array_equal(green_kernel(op), (v / w) @ v.T)
         assert ls2_inner(u, psi, op, 0.5) == float(np.sum((v.T @ u) * w ** 0.5 * (v.T @ psi)))
 
@@ -99,6 +116,20 @@ class TestGreenApply:
         err = exc.value
         assert err.eigenvalue == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(np.abs(err.eigenvector), [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, 0.0]),
+                                   np.array([[1e100, 1e100, 3e99], [1e100, 1e100, 3e99],
+                                             [3e99, 3e99, 7e99]])])
+    def test_singular_refusal_names_the_eigh_eigenpair(self, m):
+        # the verdict comes from eigvalsh; the refusal names eigh's eigenpair
+        # of least magnitude, as when eigh decided
+        w, v = np.linalg.eigh(m)
+        k = int(np.argmin(np.abs(w)))
+        with pytest.raises(SingularOperatorError) as exc:
+            green_apply(OperatorMatrix(m), np.ones(len(m)))
+        assert str(exc.value) == f"operator is singular (eigenvalue {w[k]:.3e})"
+        assert exc.value.eigenvalue == w[k]
+        assert np.array_equal(exc.value.eigenvector, v[:, k])
 
     def test_singular_projection_mode(self):
         op = OperatorMatrix(np.diag([2.0, 0.0, 4.0]))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
@@ -110,6 +111,46 @@ class TestValidation:
         for fields in ({"ratio": value, "scale": 1.0}, {"ratio": 0.5, "scale": value}):
             with pytest.raises(ValidationError):
                 TailModel(**fields)
+
+
+_GUARD_ELEMENTS = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, -0.0]),
+                            st.integers(-2 ** 62, 2 ** 62),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def nested_numbers(draw):
+    """(x, plant): x is a nested list of depth 0 to 4 (a bare number at depth
+    0) of numbers rich in 0 and 1; plant is () or (p,), with p put in at one
+    drawn position: a boolean, a string or a None."""
+    shape = draw(st.lists(st.integers(1, 3), max_size=4))
+    size = math.prod(shape)
+    flat = draw(st.lists(_GUARD_ELEMENTS, min_size=size, max_size=size))
+    plant = draw(st.sampled_from([(), (True,), (False,), ("1",), (None,)]))
+    if plant:
+        flat[draw(st.integers(0, size - 1))] = plant[0]
+    for n in reversed(shape):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat[0], plant
+
+
+@given(nested_numbers(), st.sampled_from([float, None]))
+@settings(max_examples=400, deadline=None)
+@example(([[0, None], ["1", 1]], ("1",)), None)
+@example(([None, True, 0.0], (True,)), float)
+def test_as_array_refuses_exactly_booleans_and_strings(drawn, dtype):
+    # a None is not refused here: it reads as NaN under dtype float, which
+    # every caller's finiteness check refuses, and stays None in an object
+    # array under dtype None, which the callers' casts refuse
+    x, plant = drawn
+    if plant and isinstance(plant[0], (bool, str)):
+        spelling = "booleans" if isinstance(plant[0], bool) else "strings"
+        with pytest.raises(ValidationError, match=spelling):
+            spectral._as_array(x, dtype, "x")
+        return
+    got, want = spectral._as_array(x, dtype, "x"), np.asarray(x, dtype)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=dtype is float)
 
 
 class TestRegTrace:
