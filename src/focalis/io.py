@@ -1,7 +1,9 @@
 """JSON readers for spectra, eigen grids, paths, matrices and model configs.
 
-io only reads; the CLI's streaming emitter writes every report.  Numbers
-must be JSON numbers, not strings, and multiplicities and sizes whole numbers.
+io only reads; the CLI's streaming emitter writes every report.  Files are
+decoded by orjson, strictly to RFC 8259, and spectra by the stdlib json
+module.  Numbers must be JSON numbers, not strings, booleans or nulls, and
+multiplicities and sizes whole numbers below 2**63 in magnitude.
 
 Formats:
   spectrum   {"positives":[{"value":x,"mult":n},...], "negatives":[...],
@@ -17,8 +19,10 @@ Formats:
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
+import orjson
 
 from .errors import ValidationError
 from .focal import EigenGrid, _eigen_grids
@@ -26,19 +30,55 @@ from .geomodel import SphereProductConfig
 from .spectral import SpectralData, TailModel, _as_array, _whole_numbers
 from .transport import AlgebraPath
 
+# orjson builds the Python objects of its parse tree recursively, with no
+# depth limit of its own, and overflows the C stack some 10^5 levels down;
+# deeper files are refused before it reads them.
+MAX_NESTING = 1024
+# every byte but brackets and quotes, which decide how deep a text nests
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+# +1 where an array or object opens, -1 where one closes
+_STEP = np.zeros(256, dtype=np.int64)
+_STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
 
-def _load_json(path: str):
-    """The JSON value of a UTF-8 file (RFC 8259); a file that is not UTF-8
-    text or nests too deep for the decoder is refused like malformed JSON."""
+
+def _nesting(raw: bytes) -> int:
+    """How deep the JSON text raw nests, exact for well-formed text (the only
+    kind orjson builds objects from); any number <= MAX_NESTING stands for
+    "not deeper than MAX_NESTING"."""
+    text = np.frombuffer(raw, np.uint8)
+    opens = np.count_nonzero(text == ord("[")) + np.count_nonzero(text == ord("{"))
+    if opens <= MAX_NESTING:
+        return opens
+    if b"\\" in raw:     # drop escapes, so that every quote left opens or closes a string
+        raw = re.sub(rb"\\.", b"", raw, flags=re.DOTALL)
+    marks = np.frombuffer(raw.translate(None, _NOT_MARKS), np.uint8)
+    in_string = np.cumsum(marks == ord('"')) % 2 == 1
+    return int(np.cumsum(np.where(in_string, 0, _STEP[marks])).max())
+
+
+def _load_json(path: str, stdlib: bool = False):
+    """The JSON value of a UTF-8 file, decoded strictly to RFC 8259 by orjson
+    or, with stdlib, by the json module.  A file that is not UTF-8 text or
+    nests deeper than MAX_NESTING (orjson) or the recursion limit (json) is
+    refused like malformed JSON."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        if stdlib:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if _nesting(raw) > MAX_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_NESTING}")
+        return orjson.loads(raw)
+    # ValueError: JSONDecodeError (both decoders) and UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read JSON file '{path}': {exc}") from exc
 
 
 def read_spectrum(path: str) -> SpectralData:
-    data = _load_json(path)
+    # the stdlib decoder: orjson would hold the text and its own tree of the
+    # entries until the Python objects exist, 12 MB more at 100k entries
+    data = _load_json(path, stdlib=True)
     try:
         branches = []
         for key in ("positives", "negatives"):
@@ -71,23 +111,29 @@ def read_eigen_grid(path: str) -> EigenGrid:
     return read_eigen_grids([path])[0]
 
 
+PATH_END_TOL = 1e-12       # the first and last sample times: 0 and 1 within this
+PATH_SPACING_TOL = 1e-9    # each step: 1/(n - 1) within this
+
+
 def read_path(path: str) -> AlgebraPath:
     """Sampled algebra path; samples must sit on a uniform grid over [0, 1]."""
     data = _load_json(path)
     # ValueError: ragged rows, samples of different sizes, or a non-numeric time
     try:
-        samples = sorted(data["samples"], key=lambda e: e[0])
+        samples = data["samples"]
         ts = _as_array([e[0] for e in samples], float, "sample times")
-        parts = _as_array([e[1] for e in samples], float, "sample matrices")
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+        parts = _as_array([samples[i][1] for i in order.tolist()], float, "sample matrices")
         if parts.ndim != 4 or parts.shape[-1] != 2:
             raise ValueError("samples must be matrices of [re, im] entries")
         mats = parts.view(complex)[..., 0]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed path file '{path}': {exc}") from exc
-    if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
+    if len(ts) < 2 or abs(ts[0]) > PATH_END_TOL or abs(ts[-1] - 1.0) > PATH_END_TOL:
         raise ValidationError(f"path in '{path}' must span t in [0, 1]")
     # written so that a NaN time fails it
-    if not np.all(np.abs(np.diff(ts) - 1.0 / (len(ts) - 1)) <= 1e-9):
+    if not np.all(np.abs(np.diff(ts) - 1.0 / (len(ts) - 1)) <= PATH_SPACING_TOL):
         raise ValidationError(f"path in '{path}' is not uniformly sampled")
     return AlgebraPath(mats)
 

@@ -30,6 +30,7 @@ CAUCHY_THRESHOLD = 1e-6
 RATIO_MAX = 0.95           # increment ratio above which we refuse to extrapolate
 FINITE_RANK_MAX = 64       # at most this many stored entries reads as finite rank
 MAX_BRANCH_RANK = 2 ** 53  # a branch's total multiplicity stays below this
+INT64_BOUND = 2.0 ** 63    # whole numbers not read as int64 lie below this in magnitude
 ZETA_TOLERANCE = 1e-6      # relative tail bound above which the zeta trace diverges
 
 
@@ -74,12 +75,12 @@ class TailModel:
 
 
 def _as_array(x, dtype, name: str) -> np.ndarray:
-    """x as an array of dtype; numbers given as strings or booleans are refused,
-    not parsed or read as 1 and 0.  A string entry makes the inferred dtype a
-    string one, or an object one (searched entry by entry) when x also holds
-    nulls or ints beyond 64 bits.  Booleans alone infer a boolean dtype; next
-    to numbers they cast to 0 or 1, so x is searched entry by entry only when
-    it holds a 0 or a 1."""
+    """x as an array of dtype; numbers given as strings, booleans or nulls are
+    refused, not parsed or read as 1, 0 and NaN.  A string entry makes the
+    inferred dtype a string one, or an object one (searched entry by entry)
+    when x also holds nulls or ints beyond 64 bits; a null makes it an object
+    one.  Booleans alone infer a boolean dtype; next to numbers they cast to
+    0 or 1, so x is searched entry by entry only when it holds a 0 or a 1."""
     try:
         arr = np.asarray(x)
         kind, types = arr.dtype.kind, set()
@@ -94,6 +95,8 @@ def _as_array(x, dtype, name: str) -> np.ndarray:
             raise TypeError("numbers are given as strings")
         if kind == "b" or any(issubclass(t, (bool, np.bool_)) for t in types):
             raise TypeError("numbers are given as booleans")
+        if type(None) in types:
+            raise TypeError("numbers are given as null")
         return np.asarray(arr, dtype=dtype)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: {exc}") from exc
@@ -101,11 +104,20 @@ def _as_array(x, dtype, name: str) -> np.ndarray:
 
 def _whole_numbers(x, name: str) -> np.ndarray:
     """x as int64 whole numbers: a fractional one is refused, where a cast
-    would truncate 2.7 to 2 (and _as_array refuses booleans)."""
+    would truncate 2.7 to 2, and so is one outside the int64 range, where a
+    cast would wrap or overflow (and _as_array refuses booleans and nulls).
+    An int beyond 64 bits reads as a Python int from the stdlib decoder and
+    as a float from orjson; both get the range message."""
     raw = _as_array(x, None, name)
-    if raw.dtype.kind in "iu":
-        return raw.astype(np.int64, copy=False)   # uint64 beyond int64 wraps negative
-    with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test
+    if raw.dtype.kind == "i":
+        return raw.astype(np.int64, copy=False)
+    # uint64, object (ints beyond 64 bits) and float arrays; comparisons of
+    # Python ints with the float bound are exact, and a NaN fails the whole
+    # test.  A float -2**63 may be orjson's reading of -2**63 - 1.
+    with np.errstate(invalid="ignore"):
+        if (np.abs(raw) >= INT64_BOUND).any():
+            raise ValidationError(f"{name}: whole numbers must lie in the 64-bit range "
+                                  "(|n| < 2**63)")
         m = _as_array(raw, np.int64, name)
     if (m != raw).any():
         raise ValidationError(f"{name}: sizes and multiplicities must be whole numbers")

@@ -138,13 +138,12 @@ def nested_numbers(draw):
 @settings(max_examples=400, deadline=None)
 @example(([[0, None], ["1", 1]], ("1",)), None)
 @example(([None, True, 0.0], (True,)), float)
-def test_as_array_refuses_exactly_booleans_and_strings(drawn, dtype):
-    # a None is not refused here: it reads as NaN under dtype float, which
-    # every caller's finiteness check refuses, and stays None in an object
-    # array under dtype None, which the callers' casts refuse
+def test_as_array_refuses_exactly_booleans_strings_and_nulls(drawn, dtype):
+    # a None (a JSON null) read as NaN under dtype float, so a file's null was
+    # refused as the NaN it does not hold
     x, plant = drawn
-    if plant and isinstance(plant[0], (bool, str)):
-        spelling = "booleans" if isinstance(plant[0], bool) else "strings"
+    if plant:
+        spelling = {bool: "booleans", str: "strings"}.get(type(plant[0]), "null")
         with pytest.raises(ValidationError, match=spelling):
             spectral._as_array(x, dtype, "x")
         return
