@@ -115,7 +115,12 @@ def _whole_numbers(x, name: str) -> np.ndarray:
     # Python ints with the float bound are exact, and a NaN fails the whole
     # test.  A float -2**63 may be orjson's reading of -2**63 - 1.
     with np.errstate(invalid="ignore"):
-        if (np.abs(raw) >= INT64_BOUND).any():
+        try:
+            beyond = (np.abs(raw) >= INT64_BOUND).any()
+        except TypeError:   # an entry that is no number (a JSON object): the cast names it
+            beyond = any(isinstance(v, (int, float)) and abs(v) >= INT64_BOUND
+                         for v in raw.flat)
+        if beyond:
             raise ValidationError(f"{name}: whole numbers must lie in the 64-bit range "
                                   "(|n| < 2**63)")
         m = _as_array(raw, np.int64, name)

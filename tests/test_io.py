@@ -11,7 +11,6 @@ import random
 import struct
 import subprocess
 import sys
-import tomllib
 
 import orjson
 import pytest
@@ -266,6 +265,29 @@ def test_whole_numbers_beyond_int64_are_refused_by_range(tmp_path, reader, doc, 
     assert "whole numbers must lie in the 64-bit range (|n| < 2**63)" in err
 
 
+@pytest.mark.parametrize("reader, doc, message", [
+    ("grid", '{"pairs": [{"lambdaR": 1.0, "lambdaA": 0.5, "mult": {"a": 1}}]}', "pair: int()"),
+    ("grid", '{"pairs": [{"lambdaR": 1.0, "lambdaA": 0.5, "mult": 2}, '
+             '{"lambdaR": 1.0, "lambdaA": 0.5, "mult": {"a": 1}}]}', "pair: int()"),
+    ("config", '{"blocks": [[3, 1.0]], "k1": 1, "rprime": [0.5], "k2": 0, '
+               '"ambient_dim": {"a": 1}}', "ambient_dim: int()"),
+    ("config", '{"blocks": [[{"a": 1}, 1.0]], "k1": 1, "rprime": [0.5], "k2": 0, '
+               '"ambient_dim": 8}', "block sizes: int()"),
+    ("spectrum", '{"positives": [{"value": 0.5, "mult": {"a": 1}}]}', "positives: int()"),
+    ("spectrum", '{"positives": [{"value": 0.5, "mult": 1180591620717411303424}, '
+                 '{"value": 0.4, "mult": {"a": 1}}]}',
+     "positives: whole numbers must lie in the 64-bit range (|n| < 2**63)"),
+], ids=["grid", "grid second pair", "config ambient_dim", "config block", "spectrum",
+        "spectrum beside 2**70"])
+def test_whole_number_fields_holding_objects_are_refused(tmp_path, reader, doc, message):
+    # the range test took abs() of a dict and ended in a TypeError traceback
+    files = _write_reader_files(tmp_path, doc)
+    code, out, err = _run([a.format(**files) for a in _READERS[reader][0]])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert message.endswith("2**63)") or err.rstrip().endswith("not 'dict'")
+
+
 # ------------------------------------------------------------ the dependencies
 def _third_party_imports():
     names = set()
@@ -279,6 +301,7 @@ def _third_party_imports():
 
 
 def test_runtime_dependencies_are_the_imports():
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 and later
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     declared = {dep.split(">")[0].split("=")[0].split("<")[0].strip()
