@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ValidationError
 
 IDENTITY_TOL = 1e-12   # bracket and antisymmetry residuals of a loaded algebra
+AD_INVARIANCE_TOL = 1e-9  # ad-invariance residual of the gram, relative to 1 + its largest entry
 MAX_MATRIX_SIZE = 16   # su(n)'s bracket stack: (n^2 - 1)^2 n^2 complex entries, 0.25 GiB
 
 _PAULI = [
@@ -102,7 +103,8 @@ def _verify(alg: LieAlgebraBasis, brackets: np.ndarray):
     if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > IDENTITY_TOL:
         raise ValidationError("structure constants not antisymmetric")
     cg = c @ alg.gram
-    if np.max(np.abs(cg + np.swapaxes(cg, 1, 2))) > 1e-9 * (1.0 + np.abs(alg.gram).max()):
+    bound = AD_INVARIANCE_TOL * (1.0 + np.abs(alg.gram).max())
+    if np.max(np.abs(cg + np.swapaxes(cg, 1, 2))) > bound:
         raise ValidationError("inner product not ad-invariant")
 
 

@@ -27,6 +27,7 @@ from .spectral import FOCAL, Sentinel
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+FACTORIZATION_TOL = 1e-6  # holonomy passes below this factorization residual
 
 
 def _jsonable(x):
@@ -384,7 +385,7 @@ def _cmd_holonomy(args):
     result = {"fine_steps": transport.fine_steps(args.steps, mu),
               "integrator": transport.INTEGRATOR, "oracle": transport.ORACLE,
               "holonomy": hol, "transport_of_pullback": phi_mu,
-              "factorization_residual": agreement, "passed": agreement < 1e-6}
+              "factorization_residual": agreement, "passed": agreement < FACTORIZATION_TOL}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -411,10 +412,10 @@ _INVOLUTIONS = {"u1diag": "ad_diag", "son": "conj"}
 
 
 def _cmd_hyperpolar(args):
-    if args.k1 != args.k2:
+    spec = args.k1.lower()
+    if spec != args.k2.lower():
         raise ValidationError("only symmetric pairs with k1 == k2 are supported")
     algebra = args.group.lower().replace("(", "").replace(")", "")
-    spec = args.k1.lower()
     # soK is SO(n), the fixed group of conj in SU(n), only for K = n
     theta = _INVOLUTIONS.get("son" if spec == re.sub(r"^su_?0*", "so", algebra) else spec)
     if theta is None:
@@ -509,11 +510,60 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list):
+    """The namespace build_parser(argv[0]).parse_args(argv) returns, read
+    straight from the command table, for a plain command line; None for any
+    other, which argparse then parses (and alone prints help, versions and
+    errors for).  A line is plain when it names a command, then gives each
+    option once by its exact name, each value as the next word, which does
+    not start with '-' (check's kind anywhere); and every required option is
+    present and every type and choices test passes."""
+    _, func, arguments = _COMMANDS[argv[0]]
+    table = dict(arguments + _OUTPUT)
+    positionals = [flag for flag in table if not flag.startswith("-")]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            given[positionals.pop(0)] = word
+        elif word not in table or word in given:
+            return None
+        elif table[word].get("action") == "store_true":
+            given[word] = True
+        else:
+            given[word] = value = next(words, "-")
+            if value.startswith("-"):
+                return None
+    values = {"command": argv[0], "func": func}
+    for flag, options in table.items():
+        if flag in given:
+            value = given[flag]
+        elif options.get("required") or flag in positionals:
+            return None
+        else:
+            value = False if options.get("action") == "store_true" else options.get("default")
+        # argparse types a given value and a str default, and tests choices
+        # on a given value only
+        if isinstance(value, str) and "type" in options:
+            try:
+                value = options["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if flag in given and value not in options.get("choices", (value,)):
+            return None
+        values[flag.lstrip("-").replace("-", "_")] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a command line naming a command parses with that command's parser
-    # alone; --help, --version and an empty or unknown one take the full one
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    # a plain line naming a command is read from the command table; any other
+    # line naming one parses with that command's parser alone, and --help,
+    # --version and an empty or unknown one with the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = (command and _plain_args(argv)) or build_parser(command).parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
         result, code = args.func(args)

@@ -30,6 +30,8 @@ from .errors import ValidationError
 from .focal import EigenGrid, _eigen_grids
 
 NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
+RANK_TOL = 1e-9  # singular-value cutoff of the block-even rank of a tangent frame
+COMMUTATOR_TOL = 1e-9  # curvature_adapted_check passes below this commutator norm
 MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
 TRIAL_CHUNK_ENTRIES = 2 ** 20  # floats of factors per chunk of commutator trials
 RADIUS_RANGE = (2.0 ** -250, 2.0 ** 250)  # commutators hold radii to the power -4
@@ -233,7 +235,7 @@ def _block_data(model: ModelSubmanifold, points: slice, xis: np.ndarray):
     _check_normal(t, n, xis)
     comps = (xis[:, None, :] @ n[:, :, : cfg.k1])[:, 0]        # <xi, nu_j>
     # one stacked rank per block; (k1, P) -> (P, k1), also for k1 = 0
-    dims = np.array([np.linalg.matrix_rank(t[:, cfg.block_even_indices(j), :], tol=1e-9)
+    dims = np.array([np.linalg.matrix_rank(t[:, cfg.block_even_indices(j), :], tol=RANK_TOL)
                      for j in range(cfg.k1)], dtype=int).reshape(cfg.k1, len(xis)).T
     lam_a = np.array([np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2)
                       for (_, r), rp in zip(cfg.blocks, cfg.rprime)]) * comps
@@ -351,7 +353,7 @@ def curvature_adapted_check(model: ModelSubmanifold, n_trials: int,
         xi_rows = (model.normal_bases[pis[:, None], rows, :] @ coeffs)[:, :, 0]
         worst = max(worst, float(_commutator_norms(model, pis, xi_rows).max()))
     return {"trials": n_trials, "max_commutator_norm": worst,
-            "passed": worst < 1e-9}
+            "passed": worst < COMMUTATOR_TOL}
 
 
 def trace_closed_form(model: ModelSubmanifold, point_index: int,

@@ -18,6 +18,8 @@ from .transport import expm_antiherm
 
 MAX_SAMPLES = 10_000  # sample points of one check: each costs one expm and two products
 _CHUNK = 256          # samples exponentiated and paired as one stack
+ORTHOGONALITY_TOL = 1e-8  # worst orbit-section inner product, relative to the largest |a_i|
+FLATNESS_TOL = 1e-10      # max |[a_i, a_j]| of a flat section
 
 
 def _hs_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -63,5 +65,5 @@ def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
         "n_samples": n_samples,
         "max_orthogonality_residual": worst / norm,
         "flatness_residual": flat,
-        "passed": bool(worst / norm < 1e-8 and flat < 1e-10),
+        "passed": bool(worst / norm < ORTHOGONALITY_TOL and flat < FLATNESS_TOL),
     }

@@ -2,6 +2,9 @@ import contextlib
 import io as textio
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -306,11 +309,14 @@ class TestOneSubparser:
             assert _parse(cli.build_parser(command), argv, capsys) == full
 
     def test_main_builds_only_the_named_command(self, monkeypatch, capsys):
+        # a plain line builds no parser; a declined line builds only the
+        # named command's, and --version, an empty or unknown one the full one
         built = []
         make_parser = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c)
                             or make_parser(c))
-        for argv in (["box1d", "--samples", "4", "--speed", "1"], ["--version"], [],
+        for argv in (["box1d", "--samples", "4", "--speed", "1"],
+                     ["box1d", "--samples=4", "--speed", "1"], ["--version"], [],
                      ["bogus"], ["--help"]):
             try:
                 main(argv)
@@ -318,6 +324,92 @@ class TestOneSubparser:
                 pass
         capsys.readouterr()
         assert built == ["box1d", None, None, None, None]
+
+
+def _argparse_vars(argv):
+    """vars() of build_parser(argv[0]).parse_args(argv), or None where
+    argparse exits (an error, --help or --version)."""
+    out, err = textio.StringIO(), textio.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(build_parser(argv[0]).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
+def test_plain_reader_reads_every_command_line(command):
+    argv = [command] + _COMMAND_LINES[command]
+    plain = cli._plain_args(argv)
+    assert plain is not None and vars(plain) == _argparse_vars(argv)
+
+
+# Command-line fuzz of the plain reader against argparse: each command's
+# options in any order, some left out or given twice, with values of their
+# kind (Unicode digits among them) or bad ones (a leading "-", NaN, a bad
+# choice), and hostile words anywhere
+_HOSTILE_WORDS = ["-1", "-", "--", "", "--out=x", "--sam", "-h", "--version", "x"]
+_WORD_VALUES = {  # an option's type: its good values, then bad ones
+    int: (["0", "3", "25", "\u0663", "\uff18", " 7 ", "1_0"], ["-1", "1.5", "x"]),
+    cli._non_negative_int: (["0", "4", "\u0664"], ["-3", "abc", "1e3"]),
+    cli._finite_float: (["0.5", "1e-3", "\u0661.\u0665"], ["-2.5", "nan", "inf", "x"]),
+    None: (["s.json", "0.1,2", "SU(2)", "so2", "SO3", "a b", "json", "iso", ""], []),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """argv of one command line: a clean one, with every required option and
+    values of their kind, or a hostile one."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    hostile = draw(st.booleans())
+    words = []
+    for flag, options in draw(st.permutations(cli._COMMANDS[command][2] + cli._OUTPUT)):
+        required = options.get("required") or not flag.startswith("-")
+        if not (required and not hostile) and draw(st.integers(0, 3 if required else 1)) == 0:
+            continue
+        if options.get("action") == "store_true":
+            words.append(flag)
+            continue
+        if "choices" in options:
+            good, bad = list(options["choices"]), ["xml", "bad", ""]
+        else:
+            good, bad = _WORD_VALUES[options.get("type")]
+        value = draw(st.sampled_from(bad + _HOSTILE_WORDS if hostile and draw(st.booleans())
+                                     else good))
+        words += [value] if not flag.startswith("-") else [flag, value]
+    for _ in range(draw(st.integers(0, 2)) if hostile else 0):
+        extra = st.sampled_from(_HOSTILE_WORDS + words[:1] + words[-2:])
+        words.insert(draw(st.integers(0, len(words))), draw(extra))
+    return [command] + words
+
+
+@given(command_lines())
+@settings(max_examples=400, deadline=None)
+def test_plain_reader_agrees_with_argparse(argv):
+    # the plain reader declines every line argparse exits on, and reads every
+    # line it accepts as argparse does
+    expected = _argparse_vars(argv)
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == expected, argv
+
+
+def test_import_builds_no_parser():
+    # parsers are built per command line, in main: none while focalis.cli imports
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1),"
+            " init(self, *a, **k))[1]\n"
+            "import focalis.cli\n"
+            "print(len(built))\n"
+            "focalis.cli.build_parser('trace')\n"
+            "print(len(built))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "2"]
 
 
 @pytest.fixture
@@ -1650,6 +1742,13 @@ class TestAlgebraCommands:
         code, _ = run(capsys, "hyperpolar", "--group", "SU(2)",
                       "--k1", "u1diag", "--k2", "so2")
         assert code == 2
+
+    def test_hyperpolar_subgroups_compare_without_case(self, capsys):
+        # SO3 and so3 name the same subgroup: the pair was refused as k1 != k2
+        argv = ["hyperpolar", "--group", "SU(3)", "--samples", "3"]
+        code, mixed = run_json(capsys, *argv, "--k1", "SO3", "--k2", "so3")
+        _, lower = run_json(capsys, *argv, "--k1", "so3", "--k2", "so3")
+        assert code == 0 and mixed["result"] == lower["result"]
 
     @pytest.mark.parametrize("group,spec,code,k_dim", [
         ("SU(4)", "so3", 2, None), ("SU(2)", "so3", 2, None), ("SU(3)", "so2", 2, None),
