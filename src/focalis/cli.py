@@ -8,21 +8,24 @@ resolved configuration, as JSON or flattened CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import glob
 import itertools
-import json
 import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from . import __version__
 from . import focal, geomodel, greenop, hyperpolar, io, roots, spectral, transport
 from .errors import SingularOperatorError, ValidationError
 from .focal import Window
-from .spectral import FOCAL, Sentinel
+from .spectral import FOCAL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -30,193 +33,65 @@ EXIT_INPUT_ERROR = 2
 FACTORIZATION_TOL = 1e-6  # holonomy passes below this factorization residual
 
 
-def _jsonable(x):
-    """JSON value of a scalar leaf; a complex number becomes [re, im] and a
-    sentinel its report spelling."""
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        # strict JSON has no NaN or Infinity
-        return float(x) if math.isfinite(x) else None
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, Sentinel):
-        return x.value
-    if isinstance(x, complex):
-        return [_jsonable(x.real), _jsonable(x.imag)]
-    return x
-
-
-# JSON text of the plain scalar types, as json.dumps writes them after
-# _jsonable (encode_basestring_ascii is json.dumps' string encoder)
-_SCALAR_JSON = {
-    type(None): lambda v: "null",
-    bool: lambda v: "true" if v else "false",
-    int: int.__repr__,
-    float: lambda v: float.__repr__(v) if math.isfinite(v) else "null",
-    str: json.encoder.encode_basestring_ascii,
-}
-
-
-def _walk(x, path: tuple, out: list):
-    """Append x to out in the layout of json.dumps(indent=2, sort_keys=True).
-
-    Brackets, separators and keys go in as text.  Each leaf goes in as
-    (path, value): path is a tuple of str keys and int indices, and value is
-    the leaf's JSON text or a real, integer or boolean ndarray, written whole
-    (a complex one as its stacked [re, im] parts).
-    Dict keys are str()-ed and sorted, as in json.dumps after _jsonable.
-    """
-    encode = _SCALAR_JSON.get(type(x))
-    if encode:
-        out.append((path, encode(x)))
-    elif isinstance(x, (dict, list, tuple)):
-        if isinstance(x, dict):
-            keyed = {str(k): v for k, v in x.items()}
-            items = [(k, keyed[k]) for k in sorted(keyed)]
-            brackets = "{}"
-        else:
-            items = list(enumerate(x))
-            brackets = "[]"
-        if not items:
-            out.append(brackets)
-            return
-        inner = "\n" + "  " * (len(path) + 1)
-        for i, (k, v) in enumerate(items):
-            out.append((brackets[0] if i == 0 else ",") + inner)
-            if brackets == "{}":
-                out.append(json.encoder.encode_basestring_ascii(k) + ": ")
-            _walk(v, path + (k,), out)
-        out.append("\n" + "  " * len(path) + brackets[1])
-    elif isinstance(x, np.ndarray):
-        if x.dtype.kind == "c":
-            x = np.stack((x.real, x.imag), axis=-1)
-        if x.dtype.kind in "biu" or (x.dtype.kind == "f" and x.dtype.itemsize <= 8):
-            out.append((path, x))
-        else:
-            _walk(x.tolist(), path, out)
-    else:
-        value = _jsonable(x)
-        if isinstance(value, list):
-            _walk(value, path, out)
-        else:
-            out.append((path, json.dumps(value)))
-
-
-_BATCH_MAX = 4096  # elements: a larger array leaf is formatted alone, when written
-
-
-def _flat_texts(flat: np.ndarray) -> list:
-    """JSON text of every element of a flat real, integer or boolean array.
-
-    Every +0.0 gets the one shared text "0.0" and only the other floats are
-    formatted: box1d's dense matrix is almost all zeros."""
-    if flat.dtype.kind == "b":
-        return ["true" if v else "false" for v in flat.tolist()]
-    if flat.dtype.kind != "f":
-        return list(map(int.__repr__, flat.tolist()))
-    # NaN, the infinities and -0.0 are formatted too
-    formatted = (flat != 0) | np.signbit(flat)
-    if formatted.all():
-        items = list(map(float.__repr__, flat.tolist()))
-    else:
-        items = ["0.0"] * flat.size
-        where = np.flatnonzero(formatted)
-        for k, text in zip(where.tolist(), map(float.__repr__, flat[where].tolist())):
-            items[k] = text
-    for k in np.flatnonzero(~np.isfinite(flat)).tolist():
-        items[k] = "null"
-    return items
-
-
-def _element_texts(arrays: list) -> list:
-    """JSON texts of the elements of each array of at most _BATCH_MAX elements,
-    in C order, and None for a larger one, so that no large leaf is copied and
-    no two large leaves' texts are held at once.  The small arrays of one
-    dtype kind go through one tolist()/repr pass over their concatenation."""
-    groups, texts = {}, [None] * len(arrays)
-    for i, a in enumerate(arrays):
-        if a.size <= _BATCH_MAX:
-            groups.setdefault(a.dtype.kind, []).append(i)
-    for members in groups.values():
-        parts = [arrays[i].ravel() for i in members]
-        items = _flat_texts(np.concatenate(parts))
-        ends = np.cumsum([p.size for p in parts]).tolist()
-        for i, lo, hi in zip(members, [0] + ends, ends):
-            texts[i] = items[lo:hi]
-    return texts
-
-
-def _leaf_texts(value: np.ndarray, texts: list) -> list:
-    """The next leaf's element texts from the reversed _element_texts list."""
-    items = texts.pop()
-    return _flat_texts(value.ravel()) if items is None else items
-
-
-def _array_json(items: list, shape: tuple, level: int) -> str:
-    """An array of this shape and element texts, as json.dumps(a.tolist(),
-    indent=2) writes it at nesting `level`."""
-    for axis in reversed(range(len(shape))):
-        n = shape[axis]
-        if n == 0:
-            items = ["[]"] * math.prod(shape[:axis])
-            continue
-        inner = "\n" + "  " * (level + axis + 1)
-        close = "\n" + "  " * (level + axis) + "]"
-        sep = "," + inner
-        items = ["[" + inner + sep.join(items[i:i + n]) + close
-                 for i in range(0, len(items), n)]
-    return items[0]
-
-
+_JSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_NON_STR_KEYS
+                 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
 _CSV_WORDS = {"null": "None", "true": "True", "false": "False"}
 
 
-def _csv_rows(leaves, texts: list):
-    """Text of the key,value rows, one per scalar leaf and per array element,
-    yielded one last-axis run of an array at a time, so that no key or row
-    list of a whole array is held.  texts holds the element texts of the
-    array leaves, the last leaf's first."""
-    yield "key,value"
-    for path, value in leaves:
-        prefix = "".join(f"{k}." for k in path)
-        items = [value] if isinstance(value, str) else _leaf_texts(value, texts)
-        if isinstance(value, str) or value.ndim == 0:
-            yield f"\n{prefix.rstrip('.')},{_CSV_WORDS.get(items[0], items[0])}"
-            continue
-        # a run's text is "".join of (head, "i,", text) triples, laid out by
-        # slice assignment rather than one concatenation per element
-        n = value.shape[-1]
-        parts = [None] * (3 * n)
-        parts[1::3] = [f"{i}," for i in range(n)]
-        for row, index in enumerate(itertools.product(*map(range, value.shape[:-1]))):
-            run = items[row * n:(row + 1) * n]
-            parts[0::3] = ["\n" + prefix + "".join(f"{i}." for i in index)] * n
-            parts[2::3] = map(_CSV_WORDS.get, run, run)
+def _default(x):
+    """What orjson does not write itself: complex values as [re, im] pairs, an array
+    that is not C-contiguous as a copy, float16 and 0-d ones and numpy scalars by tolist()."""
+    if isinstance(x, (complex, np.complexfloating)):
+        return [x.real, x.imag]
+    if not isinstance(x, (np.ndarray, np.generic)):
+        raise TypeError(f"type {type(x).__name__} is not JSON serializable")
+    if x.dtype.kind == "c":
+        return np.stack((x.real, x.imag), axis=-1)
+    return x.tolist() if x.flags.c_contiguous else np.ascontiguousarray(x)
+
+
+_dumps = functools.partial(orjson.dumps, default=_default, option=orjson.OPT_SERIALIZE_NUMPY)
+_index_texts = functools.lru_cache(8)(lambda n: tuple(f"{i}," for i in range(n)))  # "0,", ...
+
+
+def _csv_rows(report: dict):
+    """Text of the key,value rows in the JSON report's order, walked by a stack, not
+    recursion; an array's come one last-axis run at a time, by slice assignment."""
+    todo = [(report, "")]
+    while todo:
+        x, key = todo.pop()
+        if isinstance(x, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(x):
+            x = _default(x)
+        if isinstance(x, dict):
+            keyed = {k if isinstance(k, str) else _dumps(k).decode(): v for k, v in x.items()}
+            todo.extend((keyed[k], f"{key}{k}.") for k in sorted(keyed, reverse=True))
+        elif isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "biuf" and x.size:
+            texts = _dumps(x)[1:-1].decode().split(",")
+            parts = ["\n" + key] * (3 * len(texts))
+            parts[1::3] = _index_texts(len(texts))
+            parts[2::3] = map(_CSV_WORDS.get, texts, texts)
             yield "".join(parts)
+        elif isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim:
+            todo.extend((x[i], f"{key}{i}.") for i in reversed(range(len(x))))
+        else:
+            text = encode_basestring_ascii(x) if isinstance(x, str) else _dumps(x).decode()
+            yield f"\n{key.rstrip('.')},{_CSV_WORDS.get(text, text)}"
 
 
 def _emit(report: dict, fmt: str, out: str):
-    chunks = []
-    _walk(report, (), chunks)
-    leaves = [c for c in chunks if isinstance(c, tuple)]
-    # popped leaf by leaf, so that each leaf's texts are freed once written
-    texts = _element_texts([v for _, v in leaves if not isinstance(v, str)])[::-1]
-    if fmt == "json":
-        parts = [c if isinstance(c, str) else c[1] if isinstance(c[1], str)
-                 else _array_json(_leaf_texts(c[1], texts), c[1].shape, len(c[0]))
-                 for c in chunks]
-    else:
-        parts = _csv_rows(leaves, texts)
-    parts = itertools.chain(parts, ["\n"])
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.writelines(parts)
-        except OSError as exc:
-            raise ValidationError(f"cannot write report file '{out}': {exc}") from exc
-    else:
-        sys.stdout.writelines(parts)
+    """Write the report as UTF-8; a JSON one is encoded before out is opened."""
+    try:
+        chunks = ([orjson.dumps(report, default=_default, option=_JSON_OPTIONS)] if fmt == "json"
+                  else map(str.encode, itertools.chain(["key,value"], _csv_rows(report), ["\n"])))
+        sys.stdout.flush()
+        with open(out, "wb") if out else contextlib.nullcontext(sys.stdout.buffer) as fh:
+            fh.writelines(chunks)
+    except orjson.JSONEncodeError as exc:
+        raise ValidationError(f"cannot encode the report: {exc}") from exc
+    except OSError as exc:
+        if not out:
+            raise
+        raise ValidationError(f"cannot write report file '{out}': {exc}") from exc
 
 
 def _finite_float(text: str) -> float:
@@ -228,13 +103,17 @@ def _finite_float(text: str) -> float:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of every seed: numpy seeds are integers >= 0."""
+    """argparse type of every seed: numpy seeds are integers >= 0, and below
+    2**64 here."""
     try:
         value = int(text)
     except ValueError:   # the text argparse gives for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got '{text}'")
+    # the report echoes it, and no 64-bit JSON integer reader holds more
+    if value >= 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got '{text}'")
     return value
 
 

@@ -40,9 +40,12 @@ class OperatorMatrix:
         if not np.all(np.isfinite(m)):
             raise ValidationError("operator entries must be finite")
         scale = 1.0 + np.abs(m).max()
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
+        # entries near the float range overflow m - m.T (then asymmetric) and m + m.T
+        with np.errstate(over="ignore"):
+            asymmetry, mean = np.max(np.abs(m - m.T)), (m + m.T) / 2.0
+        if asymmetry > SYMMETRY_TOL * scale:
             raise ValidationError("operator is not symmetric")
-        object.__setattr__(self, "entries", (m + m.T) / 2.0)
+        object.__setattr__(self, "entries", np.where(np.isfinite(mean), mean, m / 2.0 + m.T / 2.0))
 
     @cached_property
     def _eigh(self):
@@ -69,9 +72,6 @@ class OperatorMatrix:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self.entries @ np.asarray(psi, dtype=float)
-
-    def is_invertible(self) -> bool:
-        return not _singular_modes(self._eigvals).any()
 
 
 def _singular_modes(w: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """JSON readers for spectra, eigen grids, paths, matrices and model configs.
 
-io only reads; the CLI's streaming emitter writes every report.  Files are
+io only reads; the CLI writes every report, through orjson.  Files are
 decoded by orjson, strictly to RFC 8259, and spectra by the stdlib json
 module.  Numbers must be JSON numbers, not strings, booleans or nulls, and
 multiplicities and sizes whole numbers below 2**63 in magnitude.

@@ -3,12 +3,14 @@ import io as textio
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,6 +19,7 @@ from scipy.linalg import expm
 from focalis import cli, focal, hyperpolar, io, spectral, transport
 from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
 from focalis.cli import build_parser, main
+from focalis.errors import ValidationError
 from focalis.focal import FOCAL, EigenGrid
 from focalis.greenop import MAX_BOX_SAMPLES, box_operator_1d
 from focalis.spectral import DIVERGENT, SpectralData, TailModel
@@ -71,17 +74,40 @@ def usage_error(capsys, *argv):
     assert capsys.readouterr().out == ""
 
 
-# The report encoder that the streaming emitter replaced, kept as its
-# reference: _jsonable over the whole report, then json.dumps or _flatten.
+class _Stdout(textio.TextIOWrapper):
+    """A stand-in for sys.stdout with a byte buffer, which the CLI writes
+    reports to; getvalue() gives what was written, decoded."""
+
+    def __init__(self):
+        super().__init__(textio.BytesIO(), encoding="utf-8", write_through=True)
+
+    def getvalue(self):
+        return self.buffer.getvalue().decode()
+
+
+# The reference encoder: the report as plain JSON values, then json.dumps or
+# a flat key,value list.  A non-str key is spelled as its JSON text, a float
+# one as orjson spells it.  The elements of a float32 array stay np.float32,
+# to be compared at float32: orjson writes its shortest float32 round trip.
+def _key_text(k):
+    if isinstance(k, str):
+        return k
+    return orjson.dumps(k).decode() if isinstance(k, float) else json.dumps(k)
+
+
 def _reference_jsonable(x):
     if isinstance(x, dict):
-        return {str(k): _reference_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+        return {_key_text(k): _reference_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim:
         return [_reference_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        return _reference_jsonable(x.tolist())
+        return _reference_jsonable(x[()])
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
+    if isinstance(x, (complex, np.complexfloating)):
+        return _reference_jsonable([x.real, x.imag])
+    if isinstance(x, np.float32):
+        return x if math.isfinite(x) else None
     if isinstance(x, (np.floating, float)):
         return float(x) if math.isfinite(x) else None
     if isinstance(x, (np.integer, int)):
@@ -90,8 +116,6 @@ def _reference_jsonable(x):
         return "divergent"
     if x is FOCAL:
         return "focal"
-    if isinstance(x, complex):
-        return [x.real, x.imag]
     return x
 
 
@@ -108,22 +132,66 @@ def _reference_flatten(obj, prefix=""):
     return rows
 
 
-def _reference_text(report, fmt):
-    report = _reference_jsonable(report)
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    lines = ["key,value"]
-    for key, val in _reference_flatten(report):
-        sval = json.dumps(val) if isinstance(val, str) else str(val)
-        lines.append(f"{key},{sval}")
-    return "\n".join(lines) + "\n"
+def _same_values(got, want):
+    """got, read back from a report, equals the reference value want: by type
+    and repr, sign included, and a float32 leaf at float32."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and sorted(got) == sorted(want)
+                and all(_same_values(got[k], v) for k, v in want.items()))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(_same_values, got, want)))
+    if isinstance(want, np.float32):
+        return isinstance(got, float) and repr(np.float32(got)) == repr(want)
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+_FLOAT_TEXT = re.compile(r"\d[.eE]")   # floats, and no int or JSON word
+# orjson writes every character from U+007F up as itself, json.dumps escapes it
+_PRINTABLE_ASCII = re.compile(r"[ -~]*")
+
+
+def _assert_matches_reference(report):
+    """The JSON report reads back to the reference's values and equals its
+    json.dumps(indent=2, sort_keys=True) text on every line that holds no
+    float and no character beyond printable ASCII; every CSV row has the
+    reference's key, and its float or, on the other rows, its text."""
+    want = _reference_jsonable(report)
+    text = _emitted(report, "json")
+    assert _same_values(json.loads(text, parse_constant=_reject_constant), want)
+    lines = text.split("\n")
+    ref_lines = (json.dumps(want, indent=2, sort_keys=True, default=float) + "\n").split("\n")
+    assert len(lines) == len(ref_lines)
+    for line, ref in zip(lines, ref_lines):
+        if _PRINTABLE_ASCII.fullmatch(line) and not _FLOAT_TEXT.search(ref + line):
+            assert line == ref
+    # the last word of each leaf's line, in the order of the CSV rows
+    leaf_words = [line.rstrip(",").rsplit(" ", 1)[-1] for line in lines[:-1]
+                  if not line.rstrip(",").endswith(("{", "[", "{}", "[]", "}", "]"))]
+    ref_rows = _reference_flatten(want)
+    assert len(leaf_words) == len(ref_rows)
+    # keys may hold newlines, values never do
+    text = _emitted(report, "csv")
+    assert text.startswith("key,value") and text.endswith("\n")
+    pos = len("key,value")
+    for (key, value), word in zip(ref_rows, leaf_words):
+        head = f"\n{key},"
+        assert text.startswith(head, pos), (text[pos:pos + 80], head)
+        end = text.index("\n", pos + len(head))
+        got, pos = text[pos + len(head):end], end
+        if isinstance(value, (float, np.float32)):
+            # JSON and CSV spell every float alike
+            assert _same_values(float(got), value) and got == word, (head, got, value, word)
+        else:
+            assert got == (json.dumps(value) if isinstance(value, str) else str(value)), head
+    assert pos == len(text) - 1
 
 
 def _emitted(report, fmt):
-    buf = textio.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out = _Stdout()
+    with contextlib.redirect_stdout(out):
         cli._emit(report, fmt, None)
-    return buf.getvalue()
+    return out.getvalue()
 
 
 _SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e308, 0.1]
@@ -137,36 +205,48 @@ _arrays = st.one_of(
     hnp.arrays(np.bool_, _shapes),
     hnp.arrays(np.complex128, _shapes,
                elements=st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    # orjson writes neither a view that is not C-contiguous (whose rows may
+    # be) nor float16 itself
+    hnp.arrays(np.float32, _shapes, elements=st.floats(width=32)).map(
+        lambda a: a[::-1] if a.ndim else a),
+    hnp.arrays(np.float16, _shapes, elements=st.floats(width=16)),
 )
+# integers in the 64-bit range that orjson writes (test_emitter_refusals
+# holds the ones beyond it)
 _scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), _float_elements, st.text(max_size=4),
+    st.none(), st.booleans(), st.integers(-2 ** 63, 2 ** 64 - 1), _float_elements,
+    st.text(max_size=4),
     st.sampled_from([DIVERGENT, FOCAL, np.float64(-0.0), np.int32(7), np.bool_(True)]),
     st.complex_numbers(allow_nan=False, allow_infinity=False),
 )
 _keys = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(),
                   st.floats(allow_nan=False), st.none())
+
+
+def _spelled_apart(d):
+    """No two keys of d share a spelling, such as None and "null"."""
+    return len({_key_text(k) for k in d}) == len(d)
+
+
 _reports = st.recursive(
     _scalars | _arrays,
-    lambda children: st.one_of(st.lists(children, max_size=3),
-                               st.tuples(children, children),
-                               st.dictionaries(_keys, children, max_size=3)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.tuples(children, children),
+        st.dictionaries(_keys, children, max_size=3).filter(_spelled_apart)),
     max_leaves=12)
 
 
 @given(_reports)
 @settings(max_examples=300, deadline=None)
 def test_emitter_matches_reference_encoder(report):
-    for fmt in ("json", "csv"):
-        assert _emitted(report, fmt) == _reference_text(report, fmt)
+    _assert_matches_reference(report)
 
 
-# many array leaves of every kind next to each other, and up to two leaves
-# beyond cli._BATCH_MAX elements: the batched formatting must split its
-# texts back into the right leaves
+# many array leaves of every kind next to each other, and up to two large ones
 _big_leaves = st.sampled_from([
-    None, np.arange(cli._BATCH_MAX + 1, dtype=np.int64) - 7,
-    np.concatenate([np.full(cli._BATCH_MAX, -0.0), [np.nan, np.inf, 0.1, -np.inf, 5e-324]]).reshape(3, -1),
-    np.arange(2 * cli._BATCH_MAX) % 3 == 0])
+    None, np.arange(4097, dtype=np.int64) - 7,
+    np.concatenate([np.full(4096, -0.0), [np.nan, np.inf, 0.1, -np.inf, 5e-324]]).reshape(3, -1),
+    np.arange(8192) % 3 == 0])
 
 
 @given(st.lists(_arrays | _scalars, min_size=10, max_size=60),
@@ -175,16 +255,7 @@ _big_leaves = st.sampled_from([
 def test_emitter_matches_reference_encoder_on_many_leaves(leaves, big):
     report = {"leaves": leaves, "keyed": {f"k{i}": v for i, v in enumerate(leaves)},
               "big": big, "empty": [np.zeros((2, 0)), np.array([], dtype=bool)]}
-    for fmt in ("json", "csv"):
-        assert _emitted(report, fmt) == _reference_text(report, fmt)
-
-
-def test_large_leaves_are_formatted_when_written():
-    # a leaf beyond cli._BATCH_MAX is left to its writer, so that the texts of
-    # two large leaves are never held at once
-    big = np.zeros(cli._BATCH_MAX + 1)
-    assert cli._element_texts([big, np.ones(2), big[:3] < 1]) == [
-        None, ["1.0", "1.0"], ["true"] * 3]
+    _assert_matches_reference(report)
 
 
 def test_emitter_writes_nonfinite_complex_parts_as_null():
@@ -192,45 +263,82 @@ def test_emitter_writes_nonfinite_complex_parts_as_null():
     assert json.loads(text, parse_constant=_reject_constant) == {"z": [None, 1.0]}
 
 
-def _per_element_texts(flat):
-    """The route cli._flat_texts replaced: every element formatted on its own."""
-    return [(float.__repr__(v) if math.isfinite(v) else "null") if isinstance(v, float)
-            else json.dumps(v) for v in flat.tolist()]
-
-
-def _flat_float_arrays(dtype):
-    info = np.finfo(dtype)
-    tiny = float(info.smallest_subnormal)
-    special = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny,
-                               float(info.smallest_normal), float(info.max)])
-    arrays = hnp.arrays(dtype, st.integers(0, 40), elements=st.floats(width=info.bits) | special)
-
-    def variant(drawn, kind):
-        # with every zero replaced, the array takes the one-pass route
-        if kind == "zeros":
-            return np.zeros_like(drawn)
-        return np.where(drawn == 0, dtype(1.5), drawn) if kind == "no zeros" else drawn
-    return st.builds(variant, arrays, st.sampled_from(["drawn", "zeros", "no zeros"]))
-
-
-@given(st.sampled_from([np.float64, np.float32, np.float16]).flatmap(_flat_float_arrays))
-@settings(max_examples=300, deadline=None)
-def test_flat_texts_match_per_element_route(flat):
-    texts = cli._flat_texts(flat)
-    assert texts == _per_element_texts(flat)
-    # +0.0 is not formatted per element: all its texts are one object
-    zeros = [t for t, z in zip(texts, (flat == 0) & ~np.signbit(flat)) if z]
-    assert all(t is zeros[0] for t in zeros)
-
-
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("periodic", [True, False])
-def test_box1d_report_matches_per_element_route(capsys, monkeypatch, fmt, periodic):
+def test_box1d_report_matches_per_element_route(capsys, fmt, periodic):
+    # every printed element of the matrix is the operator's entry, exactly
     argv = ["box1d", "--samples", "512", "--speed", "1.7", "--format", fmt,
             *(["--periodic"] if periodic else [])]
     code, out = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_flat_texts", _per_element_texts)
-    assert run(capsys, *argv) == (code, out) and code == 0
+    entries = box_operator_1d(512, 1.7, periodic=periodic).entries
+    if fmt == "json":
+        matrix = np.array(json.loads(out)["result"]["matrix"])
+    else:
+        rows = [line.split(",") for line in out.splitlines()
+                if line.startswith("result.matrix.")]
+        assert [key for key, _ in rows] == [
+            f"result.matrix.{i}.{j}" for i in range(512) for j in range(512)]
+        matrix = np.array([value for _, value in rows], dtype=float).reshape(512, 512)
+    assert code == 0 and matrix.dtype == entries.dtype
+    assert np.array_equal(matrix, entries)
+    assert np.array_equal(np.signbit(matrix), np.signbit(entries))
+
+
+def _nested(depth, leaf=0):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize("leaf", [2 ** 64, -2 ** 63 - 1, "\ud800", _nested(300)],
+                         ids=["2**64", "-2**63-1", "lone surrogate", "nested 300 deep"])
+def test_emitter_refusals(tmp_path, leaf):
+    # orjson writes no integer beyond 64 bits, no lone surrogate and no
+    # nesting deeper than 255; the report is refused before its file is opened
+    path = tmp_path / "r.json"
+    with pytest.raises(ValidationError, match="^cannot encode the report: "):
+        cli._emit({"result": leaf}, "json", str(path))
+    assert not path.exists()
+
+
+def test_unencodable_reports_exit_2_and_write_no_file(capsys, tmp_path):
+    grid = tmp_path / "g.json"
+    _write_json(grid, {"label": _nested(300), "pairs": [
+        {"lambdaR": 1.0, "lambdaA": 0.0, "mult": 2}]})
+    # a file name with a byte that is not UTF-8, echoed in the report's config
+    not_utf8 = os.fsdecode(os.fsencode(str(tmp_path)) + b"/\xff.json")
+    for argv in (["focal", "--grid", str(grid), "--out", str(tmp_path / "r.json")],
+                 ["box1d", "--samples", "4", "--speed", "1", "--out", not_utf8]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error: cannot encode the report"), argv
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
+def test_labels_nested_1000_deep_are_written_as_csv(capsys, tmp_path):
+    # the readers let 1024 levels through; the CSV rows, walked by recursion,
+    # ended in a RecursionError traceback after the first rows were written
+    grid = tmp_path / "g.json"
+    grid.write_text('{"label": ' + "[" * 1000 + "0" + "]" * 1000
+                    + ', "pairs": [{"lambdaR": 1.0, "lambdaA": 0.0, "mult": 2}]}')
+    code, out = run(capsys, "focal", "--grid", str(grid), "--format", "csv")
+    assert code == 0 and "\nresult.label" + ".0" * 1000 + ",0\n" in out
+    assert main(["focal", "--grid", str(grid)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot encode the report")
+
+
+def test_seed_must_be_below_2_to_the_64(capsys):
+    # a seed is echoed in the report, and no 64-bit JSON integer reader holds
+    # 2**64: argparse refuses it, as the plain reader declines the line
+    argv = ["roots", "--algebra", "su2", "--seed", str(2 ** 64)]
+    assert cli._plain_args(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--seed: must be below 2**64" in err
+    code, report = run_json(capsys, "roots", "--algebra", "su2", "--seed", str(2 ** 64 - 1))
+    assert code == 0 and report["config"]["seed"] == 2 ** 64 - 1
 
 
 def test_box_report_memory_at_the_cap(tmp_path):
@@ -897,7 +1005,7 @@ _FUZZ_LABEL = st.one_of(st.none(), st.text(max_size=5), _FUZZ_NUMBER, st.just(["
 def _report_or_input_error(argv):
     """Run the CLI: exit 0 or 1 with a strict JSON report, which is returned,
     or exit 2 with an error line and no report."""
-    out, err = textio.StringIO(), textio.StringIO()
+    out, err = _Stdout(), textio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
@@ -999,7 +1107,7 @@ def test_spectrum_files_give_a_report_or_an_input_error(text):
     with tempfile.TemporaryDirectory() as d:
         with open(f"{d}/s.json", "w") as fh:
             fh.write(text)
-        out, err = textio.StringIO(), textio.StringIO()
+        out, err = _Stdout(), textio.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["trace", "--spec", f"{d}/s.json", "--zeta", "--square"])
     assert code in (0, 1, 2)
@@ -1103,6 +1211,8 @@ def operator_file_texts(draw):
 @example(['[[9.52319983478651e+87, 1e+300, 1e+300], [1e+300, 9.52319983478651e+87, '
           '9.52319983478651e+87], [1e+300, 9.52319983478651e+87, 9.52319983478651e+87]]',
           '[1.0, 1.0, 1.0]'], False)
+# (m + m.T) / 2 overflowed: a RuntimeWarning, and a refusal with eigenvalue inf
+@example(['[[8.98846567431158e+307]]', '[0.0]'], False)
 def test_operator_files_give_a_report_or_an_input_error(texts, project):
     with tempfile.TemporaryDirectory() as d:
         for name, t in zip(("op", "psi"), texts):
@@ -1159,11 +1269,18 @@ def test_config_files_give_a_report_or_an_input_error(text):
 # Flag fuzz for roots and hyperpolar: su(n) and so(n) with n up to 6, so
 # that every accepted algebra loads in milliseconds, names beyond the size cap
 # or outside both families, involutions ad_diag_p with p from -1 to n + 1,
-# and subgroup specs soK that may miss the group's n.  Flags are passed as
-# --flag=value, so that a value starting with "-" is not read as a flag.
+# and subgroup specs soK that may miss the group's n.  Options are written
+# by _option, so that the lines reach both the plain reader and argparse.
 _FUZZ_ALGEBRA_JUNK = st.one_of(st.sampled_from(["su17", "so17", "sp4", "su", "so-3", "su2x",
                                                 "", " su3 ", "SU_3", "su03"]),
                                st.text(max_size=4))
+
+
+def _option(flag, value):
+    """An option's words: the flag and its value, or --flag=value where the
+    value starts with "-" and so would be read as a flag."""
+    value = str(value)
+    return [f"{flag}={value}"] if value.startswith("-") else [flag, value]
 
 
 @st.composite
@@ -1171,25 +1288,26 @@ def algebra_flags(draw):
     """argv of one roots or hyperpolar command line."""
     n = draw(st.integers(0, 6))
     family = draw(st.sampled_from(["su", "so"]))
-    seed = ["--seed=" + str(draw(st.integers(0, 2 ** 64)))] if draw(st.booleans()) else []
+    seed = _option("--seed", draw(st.integers(0, 2 ** 64))) if draw(st.booleans()) else []
     if draw(st.booleans()):
         algebra = draw(st.one_of(st.just(f"{family}{n}"), _FUZZ_ALGEBRA_JUNK))
         theta = draw(st.one_of(st.sampled_from(["conj", "ad_diag"]),
                                st.integers(-1, n + 1).map("ad_diag_{}".format)))
-        return ["roots", f"--algebra={algebra}", f"--theta={theta}"] + seed
+        return ["roots", *_option("--algebra", algebra), *_option("--theta", theta), *seed]
     group = draw(st.one_of(st.just(f"{family.upper()}({n})"), _FUZZ_ALGEBRA_JUNK))
     spec = st.one_of(st.sampled_from(["son", "u1diag", "so", "u1"]),
                      st.integers(0, 7).map("so{}".format))
     k1 = draw(spec)
     k2 = k1 if draw(st.booleans()) else draw(spec)
-    samples = draw(st.sampled_from([[], ["--samples=0"], ["--samples=1"], ["--samples=10001"]]))
-    return ["hyperpolar", f"--group={group}", f"--k1={k1}", f"--k2={k2}"] + samples + seed
+    samples = draw(st.sampled_from([[], *(_option("--samples", n) for n in (0, 1, 10001))]))
+    return ["hyperpolar", *_option("--group", group), *_option("--k1", k1),
+            *_option("--k2", k2), *samples, *seed]
 
 
 @given(algebra_flags())
 @settings(max_examples=150, deadline=None)
 def test_algebra_flags_give_a_report_or_an_input_error(argv):
-    report = _report_or_input_error(argv)
+    report = _flags_report_or_error(argv)
     if report is not None:
         assert isinstance(report["result"]["passed"], bool), argv
 
@@ -1197,9 +1315,9 @@ def test_algebra_flags_give_a_report_or_an_input_error(argv):
 # Flag fuzz for the flags no file fuzz reaches: box1d's --samples and --speed,
 # and --window, --radii, --tol, --points and --trials of example41, focal and
 # check.  Numbers are written as text, lists of them joined by commas, with
-# junk among them; flags are passed as --flag=value, so that a value starting
-# with "-" is not read as a flag.  Points and trials stay at most 5, and box1d
-# samples at most 40, so that every accepted command line runs in milliseconds.
+# junk among them; options are written by _option.  Points and trials stay at
+# most 5, and box1d samples at most 40, so that every accepted command line
+# runs in milliseconds.
 _FLAG_NUMBER = st.one_of(_ANY_NUMBER.map(str),
                          st.sampled_from(["", "x", " 1", "1e", "-", "0x10", "1_0"]))
 
@@ -1219,14 +1337,18 @@ _TOLS = st.one_of(st.sampled_from(["1e-8", "1e-3"]), _FLAG_NUMBER)
 
 def _flags_report_or_error(argv):
     """_report_or_input_error, or argparse's refusal: exit 2, no report and a
-    usage line with the error."""
+    usage line with the error.  The plain reader reads the line as argparse
+    does, or declines it."""
+    plain = cli._plain_args(argv)
     out, err = textio.StringIO(), textio.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            build_parser(argv[0]).parse_args(argv)
+            parsed = vars(build_parser(argv[0]).parse_args(argv))
     except SystemExit as exc:
         assert exc.code == 2 and out.getvalue() == "" and "error:" in err.getvalue(), argv
+        assert plain is None, argv
         return None
+    assert plain is None or vars(plain) == parsed, argv
     return _report_or_input_error(argv)
 
 
@@ -1236,7 +1358,8 @@ def _flags_report_or_error(argv):
 # speed 1e-300 squared underflowed to 0: a RuntimeWarning and an infinite matrix
 @example(4, "1e-300", False)
 def test_box1d_flags_give_a_report_or_an_input_error(samples, speed, periodic):
-    argv = ["box1d", f"--samples={samples}", f"--speed={speed}"] + ["--periodic"] * periodic
+    argv = ["box1d", *_option("--samples", samples), *_option("--speed", speed),
+            *["--periodic"] * periodic]
     report = _flags_report_or_error(argv)
     if report is not None:
         res = report["result"]
@@ -1248,8 +1371,8 @@ def test_box1d_flags_give_a_report_or_an_input_error(samples, speed, periodic):
 @settings(max_examples=60, deadline=None)
 def test_example41_flags_give_a_report_or_an_input_error(points, trials, window, radii, tol):
     report = _flags_report_or_error(
-        ["example41", f"--points={points}", f"--trials={trials}", f"--window={window}",
-         f"--radii={radii}", f"--tol={tol}"])
+        ["example41", *_option("--points", points), *_option("--trials", trials),
+         *_option("--window", window), *_option("--radii", radii), *_option("--tol", tol)])
     if report is not None:
         assert isinstance(report["result"]["passed"], bool)
 
@@ -1261,10 +1384,12 @@ def test_focal_and_check_flags_give_a_report_or_an_input_error(window, radii, to
         for i, radius in enumerate((1.0, 2.0)):
             write_eigen_grid(f"{d}/g{i}.json", EigenGrid(
                 ((1.0 / radius, 0.0, 2), (0.0, 2.0, 1)), label=f"x{i}"))
-        _flags_report_or_error(["focal", f"--grid={d}/g0.json", f"--window={window}"])
+        _flags_report_or_error(["focal", *_option("--grid", f"{d}/g0.json"),
+                                *_option("--window", window)])
         for kind in ("weak", "iso", "equifocal"):
-            report = _flags_report_or_error(["check", kind, f"--grids={d}", f"--window={window}",
-                                             f"--radii={radii}", f"--tol={tol}"])
+            report = _flags_report_or_error(
+                ["check", kind, *_option("--grids", d), *_option("--window", window),
+                 *_option("--radii", radii), *_option("--tol", tol)])
             if report is not None:
                 assert isinstance(report["result"]["passed"], bool)
 

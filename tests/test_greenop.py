@@ -21,6 +21,15 @@ class TestOperatorMatrix:
         with pytest.raises(ValidationError):
             OperatorMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_entries_near_the_float_range(self):
+        # m + m.T overflowed: a RuntimeWarning, and an entry of inf
+        big = 8.98846567431158e307
+        op = OperatorMatrix(np.array([[big, 1.0], [1.0, big]]))
+        assert np.array_equal(op.entries, [[big, 1.0], [1.0, big]])
+        assert np.allclose(green_apply(op, np.array([big, big])), 1.0, rtol=1e-15)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            OperatorMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_nonfinite(self, value):
         # a NaN entry passed the symmetry test, since NaN > tol is false
@@ -39,12 +48,15 @@ class TestOperatorMatrix:
         assert op == op and op != OperatorMatrix(np.eye(2))
 
     def test_invertibility_flag(self):
-        assert OperatorMatrix(np.eye(3)).is_invertible()
-        assert not OperatorMatrix(np.diag([1.0, 0.0])).is_invertible()
+        # green_apply solves an invertible operator and refuses a singular one
+        green_apply(OperatorMatrix(np.eye(3)), np.ones(3))
+        with pytest.raises(SingularOperatorError):
+            green_apply(OperatorMatrix(np.diag([1.0, 0.0])), np.ones(2))
         # the singular bound is SINGULAR_TOL for every spectrum within [-1, 1]
         for scale in (1e-6, 1.0):
-            assert not OperatorMatrix(np.diag([scale, 1e-12])).is_invertible()
-            assert OperatorMatrix(np.diag([scale, 2e-12])).is_invertible()
+            with pytest.raises(SingularOperatorError):
+                green_apply(OperatorMatrix(np.diag([scale, 1e-12])), np.ones(2))
+            green_apply(OperatorMatrix(np.diag([scale, 2e-12])), np.ones(2))
 
     def test_spectrum_computed_once_on_first_use(self, monkeypatch):
         calls = []
@@ -54,7 +66,8 @@ class TestOperatorMatrix:
         box_operator_1d(16, 1.5)
         box_eigenvalues_1d(16, 1.5, periodic=False)
         assert calls == []
-        op.eigenvalues, op.eigenvectors, op.is_invertible()
+        op.eigenvalues, op.eigenvectors
+        green_apply(op, np.ones(6))
         green_apply(op, np.ones(6))
         assert calls == [(6, 6)]
 
@@ -66,7 +79,6 @@ class TestOperatorMatrix:
                                 lambda m, real=real, name=name: calls.append(name) or real(m))
         op = OperatorMatrix(random_spd(6, 3))
         green_apply(op, np.ones(6))
-        assert op.is_invertible()
         green_apply(op, np.ones(6))
         assert calls == ["eigvalsh"]
 
@@ -141,7 +153,6 @@ class TestGreenApply:
         # order 1e84: absolute to SINGULAR_TOL it passed as invertible
         op = OperatorMatrix(np.array([[1e100, 1e100, 3e99], [1e100, 1e100, 3e99],
                                       [3e99, 3e99, 7e99]]))
-        assert not op.is_invertible()
         with pytest.raises(SingularOperatorError) as exc:
             green_apply(op, np.array([1.0, 2.0, 3.0]))
         null = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)

@@ -124,10 +124,12 @@ _EDGES = {"NaN": "NaN", "Infinity": "Infinity", "1e400": "1e400", "-0.0": "-0.0"
 
 
 def _run(argv):
-    out, err = textio.StringIO(), textio.StringIO()
+    # the CLI writes its report to stdout's byte buffer
+    out = textio.TextIOWrapper(textio.BytesIO(), encoding="utf-8", write_through=True)
+    err = textio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 @pytest.mark.parametrize("edge", [*_EDGES, "BOM"])
