@@ -159,13 +159,13 @@ def _cmd_trace(args):
 def _cmd_focal(args):
     grid = io.read_eigen_grid(args.grid)
     window = _parse_window(args.window)
-    fset = focal.focal_set(grid, window)
+    radii, mults = focal.focal_set(grid, window)
     result = {
         "label": grid.label,
         "window": [window.lo, window.hi],
-        "radii": fset.radii,
-        "multiplicities": fset.multiplicities,
-        "witness": focal.proper_fredholm_witness(fset),
+        "radii": radii,
+        "multiplicities": mults,
+        "witness": focal.proper_fredholm_witness(radii, mults),
     }
     return result, EXIT_OK
 
@@ -349,8 +349,9 @@ _COMMANDS = {
         _WINDOW, ("--radii", {"default": None}), _TOL)),
     "example41": ("product-of-spheres verification report", _cmd_example41, (
         ("--config", {"default": None}), ("--points", {"type": int, "default": 100}),
-        ("--trials", {"type": int, "default": 100}), ("--radii", {"default": None}),
-        _WINDOW, _TOL, _SEED)),
+        ("--trials", {"type": int, "default": 100,
+                      "help": f"commutator trials, 1 to {geomodel.MAX_TRIALS}"}),
+        ("--radii", {"default": None}), _WINDOW, _TOL, _SEED)),
     "transport": ("endpoint of the group path for u", _cmd_transport, (
         ("--path", _REQUIRED), ("--steps", {"type": int, "default": 1000}))),
     "holonomy": ("holonomy element of a connection path", _cmd_holonomy, (
@@ -372,16 +373,12 @@ _COMMANDS = {
 _OUTPUT = (("--format", {"choices": ("json", "csv"), "default": "json"}), ("--out", {}))
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser.  Given a command name, only that subcommand's parser is
-    built, and a metavar keeps every command in the usage line that top-level
-    errors print (the full parser keeps none: it would rename the argument)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, for the lines that _plain_args declines."""
     parser = argparse.ArgumentParser(prog="focalis")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
-    for name in [command] if command else _COMMANDS:
-        help_text, func, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments + _OUTPUT:
             p.add_argument(flag, **options)
@@ -390,7 +387,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _plain_args(argv: list):
-    """The namespace build_parser(argv[0]).parse_args(argv) returns, read
+    """The namespace build_parser().parse_args(argv) returns, read
     straight from the command table, for a plain command line; None for any
     other, which argparse then parses (and alone prints help, versions and
     errors for).  A line is plain when it names a command, then gives each
@@ -438,11 +435,8 @@ def _plain_args(argv: list):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a plain line naming a command is read from the command table; any other
-    # line naming one parses with that command's parser alone, and --help,
-    # --version and an empty or unknown one with the full one
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = (command and _plain_args(argv)) or build_parser(command).parse_args(argv)
+    # a plain line naming a command is read from the command table, any other by argparse
+    args = (argv and argv[0] in _COMMANDS and _plain_args(argv)) or build_parser().parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
         result, code = args.func(args)

@@ -107,24 +107,6 @@ def _eigen_grids(rows, counts, labels) -> list:
     return grids
 
 
-@dataclass(frozen=True, eq=False)
-class FocalRadiusSet:
-    """Strictly increasing focal radii inside a window, with multiplicities."""
-
-    radii: np.ndarray
-    multiplicities: np.ndarray
-    window: Window
-
-    def __post_init__(self):
-        if (np.diff(self.radii) <= MERGE_TOL).any():
-            raise ValidationError("focal radii not separated; merge before constructing")
-        outside = ~((self.window.lo <= self.radii) & (self.radii <= self.window.hi))
-        if outside.any():
-            raise ValidationError(f"radius {float(self.radii[outside][0])} outside window")
-        if (self.multiplicities < 1).any():
-            raise ValidationError("radius multiplicity must be >= 1")
-
-
 def _amplitudes(lam_r, lam_a, s: float):
     """(Y(s), Y'(s)) of arrays of rows at one s.  C(s), S(s) are cos(s q),
     sin(s q)/q with q = sqrt(lam_r), their hyperbolic forms for lam_r < 0, and
@@ -148,11 +130,6 @@ def _amplitudes(lam_r, lam_a, s: float):
 def jacobi_amplitude(lam_r: float, lam_a: float, s: float) -> float:
     """Scalar Jacobi amplitude Y(s) = C(s) - lam_a S(s) on the eigenspace."""
     return float(_amplitudes([lam_r], [lam_a], s)[0][0])
-
-
-def jacobi_amplitude_deriv(lam_r: float, lam_a: float, s: float) -> float:
-    """Y'(s) = -lam_r S(s) - lam_a C(s)."""
-    return float(_amplitudes([lam_r], [lam_a], s)[1][0])
 
 
 def _stack(grids: Sequence[EigenGrid]):
@@ -229,13 +206,13 @@ def focal_sets(grids: Sequence[EigenGrid], window: Window):
     return radii[head], mults.astype(np.int64), bounds.tolist()
 
 
-def focal_set(grid: EigenGrid, window: Window) -> FocalRadiusSet:
-    """Union of per-pair focal radii, multiplicities summed on coincidence."""
-    radii, mults, _ = focal_sets([grid], window)
-    return FocalRadiusSet(radii, mults, window)
+def focal_set(grid: EigenGrid, window: Window):
+    """Union of per-pair focal radii, multiplicities summed on coincidence:
+    the (radii, multiplicities) arrays of focal_sets on one grid."""
+    return focal_sets([grid], window)[:2]
 
 
-def proper_fredholm_witness(fset: FocalRadiusSet) -> dict:
+def proper_fredholm_witness(radii: np.ndarray, multiplicities: np.ndarray) -> dict:
     """Truncation surrogate of the proper-Fredholm property.
 
     Reports the (finite) focal count in the window, the max multiplicity and
@@ -243,10 +220,9 @@ def proper_fredholm_witness(fset: FocalRadiusSet) -> dict:
     eps.  Accumulation away from 0 cannot occur for a finite grid; the report
     documents that.
     """
-    radii = fset.radii
     report = {
         "count": int(len(radii)),
-        "max_multiplicity": int(fset.multiplicities.max()) if len(radii) else 0,
+        "max_multiplicity": int(multiplicities.max()) if len(radii) else 0,
         "min_gaps": {},
         "accumulation_flag": False,
     }

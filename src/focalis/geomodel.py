@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .focal import EigenGrid, _eigen_grids
+from .focal import _eigen_grids
 
 NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
 RANK_TOL = 1e-9  # singular-value cutoff of the block-even rank of a tangent frame
 COMMUTATOR_TOL = 1e-9  # curvature_adapted_check passes below this commutator norm
 MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
 TRIAL_CHUNK_ENTRIES = 2 ** 20  # floats of factors per chunk of commutator trials
+MAX_TRIALS = 2 ** 16  # commutator trials of one curvature_adapted_check
 RADIUS_RANGE = (2.0 ** -250, 2.0 ** 250)  # commutators hold radii to the power -4
 
 
@@ -242,26 +243,19 @@ def _block_data(model: ModelSubmanifold, points: slice, xis: np.ndarray):
     return comps, dims, lam_a
 
 
-def eigen_grids(model: ModelSubmanifold, xis: np.ndarray, start: int = 0) -> list:
-    """Joint eigen grids of the normals xis (P, N) at points start .. start +
-    P - 1: per constrained block the closed-form (lam_r, lam_a, mult) =
-    (|xi_j|^2 / r_j^2, lam_a,j, block dimension), the flat rest as (0, 0, mult)."""
+def eigen_grids(model: ModelSubmanifold, xis: np.ndarray) -> list:
+    """Joint eigen grids of the normals xis (P, N) at points 0 .. P - 1: per
+    constrained block the closed-form (lam_r, lam_a, mult) = (|xi_j|^2 / r_j^2,
+    lam_a,j, block dimension), the flat rest as (0, 0, mult)."""
     cfg = model.config
-    comps, dims, lam_a = _block_data(model, slice(start, start + len(xis)), xis)
+    comps, dims, lam_a = _block_data(model, slice(len(xis)), xis)
     radii = np.array([r for _, r in cfg.blocks[: cfg.k1]])
     flat = model.tangent_dim - dims.sum(axis=1, keepdims=True)
     zero = np.zeros_like(flat, dtype=float)
     rows = np.stack([np.hstack([comps ** 2 / radii ** 2, zero]), np.hstack([lam_a, zero]),
                      np.hstack([dims, flat])], axis=-1)
     keep = rows[:, :, 2] > 0
-    return _eigen_grids(rows[keep], keep.sum(axis=1), [f"x{start + p}" for p in range(len(xis))])
-
-
-def eigen_grid_of(model: ModelSubmanifold, point_index: int,
-                  xi: np.ndarray) -> EigenGrid:
-    """The eigen grid of one normal xi: a one-point view of eigen_grids."""
-    point_index = range(len(model.points))[point_index]
-    return eigen_grids(model, xi[None], start=point_index)[0]
+    return _eigen_grids(rows[keep], keep.sum(axis=1), [f"x{p}" for p in range(len(xis))])
 
 
 def _block_rows(cfg: SphereProductConfig) -> np.ndarray:
@@ -339,8 +333,8 @@ def curvature_adapted_check(model: ModelSubmanifold, n_trials: int,
     Each xi is drawn in the span of its point's normal frame.  Trials run
     in chunks whose factors hold about TRIAL_CHUNK_ENTRIES floats.
     """
-    if n_trials < 1:
-        raise ValidationError(f"need at least one trial, got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValidationError(f"need 1 to {MAX_TRIALS} trials, got {n_trials}")
     rng = np.random.default_rng(seed)
     rows = _block_rows(model.config)
     width = len(rows) + model.config.n_blocks

@@ -202,12 +202,6 @@ class SpectralData:
         return cls(ev[n_nonpos:][::-1], mults[n_nonpos:][::-1],
                    -ev[:n_neg], mults[:n_neg], tail)
 
-    @classmethod
-    def from_entries(cls, positives, negatives, tail=None) -> "SpectralData":
-        """Build from [(value, mult), ...] pairs for each sign branch."""
-        return cls([v for v, _ in positives], [m for _, m in positives],
-                   [v for v, _ in negatives], [m for _, m in negatives], tail)
-
     @property
     def rank(self) -> int:
         return int(self.pos_mults.sum() + self.neg_mults.sum())

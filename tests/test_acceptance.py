@@ -197,13 +197,12 @@ def test_criterion_4_sphere_product_trace_constancy(announce):
     model = geomodel.build_model(cfg, 100, seed=41)
     coeffs = np.random.default_rng(42).normal(size=cfg.k1)
     radii = (0.05, 0.1, 0.2)
+    grids = geomodel.eigen_grids(model, model.normal_bases[:, :, : cfg.k1] @ coeffs)
     worst_spread = 0.0
     closed_values = {}
     for r in radii:
         values = []
-        for pi in range(100):
-            xi = model.normal_bases[pi][:, : cfg.k1] @ coeffs
-            grid = geomodel.eigen_grid_of(model, pi, xi)
+        for grid in grids:
             v = focal.parallel_reg_mean_curvature(grid, r)
             assert v is not FOCAL and v is not DIVERGENT
             values.append(float(v))
@@ -234,9 +233,8 @@ def test_criterion_4_sphere_product_trace_constancy(announce):
 def test_criterion_5_trace_machinery(announce):
     n = 10 ** 6
     i = np.arange(1, n + 1, dtype=float)
-    alt = SpectralData.from_entries(
-        [(v, 1) for v in 1.0 / (2.0 * i)],
-        [(v, 1) for v in 1.0 / (2.0 * i - 1.0)])
+    ones = np.ones(n, dtype=np.int64)
+    alt = SpectralData(1.0 / (2.0 * i), ones, 1.0 / (2.0 * i - 1.0), ones)
     tr = spectral.reg_trace(alt)
     alt_dev = abs(float(tr) + np.log(2.0)) if tr is not DIVERGENT else np.inf
 

@@ -21,6 +21,7 @@ from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
 from focalis.cli import build_parser, main
 from focalis.errors import ValidationError
 from focalis.focal import FOCAL, EigenGrid
+from focalis.geomodel import MAX_TRIALS
 from focalis.greenop import MAX_BOX_SAMPLES, box_operator_1d
 from focalis.spectral import DIVERGENT, SpectralData, TailModel
 
@@ -393,36 +394,55 @@ _COMMAND_LINES = {
 }
 
 
-def _parse(parser, argv, capsys):
-    """The namespace, or the exit status and output of an argparse exit."""
+class _Parsed(Exception):
+    """Raised by a command in place of its report, with the namespace it got."""
+
+
+def _parsed(args):
+    raise _Parsed(vars(args))
+
+
+def _outcome(parse, capsys):
+    """The namespace parse() hands a command, or the exit status and output
+    of an argparse exit."""
     try:
-        return vars(parser.parse_args(argv))
+        parse()
+    except _Parsed as exc:
+        return exc.args[0]
     except SystemExit as exc:
         out = capsys.readouterr()
         return exc.code, out.out, out.err
 
 
 class TestOneSubparser:
+    """One parser reads every command line that the plain reader declines."""
+
     def test_every_command_is_listed(self):
         assert set(_COMMAND_LINES) == set(cli._COMMANDS)
 
     @pytest.mark.parametrize("command", sorted(_COMMAND_LINES))
-    def test_command_parser_matches_full_parser(self, capsys, command):
+    def test_command_parser_matches_full_parser(self, monkeypatch, capsys, command):
+        # main hands the command the full parser's namespace, plain line or
+        # not, and prints its usage, help and errors
+        help_text, _, arguments = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, _parsed, arguments))
         lines = [_COMMAND_LINES[command], ["--help"], [], ["--bogus", "1"],
                  _COMMAND_LINES[command] + ["--format", "xml"],
                  _COMMAND_LINES[command] + ["extra"]]
         for line in lines:
             argv = [command] + line
-            full = _parse(cli.build_parser(), argv, capsys)
-            assert _parse(cli.build_parser(command), argv, capsys) == full
+            full = _outcome(lambda: _parsed(build_parser().parse_args(argv)), capsys)
+            assert _outcome(lambda: main(argv), capsys) == full, argv
+            # a usage line names the command, or lists them all
+            every = "{" + ",".join(cli._COMMANDS) + "}"
+            assert isinstance(full, dict) or " ".join((full[1] + full[2]).split()).startswith(
+                (f"usage: focalis {command} ", f"usage: focalis [-h] [--version] {every} "))
 
-    def test_main_builds_only_the_named_command(self, monkeypatch, capsys):
-        # a plain line builds no parser; a declined line builds only the
-        # named command's, and --version, an empty or unknown one the full one
+    def test_main_builds_a_parser_only_for_declined_lines(self, monkeypatch, capsys):
+        # a plain line builds no parser; any other line builds the full one
         built = []
         make_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda c=None: built.append(c)
-                            or make_parser(c))
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or make_parser())
         for argv in (["box1d", "--samples", "4", "--speed", "1"],
                      ["box1d", "--samples=4", "--speed", "1"], ["--version"], [],
                      ["bogus"], ["--help"]):
@@ -431,16 +451,16 @@ class TestOneSubparser:
             except SystemExit:
                 pass
         capsys.readouterr()
-        assert built == ["box1d", None, None, None, None]
+        assert len(built) == 5
 
 
 def _argparse_vars(argv):
-    """vars() of build_parser(argv[0]).parse_args(argv), or None where
-    argparse exits (an error, --help or --version)."""
+    """vars() of build_parser().parse_args(argv), or None where argparse
+    exits (an error, --help or --version)."""
     out, err = textio.StringIO(), textio.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return vars(build_parser(argv[0]).parse_args(argv))
+            return vars(build_parser().parse_args(argv))
     except SystemExit:
         return None
 
@@ -511,18 +531,19 @@ def test_import_builds_no_parser():
             " init(self, *a, **k))[1]\n"
             "import focalis.cli\n"
             "print(len(built))\n"
-            "focalis.cli.build_parser('trace')\n"
+            "focalis.cli.build_parser()\n"
             "print(len(built))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "2"]
+    # the full parser: the top-level one and one per command
+    assert proc.stdout.split() == ["0", str(1 + len(cli._COMMANDS))]
 
 
 @pytest.fixture
 def spectrum_file(tmp_path):
-    spec = SpectralData.from_entries([(0.5, 1), (0.25, 1)], [(1.0, 1)], None)
+    spec = SpectralData([0.5, 0.25], [1, 1], [1.0], [1])
     path = tmp_path / "spec.json"
     write_spectrum(str(path), spec)
     return str(path)
@@ -634,8 +655,7 @@ class TestTraceCommand:
 
     def test_square_divergent(self, capsys, tmp_path):
         n = 5000
-        spec = SpectralData.from_entries(
-            [(1.0 / np.sqrt(i), 1) for i in range(1, n + 1)], [], None)
+        spec = SpectralData(1.0 / np.sqrt(np.arange(1, n + 1)), np.ones(n, dtype=np.int64))
         path = tmp_path / "slow.json"
         write_spectrum(str(path), spec)
         code, report = run_json(capsys, "trace", "--spec", str(path), "--square")
@@ -643,8 +663,7 @@ class TestTraceCommand:
         assert report["result"]["tr_sq"] == "divergent"
 
     def test_zeta_flag(self, capsys, tmp_path):
-        spec = SpectralData.from_entries(
-            [(2.0 ** -i, 1) for i in range(1, 40)], [], None)
+        spec = SpectralData(2.0 ** -np.arange(1, 40), np.ones(39, dtype=np.int64))
         path = tmp_path / "geo.json"
         write_spectrum(str(path), spec)
         code, report = run_json(capsys, "trace", "--spec", str(path), "--zeta")
@@ -696,8 +715,9 @@ class TestTraceCommand:
             monkeypatch.setattr(spectral, name,
                                 lambda spec, fn=fn, name=name: calls.append(name) or fn(spec))
         # the paired trace converges, the trace of the square does not
-        spec = SpectralData.from_entries([(i ** -0.5, 1) for i in range(1, 200)],
-                                         [((i + 0.5) ** -0.5, 1) for i in range(1, 200)], None)
+        i = np.arange(1, 200)
+        spec = SpectralData(i ** -0.5, np.ones(199, dtype=np.int64),
+                            (i + 0.5) ** -0.5, np.ones(199, dtype=np.int64))
         path = tmp_path / "spec.json"
         write_spectrum(str(path), spec)
         code, report = run_json(capsys, "trace", "--spec", str(path), "--square")
@@ -1317,7 +1337,7 @@ def test_algebra_flags_give_a_report_or_an_input_error(argv):
 # check.  Numbers are written as text, lists of them joined by commas, with
 # junk among them; options are written by _option.  Points and trials stay at
 # most 5, and box1d samples at most 40, so that every accepted command line
-# runs in milliseconds.
+# runs in milliseconds; trials and box1d samples beyond their caps are drawn too.
 _FLAG_NUMBER = st.one_of(_ANY_NUMBER.map(str),
                          st.sampled_from(["", "x", " 1", "1e", "-", "0x10", "1_0"]))
 
@@ -1343,7 +1363,7 @@ def _flags_report_or_error(argv):
     out, err = textio.StringIO(), textio.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            parsed = vars(build_parser(argv[0]).parse_args(argv))
+            parsed = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         assert exc.code == 2 and out.getvalue() == "" and "error:" in err.getvalue(), argv
         assert plain is None, argv
@@ -1367,7 +1387,9 @@ def test_box1d_flags_give_a_report_or_an_input_error(samples, speed, periodic):
         assert 1.0 <= res["smallest_eigenvalue"] <= res["largest_eigenvalue"], argv
 
 
-@given(st.integers(-1, 5), st.integers(-1, 5), _WINDOWS, _RADII, _TOLS)
+@given(st.integers(-1, 5),
+       st.one_of(st.integers(-1, 5), st.sampled_from([MAX_TRIALS + 1, 10 ** 23])),
+       _WINDOWS, _RADII, _TOLS)
 @settings(max_examples=60, deadline=None)
 def test_example41_flags_give_a_report_or_an_input_error(points, trials, window, radii, tol):
     report = _flags_report_or_error(
@@ -1555,15 +1577,14 @@ def spectrum_documents(draw):
 
 @given(spectrum_documents())
 @settings(max_examples=100, deadline=None)
-def test_read_spectrum_matches_from_entries(doc):
+def test_read_spectrum_matches_the_constructor(doc):
     with tempfile.TemporaryDirectory() as d:
         _write_json(f"{d}/s.json", doc)
         spec = io.read_spectrum(f"{d}/s.json")
-    tail = doc.get("tail")
-    want = SpectralData.from_entries(
-        *[[(e["value"], e.get("mult", 1)) for e in doc.get(key, [])]
-          for key in ("positives", "negatives")],
-        TailModel(tail["ratio"], tail["scale"]) if tail else None)
+    pos, neg, tail = doc.get("positives", []), doc.get("negatives", []), doc.get("tail")
+    want = SpectralData([e["value"] for e in pos], [e.get("mult", 1) for e in pos],
+                        [e["value"] for e in neg], [e.get("mult", 1) for e in neg],
+                        TailModel(tail["ratio"], tail["scale"]) if tail else None)
     for field in ("positives", "pos_mults", "negatives", "neg_mults"):
         got, ref = getattr(spec, field), getattr(want, field)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), field
@@ -1623,7 +1644,8 @@ class TestModelCommand:
     @pytest.mark.parametrize("argv", [
         ("--radii", "abc"), ("--radii", "0.05,inf"), ("--radii", "0.05,nan"),
         ("--radii", "0.05,"), ("--points", "0"), ("--points", "-2"),
-        ("--trials", "0"), ("--tol=-1",)])
+        ("--trials", "0"), ("--trials", str(MAX_TRIALS + 1)), ("--trials", str(10 ** 23)),
+        ("--tol=-1",)])
     def test_example41_bad_input_is_input_error(self, capsys, argv):
         code, out = run(capsys, "example41", "--points", "3", "--trials", "3", *argv)
         assert code == 2

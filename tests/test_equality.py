@@ -9,13 +9,11 @@ from focalis.algebras import load_algebra
 FACTORIES = {
     "AlgebraPath": lambda: transport.AlgebraPath(np.zeros((3, 2, 2), dtype=complex)),
     "GaugePath": lambda: transport.GaugePath(np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0)),
-    "SpectralData": lambda: spectral.SpectralData.from_entries([(1.0, 2)], [(0.5, 1)]),
+    "SpectralData": lambda: spectral.SpectralData([1.0], [2], [0.5], [1]),
     "LieAlgebraBasis": lambda: load_algebra("su2"),
     "RestrictedRootData": lambda: roots.restricted_root_decomposition(load_algebra("su3"), "conj"),
     "ModelSubmanifold": lambda: geomodel.build_model(geomodel.default_config(), 2, 0),
     "EigenGrid": lambda: focal.EigenGrid(((1.0, 0.5, 2), (0.0, 0.0, 1)), label="x0"),
-    "FocalRadiusSet": lambda: focal.focal_set(focal.EigenGrid(((1.0, 0.5, 2),)),
-                                              focal.Window(0.1, 5.0)),
 }
 
 

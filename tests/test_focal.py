@@ -8,10 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from focalis import focal, spectral
 from focalis.errors import OracleUndefinedError, ValidationError
-from focalis.focal import (FOCAL, MAX_FOCAL_RADII, MERGE_TOL, EigenGrid, FocalRadiusSet,
-                           Window, equifocal_check, focal_radii_pair, focal_set, focal_sets,
-                           isoparametric_check, jacobi_amplitude,
-                           jacobi_amplitude_deriv, parallel_reg_mean_curvature,
+from focalis.focal import (FOCAL, MAX_FOCAL_RADII, MERGE_TOL, EigenGrid, Window,
+                           equifocal_check, focal_radii_pair, focal_set, focal_sets,
+                           isoparametric_check, jacobi_amplitude, parallel_reg_mean_curvature,
                            parallel_shape_eigenvalue, proper_fredholm_witness,
                            riccati_oracle, transformed_grid, weakly_isoparametric_check)
 from focalis.spectral import DIVERGENT, SpectralData, reg_trace
@@ -98,16 +97,15 @@ class TestJacobiAmplitude:
     @pytest.mark.parametrize("lam_r,s", [(-1e6, 1.0), (-1.0, 800.0), (1e300, 1e300)])
     def test_out_of_float_range_is_validation_error(self, lam_r, s):
         # cosh and sinh overflow; s sqrt(lam_r) = inf has no cosine
-        for fn in (jacobi_amplitude, jacobi_amplitude_deriv):
-            with pytest.raises(ValidationError, match=re.escape(f"lambda_R={lam_r}, r={s}")):
-                fn(lam_r, 0.5, s)
+        with pytest.raises(ValidationError, match=re.escape(f"lambda_R={lam_r}, r={s}")):
+            jacobi_amplitude(lam_r, 0.5, s)
         with pytest.raises(ValidationError):
             parallel_shape_eigenvalue(lam_r, 0.5, s)
 
     def test_flat_amplitude_out_of_float_range_is_validation_error(self):
         # Y = 1 - 1e309 overflows though Y' does not: jacobi_amplitude returned
         # -inf where parallel_shape_eigenvalue refused the same row
-        for fn in (jacobi_amplitude, jacobi_amplitude_deriv, parallel_shape_eigenvalue):
+        for fn in (jacobi_amplitude, parallel_shape_eigenvalue):
             with pytest.raises(ValidationError, match=re.escape("lambda_R=0.0, r=10.0")):
                 fn(0.0, 1e308, 10.0)
 
@@ -122,11 +120,10 @@ class TestJacobiAmplitude:
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.7, 2.9, 4.5])
     def test_array_rows_equal_scalar_calls(self, s):
         lam_r, lam_a = self.rows(0)
-        y, yp = focal._amplitudes(lam_r, lam_a, s)
+        y, _ = focal._amplitudes(lam_r, lam_a, s)
         lam, focal_rows = focal._parallel_rows(lam_r, lam_a, s)
         for i, row in enumerate(zip(lam_r.tolist(), lam_a.tolist(), [s] * len(lam_r))):
             assert repr(jacobi_amplitude(*row)) == repr(float(y[i]))
-            assert repr(jacobi_amplitude_deriv(*row)) == repr(float(yp[i]))
             want = parallel_shape_eigenvalue(*row)
             assert want is FOCAL if focal_rows[i] else repr(want) == repr(float(lam[i]))
 
@@ -149,7 +146,7 @@ class TestJacobiAmplitude:
         h = 1e-6
         for lr, la, s in [(2.0, 0.5, 0.7), (-3.0, 1.5, 0.4), (0.0, 2.0, 0.3)]:
             fd = (jacobi_amplitude(lr, la, s + h) - jacobi_amplitude(lr, la, s - h)) / (2 * h)
-            assert jacobi_amplitude_deriv(lr, la, s) == pytest.approx(fd, abs=1e-6)
+            assert focal._amplitudes([lr], [la], s)[1][0] == pytest.approx(fd, abs=1e-6)
 
 
 class TestFocalRadiiPair:
@@ -177,7 +174,7 @@ class TestFocalRadiiPair:
         assert focal_radii_pair(-1.0, 2.0, Window(0.01, r - 1e-10)) == []
         assert focal_radii_pair(-1.0, 2.0, Window(r, 1.0)) == [r]
         grid = EigenGrid(((0.0, 2.000000002, 1), (4.0, 0.0, 2)))
-        assert focal_set(grid, Window(0.5, 2.0)).radii == pytest.approx([math.pi / 4])
+        assert focal_set(grid, Window(0.5, 2.0))[0] == pytest.approx([math.pi / 4])
 
     def test_cos_zeros(self):
         radii = focal_radii_pair(4.0, 0.0, Window(0.01, 10))
@@ -227,24 +224,43 @@ def test_focal_scaling(c, lam_r, lam_a):
         assert abs(rs - r / c) < 1e-9 * max(1.0, abs(r / c))
 
 
+@st.composite
+def chained_grids(draw):
+    """Grids of flat rows whose radii 1/lam_a form chains, each step 0.3 to 3
+    MERGE_TOL, mixed with trig and hyperbolic rows, and a window that may cut
+    a chain at either end."""
+    chain_rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.floats(min_value=0.1, max_value=5.0))
+        for step in [0.0] + draw(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=8)):
+            r += step * MERGE_TOL
+            chain_rows.append((0.0, 1.0 / r, draw(st.integers(1, 3))))
+    curved = st.tuples(st.one_of(st.floats(0.01, 20.0), st.floats(-20.0, -0.01)),
+                       st.floats(-3.0, 3.0), st.integers(1, 3))
+    rows = chain_rows + draw(st.lists(curved, max_size=4))
+    grids = [EigenGrid(tuple(draw(st.permutations(rows))[:draw(st.integers(1, len(rows)))]))
+             for _ in range(draw(st.integers(1, 3)))]
+    lo = 1.0 / draw(st.sampled_from(chain_rows))[1] + draw(st.floats(-3.0, 3.0)) * MERGE_TOL
+    return grids, Window(lo, lo + draw(st.sampled_from([2e-9, 1e-8, 1.0, 10.0])))
+
+
 class TestFocalSet:
     def test_single_flat_pair(self):
-        fset = focal_set(EigenGrid(((0.0, 1.0, 3),)), Window(0.1, 5.0))
-        assert tuple(zip(fset.radii.tolist(), fset.multiplicities.tolist())) == ((1.0, 3),)
+        radii, mults = focal_set(EigenGrid(((0.0, 1.0, 3),)), Window(0.1, 5.0))
+        assert tuple(zip(radii.tolist(), mults.tolist())) == ((1.0, 3),)
 
     def test_merge_and_sort(self):
         grid = EigenGrid(((1.0, 1.0, 2), (0.0, 1.0, 1)))
-        fset = focal_set(grid, Window(0.1, 4.0))
-        radii = fset.radii
+        radii, mults = focal_set(grid, Window(0.1, 4.0))
         assert radii == pytest.approx([math.pi / 4, 1.0, math.pi / 4 + math.pi])
-        assert list(fset.multiplicities) == [2, 1, 2]
+        assert list(mults) == [2, 1, 2]
 
     def test_coincident_radii_merge(self):
         # both pairs vanish at 1.0
         grid = EigenGrid(((0.0, 1.0, 2), (0.0, 1.0 + 1e-12, 3)))
-        fset = focal_set(grid, Window(0.1, 5.0))
-        assert len(fset.radii) == 1
-        assert fset.multiplicities[0] == 5
+        radii, mults = focal_set(grid, Window(0.1, 5.0))
+        assert len(radii) == 1
+        assert mults[0] == 5
 
     @pytest.mark.parametrize("pair", [(math.nan, 1.0, 1), (1.0, math.inf, 2),
                                       (-math.inf, 0.0, 1)])
@@ -272,9 +288,20 @@ class TestFocalSet:
             with pytest.raises(ValidationError):
                 EigenGrid(pairs)
 
-    def test_separation_invariant(self):
-        with pytest.raises(ValidationError):
-            FocalRadiusSet(np.array([1.0, 1.0 + 1e-12]), np.array([1, 1]), Window(0.1, 5.0))
+    @given(chained_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_separation_invariant(self, case):
+        # every grid's slice of focal_sets: radii increasing by more than
+        # MERGE_TOL, inside the window, each with a multiplicity >= 1, and
+        # every zero of every row counted once
+        grids, window = case
+        radii, mults, bounds = focal_sets(grids, window)
+        for g, lo, hi in zip(grids, bounds, bounds[1:]):
+            assert (np.diff(radii[lo:hi]) > MERGE_TOL).all()
+            assert ((window.lo <= radii[lo:hi]) & (radii[lo:hi] <= window.hi)).all()
+            assert (mults[lo:hi] >= 1).all()
+            assert mults[lo:hi].sum() == sum(m * len(focal_radii_pair(lr, la, window))
+                                             for lr, la, m in g.pairs)
 
 
 def eigen_grid_merge_loop(pairs, label=None):
@@ -338,16 +365,16 @@ def test_merge_matches_the_dict_merge(stack):
 
 class TestProperFredholmWitness:
     def test_arctan_family(self):
-        report = proper_fredholm_witness(focal_set(EigenGrid(((1.0, 1.0, 1),)),
-                                                    Window(0.1, 100.0)))
+        report = proper_fredholm_witness(*focal_set(EigenGrid(((1.0, 1.0, 1),)),
+                                                     Window(0.1, 100.0)))
         assert report["count"] == 32
         for gap in report["min_gaps"].values():
             assert gap == pytest.approx(math.pi, abs=1e-9)
         assert not report["accumulation_flag"]
 
     def test_empty_grid(self):
-        report = proper_fredholm_witness(focal_set(EigenGrid(((-1.0, 0.5, 2),)),
-                                                    Window(0.1, 50.0)))
+        report = proper_fredholm_witness(*focal_set(EigenGrid(((-1.0, 0.5, 2),)),
+                                                     Window(0.1, 50.0)))
         assert report["count"] == 0
 
 
@@ -461,7 +488,7 @@ class TestParallelRegMeanCurvature:
         assert reg_trace(grid.shape_spectrum()) == 50.0
         for r in (0.0, 0.1):
             lam = parallel_shape_eigenvalue(0.0, 0.5, r)
-            want = reg_trace(SpectralData.from_entries([(lam, 100)], []))
+            want = reg_trace(SpectralData([lam], [100]))
             assert want == pytest.approx(100 * lam, rel=1e-14)
             assert parallel_reg_mean_curvature(grid, r) == want
 
@@ -499,7 +526,7 @@ class TestChecks:
         report = isoparametric_check(grids, [0.1])
         assert report["regularizable"] and report["passed"]
         lam = parallel_shape_eigenvalue(0.0, 0.5, 0.1)
-        want = reg_trace(SpectralData.from_entries([(lam, 100)], []))
+        want = reg_trace(SpectralData([lam], [100]))
         assert report["radii"][0.1]["values"] == [want, want]
 
     def test_iso_detects_mismatch(self):
@@ -792,8 +819,8 @@ def test_focal_sets_match_per_pair_route(case):
         assert _outcome(lambda: equifocal_check(grids, window)) == want
         return
     for g, entries in zip(grids, want):
-        fset = focal_set(g, window)
-        assert tuple(zip(fset.radii.tolist(), fset.multiplicities.tolist())) == tuple(entries)
+        radii, mults = focal_set(g, window)
+        assert tuple(zip(radii.tolist(), mults.tolist())) == tuple(entries)
         for lam_r, lam_a, _ in g.pairs:
             assert focal_radii_pair(lam_r, lam_a, window) == focal_radii_pair_loop(
                 lam_r, lam_a, window)

@@ -6,9 +6,9 @@ import pytest
 from focalis import focal, geomodel
 from focalis.errors import ValidationError
 from focalis.focal import Window
-from focalis.geomodel import (MAX_FRAME_ENTRIES, ModelSubmanifold, SphereProductConfig,
-                              _sample_points, build_model, curvature_adapted_check,
-                              default_config, dense_operators, eigen_grid_of,
+from focalis.geomodel import (MAX_FRAME_ENTRIES, MAX_TRIALS, ModelSubmanifold,
+                              SphereProductConfig, _sample_points, build_model,
+                              curvature_adapted_check, default_config, dense_operators,
                               eigen_grids, trace_closed_form)
 from focalis.spectral import SpectralData
 
@@ -328,7 +328,7 @@ class TestOperators:
         model = build_model(cfg, 3, seed=4)
         xi = np.zeros(cfg.ambient_dim)
         xi[cfg.frozen_odd_indices()[0]] = 1.3
-        grid = eigen_grid_of(model, 0, xi)
+        (grid,) = eigen_grids(model, xi[None])
         spec = SpectralData.from_eigenvalues(grid.lam_r, mults=grid.mult)
         assert spec.rank == 0
         assert grid.pairs == ((0.0, 0.0, model.tangent_dim),)
@@ -339,7 +339,7 @@ class TestOperators:
         nb = model.normal_bases[0]
         # block normal with unit even part
         xi = nb[:, 0]
-        rows = eigen_grid_of(model, 0, xi).pairs
+        rows = eigen_grids(model, xi[None])[0].pairs
         block = [row for row in rows if row[0] > 1e-12]
         assert len(block) == 1
         lam_r, lam_a, mult = block[0]
@@ -351,24 +351,21 @@ class TestOperators:
         model = build_model(two_block_config(), 2, seed=6)
         xi = model.tangent_bases[0][:, 0]
         with pytest.raises(ValidationError):
-            eigen_grid_of(model, 0, xi).shape_spectrum()
+            eigen_grids(model, xi[None])
 
     def test_grid_multiplicities_partition_tangent(self):
         model = build_model(default_config(), 4, seed=7)
         rng = np.random.default_rng(8)
-        for pi in range(4):
-            xi = random_normal_vector(model, pi, rng)
-            grid = eigen_grid_of(model, pi, xi)
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(4)])
+        for grid in eigen_grids(model, xis):
             assert sum(m for _, _, m in grid.pairs) == model.tangent_dim
 
     def test_spectra_depend_only_on_block_norms(self):
         model = build_model(default_config(), 6, seed=10)
         cfg = model.config
         coeffs = np.array([0.7, -0.3, 1.1, 0.4])
-        rows = []
-        for pi in range(6):
-            xi = model.normal_bases[pi][:, : cfg.k1] @ coeffs
-            rows.append(np.array(eigen_grid_of(model, pi, xi).pairs))
+        xis = model.normal_bases[:, :, : cfg.k1] @ coeffs
+        rows = [np.array(grid.pairs) for grid in eigen_grids(model, xis)]
         for r in rows[1:]:
             assert r.shape == rows[0].shape
             assert np.max(np.abs(r - rows[0])) < 1e-12
@@ -388,8 +385,6 @@ class TestStackedEigenGrids:
             assert [m for *_, m in grid.pairs] == [m for *_, m in ref.pairs]
             got, want = np.array(grid.pairs)[:, :2], np.array(ref.pairs)[:, :2]
             assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
-            one = eigen_grid_of(model, pi, xis[pi])
-            assert one.pairs == grid.pairs and one.label == grid.label
 
     @pytest.mark.parametrize("bad", ["tangent", "outside", "nan"])
     def test_one_bad_normal_refuses_the_stack(self, bad):
@@ -404,8 +399,6 @@ class TestStackedEigenGrids:
             xis[2, 0] = np.nan
         with pytest.raises(ValidationError):
             eigen_grids(model, xis)
-        with pytest.raises(ValidationError):
-            eigen_grid_of(model, 2, xis[2])
 
 
 def dense_commutator_norm(jac, shape):
@@ -524,13 +517,21 @@ class TestDenseAgreement:
         with pytest.raises(ValidationError):
             curvature_adapted_check(model, 0, seed=26)
 
+    def test_trials_beyond_the_cap_rejected(self, monkeypatch):
+        # refused before any draw; an unbounded count ran until killed
+        model = build_model(default_config(), 2, seed=25)
+        monkeypatch.setattr(geomodel.np.random, "default_rng", None)
+        for n_trials in (MAX_TRIALS + 1, 10 ** 23):
+            with pytest.raises(ValidationError, match=f"1 to {MAX_TRIALS} trials"):
+                curvature_adapted_check(model, n_trials, seed=26)
+
     def test_spectra_match_block_formulas(self):
         model = build_model(default_config(), 3, seed=11)
         rng = np.random.default_rng(12)
-        for pi in range(3):
-            xi = random_normal_vector(model, pi, rng)
-            jac, shape = dense_operators(model, pi, xi)
-            rows = eigen_grid_of(model, pi, xi).pairs
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(3)])
+        for pi, grid in enumerate(eigen_grids(model, xis)):
+            jac, shape = dense_operators(model, pi, xis[pi])
+            rows = grid.pairs
             mults = [m for _, _, m in rows]
             jr = np.sort(np.repeat([lr for lr, _, _ in rows], mults))
             ja = np.sort(np.repeat([la for _, la, _ in rows], mults))
@@ -654,9 +655,9 @@ class TestFocalAgainstMatrixJacobi:
         model = build_model(cfg, 1, seed=18)
         rng = np.random.default_rng(19)
         xi = random_normal_vector(model, 0, rng)
-        grid = eigen_grid_of(model, 0, xi)
+        (grid,) = eigen_grids(model, xi[None])
         window = Window(0.05, 4.0)
-        radii = focal.focal_set(grid, window).radii
+        radii, mults = focal.focal_set(grid, window)
         jac, shape = dense_operators(model, 0, xi)
         d = jac.shape[0]
 
@@ -691,7 +692,7 @@ class TestFocalAgainstMatrixJacobi:
         # containment of crossings in the radius list instead of equality
         for c in crossings:
             assert np.min(np.abs(radii - c)) < 1e-3
-        odd = [r for r, m in zip(radii, focal.focal_set(grid, window).multiplicities)
+        odd = [r for r, m in zip(radii, mults)
                if r >= 0.05 and m % 2 == 1]
         for r in odd:
             assert np.min(np.abs(np.array(crossings) - r)) < 1e-3
@@ -706,6 +707,6 @@ class TestClosedFormTrace:
         # slice tangent dimension is m_j - 2; the printed weights use m_j - 1
         assert report["block_dims"] == [m - 2 for m, _ in cfg.blocks[: cfg.k1]]
         assert not report["weights_match"]
-        spec = eigen_grid_of(model, 0, xi).shape_spectrum()
+        spec = eigen_grids(model, xi[None])[0].shape_spectrum()
         from focalis.spectral import reg_trace
         assert reg_trace(spec) == pytest.approx(report["trace_from_block_dims"], abs=1e-10)

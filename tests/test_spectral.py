@@ -273,7 +273,7 @@ def test_trace_additive_on_finite_union(a, b):
 @given(st.integers(min_value=1, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_multiplicity_equals_repetition(m):
-    spec_m = SpectralData.from_entries([(1.5, m)], [(0.7, m)])
+    spec_m = SpectralData([1.5], [m], [0.7], [m])
     spec_r = SpectralData.from_eigenvalues([1.5] * m + [-0.7] * m)
     assert reg_trace(spec_m) == pytest.approx(reg_trace(spec_r), abs=1e-12)
     assert trace_square(spec_m) == pytest.approx(trace_square(spec_r), abs=1e-12)
@@ -372,14 +372,14 @@ def _exact_prefix_sums(terms, ends):
 
 @st.composite
 def _run_branch(draw):
-    """Up to 80 (value, mult) entries, multiplicities 1-40; each value is the
+    """Up to 80 entries as (values, mults) lists, multiplicities 1-40; each value is the
     one before times a ratio in [0.5, 1], so the sums converge, creep or
     diverge depending on the draw."""
     n = draw(st.integers(min_value=0, max_value=80))
     start = draw(st.floats(min_value=1e-3, max_value=10.0))
     ratios = draw(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=n, max_size=n))
     mults = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
-    return list(zip((start * np.cumprod(ratios)).tolist(), mults))
+    return (start * np.cumprod(ratios)).tolist(), mults
 
 
 # branches drawn apart, so one usually runs past the other; together they
@@ -387,7 +387,7 @@ def _run_branch(draw):
 @given(_run_branch(), _run_branch())
 @settings(max_examples=60, deadline=None)
 def test_run_sums_match_exact_expanded_sums(pos, neg):
-    spec = SpectralData.from_entries(pos, neg)
+    spec = SpectralData(*pos, *neg)
     p, n = ([Fraction(float(v)) for v in b] for b in _expanded(spec))
     paired = [a - b for a, b in zip_longest(p, n, fillvalue=Fraction(0))]
     squares = [v * v for v in sorted(p + n, reverse=True)]
@@ -424,7 +424,7 @@ def test_run_sums_match_exact_expanded_sums(pos, neg):
 def test_multiplicity_one_traces_are_bit_identical(pos, neg):
     # one entry per eigenvalue: the truncated traces take the same
     # floating-point steps as the expanded route
-    spec = SpectralData.from_entries([(v, 1) for v, _ in pos], [(v, 1) for v, _ in neg])
+    spec = SpectralData(pos[0], [1] * len(pos[0]), neg[0], [1] * len(neg[0]))
     if not spectral._is_finite_rank(len(spec.positives) + len(spec.negatives), spec.tail):
         assert reg_trace_info(spec) == _expanded_reg_trace_info(spec)
         assert trace_square_info(spec) == _expanded_trace_square_info(spec)
@@ -433,14 +433,14 @@ def test_multiplicity_one_traces_are_bit_identical(pos, neg):
 @given(_run_branch(), _run_branch(), st.one_of(
     st.none(), st.tuples(st.floats(0.5, 0.99), st.floats(0.0, 1.0))))
 @settings(max_examples=60, deadline=None)
-@example([], [], None)
-@example([], [], (0.5, 1.0))
+@example(([], []), ([], []), None)
+@example(([], []), ([], []), (0.5, 1.0))
 def test_zeta_value_is_the_exact_signed_sum_correctly_rounded(pos, neg, tail):
     # tail = (ratio, fraction of the smallest stored value as its scale),
     # so the tail bound sits below every stored entry
-    smallest = min([v for v, _ in pos + neg], default=1.0)
+    smallest = min(pos[0] + neg[0], default=1.0)
     model = None if tail is None else TailModel(tail[0], tail[1] * smallest)
-    spec = SpectralData.from_entries(pos, neg, model)
+    spec = SpectralData(*pos, *neg, model)
     info = zeta_trace_info(spec)
     p, n = ([Fraction(float(v)) for v in b] for b in _expanded(spec))
     exact = sum(p) - sum(n)
@@ -488,20 +488,20 @@ def test_align_runs():
 class TestMultiplicityBounds:
     def test_multiplicity_beyond_int64_rejected(self):
         with pytest.raises(ValidationError):
-            SpectralData.from_entries([(1.0, 10 ** 30)], [])
+            SpectralData([1.0], [10 ** 30])
         with pytest.raises(ValidationError):
             SpectralData.from_eigenvalues([1.0], mults=[10 ** 30])
 
     def test_branch_total_capped_below_2_53(self):
-        SpectralData.from_entries([(1.0, MAX_BRANCH_RANK - 1)], [(1.0, MAX_BRANCH_RANK - 1)])
+        SpectralData([1.0], [MAX_BRANCH_RANK - 1], [1.0], [MAX_BRANCH_RANK - 1])
         with pytest.raises(ValidationError):
-            SpectralData.from_entries([(1.0, MAX_BRANCH_RANK - 1), (0.5, 1)], [])
+            SpectralData([1.0, 0.5], [MAX_BRANCH_RANK - 1, 1])
         # 2**62 + 2**62 wraps int64; the cap still sees it
         with pytest.raises(ValidationError):
-            SpectralData.from_entries([], [(1.0, 2 ** 62), (0.5, 2 ** 62)])
+            SpectralData(negatives=[1.0, 0.5], neg_mults=[2 ** 62, 2 ** 62])
 
     def test_huge_multiplicity_traces_without_expansion(self):
-        spec = SpectralData.from_entries([(0.5, 10 ** 10)], [(0.25, 3 * 10 ** 9)])
+        spec = SpectralData([0.5], [10 ** 10], [0.25], [3 * 10 ** 9])
         tracemalloc.start()
         try:
             reg, square = reg_trace_info(spec), trace_square_info(spec)
