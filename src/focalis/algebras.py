@@ -6,7 +6,6 @@ stacked basis, and checked as tensor identities in coefficient space.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import List
 
@@ -26,8 +25,22 @@ _PAULI = [
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Commutator; broadcasts over leading axes of stacked matrices."""
-    return x @ y - y @ x
+    """Commutator; broadcasts over leading axes of stacked matrices.  The second
+    product is subtracted in place, so a stack costs one temporary, not two."""
+    p = x @ y
+    p -= y @ x
+    return p
+
+
+def decimal_number(text: str):
+    """The whole number that text writes in decimal digits of any script, as '3',
+    '003' or '٣'; None for any other text, or one too long for int() to read."""
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def _su_basis(n: int) -> List[np.ndarray]:
@@ -98,7 +111,9 @@ def _verify(alg: LieAlgebraBasis, brackets: np.ndarray):
     c = alg.structure
     rec = np.tensordot(c, alg.basis, axes=1)
     rec -= brackets
-    if np.max(np.abs(rec)) > IDENTITY_TOL:
+    residual = np.max(np.abs(rec))
+    del rec    # a stack-size array, not held through the checks below
+    if residual > IDENTITY_TOL:
         raise ValidationError("structure constants do not reproduce brackets")
     if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > IDENTITY_TOL:
         raise ValidationError("structure constants not antisymmetric")
@@ -108,13 +123,21 @@ def _verify(alg: LieAlgebraBasis, brackets: np.ndarray):
         raise ValidationError("inner product not ad-invariant")
 
 
+def _family_and_size(name: str):
+    """('su' or 'so', n) of a lowered name 'suN', 'soN', 'su_N' or 'so_N', N written
+    as by decimal_number; None for any other name."""
+    family, digits = name[:2], name[2:]
+    n = decimal_number(digits[1:] if digits.startswith("_") else digits)
+    return (family, n) if family in ("su", "so") and n is not None else None
+
+
 def load_algebra(name: str) -> LieAlgebraBasis:
     """Construct a supported algebra (su2, su3, so3, soN) with verified data."""
     name = name.lower().strip()
-    m = re.fullmatch(r"(su|so)_?(\d+)", name)
-    if not m:
+    parsed = _family_and_size(name)
+    if parsed is None:
         raise ValidationError(f"unsupported algebra '{name}'")
-    family, n = m.group(1), int(m.group(2))
+    family, n = parsed
     if n < 2 or (family == "so" and n < 3) or n > MAX_MATRIX_SIZE:
         raise ValidationError(f"unsupported algebra '{name}' (n <= {MAX_MATRIX_SIZE})")
     b = np.stack(_su_basis(n) if family == "su" else _so_basis(n))
@@ -123,6 +146,7 @@ def load_algebra(name: str) -> LieAlgebraBasis:
     brackets = bracket(b[:, None], b[None])
     c = (brackets.reshape(dim * dim, -1) @ coef_map.T).real.reshape(dim, dim, dim)
     gram = -np.einsum("iba,jab->ij", c, c)      # -tr(ad_i ad_j), ad_i = c[i]^T
+    c = np.ascontiguousarray(c)   # frees the complex product, twice c's size, before the check
     alg = LieAlgebraBasis(name=f"{family}{n}", basis=b, structure=c,
                           gram=gram, coef_map=coef_map)
     _verify(alg, brackets)

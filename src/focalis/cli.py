@@ -14,7 +14,6 @@ import glob
 import itertools
 import math
 import os
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -250,7 +249,8 @@ def _cmd_transport(args):
                      "unitarity residual")
     result = {"steps": args.steps, "fine_steps": transport.fine_steps(args.steps, u),
               "integrator": transport.INTEGRATOR, "endpoint": g1,
-              "unitarity_residual": unit, "passed": unit <= transport.UNITARY_TOL}
+              "unitarity_residual": unit, "unitarity_tol": transport.UNITARY_TOL,
+              "passed": unit <= transport.UNITARY_TOL}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -264,7 +264,8 @@ def _cmd_holonomy(args):
     result = {"fine_steps": transport.fine_steps(args.steps, mu),
               "integrator": transport.INTEGRATOR, "oracle": transport.ORACLE,
               "holonomy": hol, "transport_of_pullback": phi_mu,
-              "factorization_residual": agreement, "passed": agreement < FACTORIZATION_TOL}
+              "factorization_residual": agreement, "factorization_tol": FACTORIZATION_TOL,
+              "passed": agreement < FACTORIZATION_TOL}
     return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -290,13 +291,22 @@ def _cmd_roots(args):
 _INVOLUTIONS = {"u1diag": "ad_diag", "son": "conj"}
 
 
+def _so_name(algebra: str) -> str:
+    """'soK' for a group name 'su' + K, after dropping one '_' and the zeros '0'
+    that lead K ('su_03' gives 'so3'); a name not starting with 'su' as it is."""
+    if not algebra.startswith("su"):
+        return algebra
+    rest = algebra[2:]
+    return "so" + (rest[1:] if rest.startswith("_") else rest).lstrip("0")
+
+
 def _cmd_hyperpolar(args):
     spec = args.k1.lower()
     if spec != args.k2.lower():
         raise ValidationError("only symmetric pairs with k1 == k2 are supported")
     algebra = args.group.lower().replace("(", "").replace(")", "")
     # soK is SO(n), the fixed group of conj in SU(n), only for K = n
-    theta = _INVOLUTIONS.get("son" if spec == re.sub(r"^su_?0*", "so", algebra) else spec)
+    theta = _INVOLUTIONS.get("son" if spec == _so_name(algebra) else spec)
     if theta is None:
         raise ValidationError(f"unknown subgroup spec '{args.k1}' for group '{args.group}'")
     result = hyperpolar.section_orthogonality_check(

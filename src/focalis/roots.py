@@ -12,13 +12,12 @@ basis, where ad(x) is skew-symmetric.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .algebras import LieAlgebraBasis, load_algebra
+from .algebras import LieAlgebraBasis, decimal_number, load_algebra
 from .errors import ValidationError
 
 CLUSTER_TOL = 1e-8
@@ -35,8 +34,10 @@ def involution(name: str, matrix_size: int) -> Callable[[np.ndarray], np.ndarray
     if name == "conj":
         return np.conj
     if name.startswith("ad_diag"):
-        m = re.fullmatch(r"ad_diag(?:_(\d+))?", name)
-        p = int(m.group(1) or matrix_size - 1) if m else None
+        suffix = name[len("ad_diag"):]
+        p = matrix_size - 1 if suffix == "" else None
+        if suffix.startswith("_"):
+            p = decimal_number(suffix[1:])
         if p is None or not 1 <= p < matrix_size:
             raise ValidationError(f"involution '{name}': p must be an integer in "
                                   f"1..{matrix_size - 1}")
@@ -75,6 +76,26 @@ class RestrictedRootData:
         return self.n0 + sum(self.multiplicities) == self.dim
 
 
+def _congruence(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_ab m[a, i] m[b, j] c[a, b, l] as the (i, j, l) view of an (i, l, j)
+    array: two matmuls over the first axis, in the pairwise order, layouts
+    and operands of einsum's greedy path for "ai,bj,abl->ijl", so its bits."""
+    n = len(m)
+    t = (c.transpose(1, 2, 0).reshape(n * n, n) @ m).reshape(n, n, n)    # [b, l, i]
+    t = (t.transpose(2, 1, 0).reshape(n * n, n) @ m).reshape(n, n, n)    # [i, l, j]
+    return t.transpose(0, 2, 1)
+
+
+def _in_basis(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_ijl c[i, j, l] v[i, a] v[j, b] v[l, c], a new C-ordered array: three
+    matmuls in the pairwise order, layouts and operands of einsum's greedy
+    path for "ijl,ia,jb,lc->abc", so its bits."""
+    n = len(v)
+    t = (v.T @ c.reshape(n, n * n)).reshape(n, n, n)                     # [a, j, l]
+    t = (t.transpose(0, 2, 1).reshape(n * n, n) @ v).reshape(n, n, n)    # [a, l, b]
+    return (t.transpose(0, 2, 1).reshape(n * n, n) @ v).reshape(n, n, n)
+
+
 def _ad(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """ad matrices in onb coordinates of the columns of x: (cols, dim, dim)."""
     return np.einsum("ir,ijl->rlj", x.reshape(len(c), -1), c)
@@ -95,15 +116,15 @@ def restricted_root_decomposition(algebra, theta: str,
     l = np.linalg.cholesky(alg.gram)
     li = np.linalg.inv(l)
     onb = alg.from_coefficients(li)
-    c = np.einsum("ia,jb,abk,kl->ijl", li, li, alg.structure, l, optimize=True)
+    # c'_ijl = sum li_ia li_jb c_abk l_kl, in einsum's greedy order (onb_i = li_ia e_a)
+    c = (_congruence(alg.structure, li.T).reshape(n * n, n) @ l).reshape(n, n, n)
 
     # theta in onb coordinates, theta(onb_i) = sum_a tmat[a, i] onb_a: an
     # involution (T T = I) and an automorphism (theta[x, y] = [theta x, theta y])
     tmat = (alg.coefficients(th(onb)) @ l).T
     if np.max(np.abs(tmat @ tmat - np.eye(n))) > 1e-10:
         raise ValidationError("theta is not involutive")
-    if np.max(np.abs(np.einsum("ai,bj,abl->ijl", tmat, tmat, c, optimize=True)
-                     - c @ tmat.T)) > 1e-10:
+    if np.max(np.abs(_congruence(c, tmat) - c @ tmat.T)) > 1e-10:
         raise ValidationError("theta is not an automorphism")
 
     # k and p = the (+1)- and (-1)-eigenspaces of theta in coefficient space
@@ -183,14 +204,15 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
     """
     bases = data.space_bases
     v = np.hstack(bases)
-    cv = np.einsum("ijl,ia,jb,lc->abc", data.structure, v, v, v, optimize=True)
+    cv = _in_basis(data.structure, v)
     sizes = [b.shape[1] for b in bases]
     starts = np.cumsum([0] + sizes[:-1])
     owner = np.repeat(np.arange(len(bases)), sizes)
     sq = np.add.reduceat(np.square(cv, out=cv), starts, axis=2)   # per target space
     # hit[k][a, b, c]: lam_c = +-(lam_a + sigma_k lam_b) within ROOT_MATCH_TOL,
     # from the Gram matrix: min over signs of |t -+ r|^2 is |t|^2 + |r|^2 - 2 |t.r|
-    g = np.pad(data.roots @ data.roots.T, (1, 0))    # g_0 has the root 0
+    g = np.zeros((len(bases), len(bases)))           # g_0 has the root 0
+    g[1:, 1:] = data.roots @ data.roots.T
     nrm = np.diag(g)
     hit = [nrm[:, None, None] + nrm[None, :, None] + 2.0 * sigma * g[:, :, None]
            + nrm - 2.0 * np.abs(g[:, None, :] + sigma * g[None]) < ROOT_MATCH_TOL ** 2

@@ -1695,6 +1695,8 @@ class TestTransportCommands:
         assert code == 1
         assert report["result"]["passed"] is False
         assert report["result"]["unitarity_residual"] > residual
+        # the report names the bound its verdict used
+        assert report["result"]["unitarity_tol"] == transport.UNITARY_TOL == 1e-10
 
     def test_holonomy_factorization(self, capsys, tmp_path):
         samples, _ = self.su2_sample(3, 21)
@@ -1706,6 +1708,7 @@ class TestTransportCommands:
                                 "--omega0", str(p0))
         assert code == 0
         assert report["result"]["factorization_residual"] < 1e-6
+        assert report["result"]["factorization_tol"] == cli.FACTORIZATION_TOL == 1e-6
         assert report["result"]["passed"] is True
 
     @pytest.mark.parametrize("steps", ["0", "-5"])

@@ -1,3 +1,4 @@
+import pickle
 import time
 import tracemalloc
 from dataclasses import replace
@@ -206,6 +207,62 @@ class TestHelgasonTables:
         # the sign of a root vector is fixed by its first nonzero component
         assert all(r[np.flatnonzero(np.abs(r) > 1e-9)[0]] > 0 for r in data.roots)
         assert verify_bracket_pattern(data)["max_residual"] < 1e-9
+
+
+# The report path's contractions are fixed-order matmul chains that replay
+# the pairwise steps of np.einsum(..., optimize=True), kept here as the oracle:
+# the same bits (as numpy 2.4's einsum computes them) and the same strides on
+# perfbench's pairs, and at least 1e-15 relative agreement on the Helgason cases.
+PERFBENCH_PAIRS = [("su2", "conj"), ("su2", "ad_diag"), ("su3", "conj"), ("su3", "ad_diag"),
+                   ("so5", "ad_diag"), ("so5", "ad_diag_2"), ("su4", "conj"),
+                   ("su4", "ad_diag_2")]
+CONTRACTION_CASES = PERFBENCH_PAIRS + [(alg, theta) for alg, theta, *_ in HELGASON]
+BITWISE = {"su2", "su3", "su4", "so5"}
+
+
+def _einsum_congruence(c, m):
+    return np.einsum("ai,bj,abl->ijl", m, m, c, optimize=True)
+
+
+def _einsum_in_basis(c, v):
+    return np.einsum("ijl,ia,jb,lc->abc", c, v, v, v, optimize=True)
+
+
+def _decomposition_bytes(alg, theta):
+    data = restricted_root_decomposition(alg, theta)
+    return pickle.dumps((data, verify_bracket_pattern(data)))
+
+
+class TestFixedOrderContractions:
+    @pytest.mark.parametrize("alg,theta", CONTRACTION_CASES)
+    def test_contractions_match_einsum(self, alg, theta):
+        data = restricted_root_decomposition(alg, theta)
+        a = data.algebra
+        l = np.linalg.cholesky(a.gram)
+        li = np.linalg.inv(l)
+        tmat = (a.coefficients(involution(theta, a.matrix_size)(data.onb)) @ l).T
+        v = np.hstack(data.space_bases)
+        pairs = [
+            (data.structure,
+             np.einsum("ia,jb,abk,kl->ijl", li, li, a.structure, l, optimize=True)),
+            (roots._congruence(data.structure, tmat), _einsum_congruence(data.structure, tmat)),
+            (roots._in_basis(data.structure, v), _einsum_in_basis(data.structure, v)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.strides == want.strides
+            if alg in BITWISE:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("alg,theta", CONTRACTION_CASES)
+    def test_decomposition_pickles_as_with_einsum(self, monkeypatch, alg, theta):
+        # the decomposition and bracket report, array layouts included, do not
+        # move when einsum does the contractions; no case moved
+        fixed = _decomposition_bytes(alg, theta)
+        monkeypatch.setattr(roots, "_congruence", _einsum_congruence)
+        monkeypatch.setattr(roots, "_in_basis", _einsum_in_basis)
+        assert _decomposition_bytes(alg, theta) == fixed
 
 
 class TestBracketPattern:
