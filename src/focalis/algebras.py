@@ -16,6 +16,7 @@ from .errors import ValidationError
 IDENTITY_TOL = 1e-12   # bracket and antisymmetry residuals of a loaded algebra
 AD_INVARIANCE_TOL = 1e-9  # ad-invariance residual of the gram, relative to 1 + its largest entry
 MAX_MATRIX_SIZE = 16   # su(n)'s bracket stack: (n^2 - 1)^2 n^2 complex entries, 0.25 GiB
+VERIFY_BLOCK_ENTRIES = 2 ** 18  # complex entries of one block of _verify's reconstruction
 
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -103,24 +104,24 @@ class LieAlgebraBasis:
 
 def _verify(alg: LieAlgebraBasis, brackets: np.ndarray):
     """Check that the structure constants reproduce every bracket of the
-    (dim, dim, n, n) stack `brackets` in matrix space, then antisymmetry of c
-    and ad-invariance <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> = 0 of gram in
-    coefficient space.  Jacobi needs no check of its own: matrix commutators
+    (dim, dim, n, n) stack `brackets` in matrix space, that c is antisymmetric
+    and that gram is ad-invariant, <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> = 0,
+    in coefficient space.  Jacobi needs no check of its own: matrix commutators
     satisfy it exactly, so the Jacobi defect of c is a linear image of the
-    reproduction residual."""
+    reproduction residual.  The checks take a block of c's rows at a time (su2
+    to su8 are one), so no c-size or stack-size temporary stands beside the stack."""
     c = alg.structure
-    rec = np.tensordot(c, alg.basis, axes=1)
-    rec -= brackets
-    residual = np.max(np.abs(rec))
-    del rec    # a stack-size array, not held through the checks below
-    if residual > IDENTITY_TOL:
-        raise ValidationError("structure constants do not reproduce brackets")
-    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > IDENTITY_TOL:
-        raise ValidationError("structure constants not antisymmetric")
-    cg = c @ alg.gram
     bound = AD_INVARIANCE_TOL * (1.0 + np.abs(alg.gram).max())
-    if np.max(np.abs(cg + np.swapaxes(cg, 1, 2))) > bound:
-        raise ValidationError("inner product not ad-invariant")
+    rows = max(1, VERIFY_BLOCK_ENTRIES // brackets[0].size)
+    for i in range(0, alg.dim, rows):
+        b = slice(i, i + rows)
+        if np.max(np.abs(np.tensordot(c[b], alg.basis, axes=1) - brackets[b])) > IDENTITY_TOL:
+            raise ValidationError("structure constants do not reproduce brackets")
+        if np.max(np.abs(c[b] + np.swapaxes(c[:, b], 0, 1))) > IDENTITY_TOL:
+            raise ValidationError("structure constants not antisymmetric")
+        cg = c[b] @ alg.gram
+        if np.max(np.abs(cg + np.swapaxes(cg, 1, 2))) > bound:
+            raise ValidationError("inner product not ad-invariant")
 
 
 def _family_and_size(name: str):

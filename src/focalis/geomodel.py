@@ -30,7 +30,6 @@ from .errors import ValidationError
 from .focal import _eigen_grids
 
 NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
-RANK_TOL = 1e-9  # singular-value cutoff of the block-even rank of a tangent frame
 COMMUTATOR_TOL = 1e-9  # curvature_adapted_check passes below this commutator norm
 MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
 TRIAL_CHUNK_ENTRIES = 2 ** 20  # floats of factors per chunk of commutator trials
@@ -227,17 +226,17 @@ def _check_normal(t: np.ndarray, n: np.ndarray, xis: np.ndarray):
 
 def _block_data(model: ModelSubmanifold, points: slice, xis: np.ndarray):
     """Per point of model.points[points], its normal (row of xis) and each
-    constrained block j: <xi, nu_j>, the dimension of (block even span
-    intersect T_x M) by rank, and lam_a,j = sqrt(1/rprime_j^2 - 1/r_j^2) <xi, nu_j>."""
+    constrained block j: <xi, nu_j>, m_j - 2 (the slice sphere's dimension, the
+    tangent columns of _frames on its slots) and lam_a,j = sqrt(1/rprime_j^2 -
+    1/r_j^2) <xi, nu_j>."""
     cfg = model.config
     t, n = model.tangent_bases[points], model.normal_bases[points]
     if len(t) != len(xis):
         raise ValidationError(f"{len(xis)} normal vectors for {len(t)} points")
     _check_normal(t, n, xis)
     comps = (xis[:, None, :] @ n[:, :, : cfg.k1])[:, 0]        # <xi, nu_j>
-    # one stacked rank per block; (k1, P) -> (P, k1), also for k1 = 0
-    dims = np.array([np.linalg.matrix_rank(t[:, cfg.block_even_indices(j), :], tol=RANK_TOL)
-                     for j in range(cfg.k1)], dtype=int).reshape(cfg.k1, len(xis)).T
+    dims = np.broadcast_to(np.array([m - 2 for m, _ in cfg.blocks[: cfg.k1]], dtype=int),
+                           comps.shape)
     lam_a = np.array([np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2)
                       for (_, r), rp in zip(cfg.blocks, cfg.rprime)]) * comps
     return comps, dims, lam_a
@@ -246,7 +245,7 @@ def _block_data(model: ModelSubmanifold, points: slice, xis: np.ndarray):
 def eigen_grids(model: ModelSubmanifold, xis: np.ndarray) -> list:
     """Joint eigen grids of the normals xis (P, N) at points 0 .. P - 1: per
     constrained block the closed-form (lam_r, lam_a, mult) = (|xi_j|^2 / r_j^2,
-    lam_a,j, block dimension), the flat rest as (0, 0, mult)."""
+    lam_a,j, m_j - 2), the flat rest as (0, 0, mult)."""
     cfg = model.config
     comps, dims, lam_a = _block_data(model, slice(len(xis)), xis)
     radii = np.array([r for _, r in cfg.blocks[: cfg.k1]])
@@ -352,8 +351,8 @@ def curvature_adapted_check(model: ModelSubmanifold, n_trials: int,
 
 def trace_closed_form(model: ModelSubmanifold, point_index: int,
                       xi: np.ndarray) -> dict:
-    """Shape-operator trace from actual block dimensions, plus the printed
-    (m_j - 1)-weighted variant, flagging any mismatch."""
+    """Shape-operator trace weighted by the slice spheres' dimensions m_j - 2,
+    plus the printed (m_j - 1)-weighted variant, flagging the mismatch."""
     cfg = model.config
     point_index = range(len(model.points))[point_index]
     _, dims, lam_a = _block_data(model, slice(point_index, point_index + 1), xi[None])

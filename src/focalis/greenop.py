@@ -39,13 +39,11 @@ class OperatorMatrix:
             raise ValidationError("operator must be a square matrix")
         if not np.all(np.isfinite(m)):
             raise ValidationError("operator entries must be finite")
-        scale = 1.0 + np.abs(m).max()
-        # entries near the float range overflow m - m.T (then asymmetric) and m + m.T
-        with np.errstate(over="ignore"):
-            asymmetry, mean = np.max(np.abs(m - m.T)), (m + m.T) / 2.0
-        if asymmetry > SYMMETRY_TOL * scale:
+        # halves cannot overflow, and halving is exact: m's own test and mean, halved
+        half = m / 2.0
+        if np.max(np.abs(half - half.T)) > SYMMETRY_TOL * (0.5 + np.abs(half).max()):
             raise ValidationError("operator is not symmetric")
-        object.__setattr__(self, "entries", np.where(np.isfinite(mean), mean, m / 2.0 + m.T / 2.0))
+        object.__setattr__(self, "entries", half + half.T)
 
     @cached_property
     def _eigh(self):

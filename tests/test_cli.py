@@ -1824,6 +1824,19 @@ class TestAlgebraCommands:
         assert res["dimension_identity"] is True
         assert res["bracket_max_residual"] < 1e-9
 
+    @pytest.mark.parametrize("alg,theta,multiplicities",
+                             [("su2", "conj", [2]), ("su3", "ad_diag", [2, 4]),
+                              ("so5", "ad_diag", [6])])
+    def test_roots_with_a_small_generic_weight(self, capsys, alg, theta, multiplicities):
+        # seed 116 draws a weight small enough to scale every root of these
+        # rank-one pairs under an absolute root threshold
+        code, report = run_json(capsys, "roots", "--algebra", alg, "--theta", theta,
+                                "--seed", "116")
+        assert code == 0
+        res = report["result"]
+        assert (res["rank"], res["passed"]) == (1, True)
+        assert sorted(res["multiplicities"]) == multiplicities
+
     def test_hyperpolar_su2(self, capsys):
         code, report = run_json(capsys, "hyperpolar", "--group", "SU(2)",
                                 "--k1", "u1diag", "--k2", "u1diag")

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from focalis import focal, geomodel
 from focalis.errors import ValidationError
@@ -87,6 +88,20 @@ def eigen_grid_loop(model, pi, xi):
     if t.shape[1] > sum(dims):
         rows.append((0.0, 0.0, t.shape[1] - int(sum(dims))))
     return focal.EigenGrid(tuple(rows), label=f"x{pi}")
+
+
+@st.composite
+def sphere_configs(draw):
+    """Configs of one to four blocks of 2 to 6 slots, any k1, and slice radii
+    from 2^-250 of their sphere's radius up to just below it."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    radii = [draw(st.floats(1.0, 4.0)) for _ in sizes]
+    k1 = len(sizes) - draw(st.integers(0, len(sizes)))   # most draws constrain every block
+    exponents = st.one_of(st.floats(2.0 ** -40, 20.0), st.floats(20.0, 250.0))
+    rprime = tuple(r * 2.0 ** -draw(exponents) for r in radii[:k1])
+    return SphereProductConfig(blocks=tuple(zip(sizes, radii)), k1=k1, rprime=rprime,
+                               k2=draw(st.integers(0, 2)),
+                               ambient_dim=2 * sum(sizes) + draw(st.integers(0, 3)))
 
 
 def circle_config():
@@ -369,6 +384,44 @@ class TestOperators:
         for r in rows[1:]:
             assert r.shape == rows[0].shape
             assert np.max(np.abs(r - rows[0])) < 1e-12
+
+
+class TestBlockDimensions:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=sphere_configs(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(cfg=SphereProductConfig(blocks=((6, 1.0), (2, 1.0), (3, 4.0)), k1=3,
+                                     rprime=(2.0 ** -250, 2.0 ** -250, 4.0 - 2.0 ** -50),
+                                     k2=2, ambient_dim=25), seed=0)
+    @example(cfg=SphereProductConfig(blocks=((2, 1.0),), k1=1, rprime=(0.5,), k2=2,
+                                     ambient_dim=4), seed=0)   # no tangent directions
+    def test_construction_dims_equal_measured_ranks(self, cfg, seed):
+        # eigen_grids reads m_j - 2 from the config; the rank of each block's
+        # rows of the tangent frame measures it (m_j - 1 on a free block)
+        model = build_model(cfg, 3, seed)
+        for t in model.tangent_bases:
+            ranks = [np.linalg.matrix_rank(t[cfg.block_even_indices(j)], tol=1e-9)
+                     for j in range(cfg.n_blocks)]
+            assert ranks == [m - 2 if j < cfg.k1 else m - 1
+                             for j, (m, _) in enumerate(cfg.blocks)]
+        rng = np.random.default_rng(seed)
+        xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(3)])
+        refs = []
+        for pi in range(3):
+            try:
+                refs.append(eigen_grid_loop(model, pi, xis[pi]))
+            except ValidationError:
+                refs.append(None)
+        # below r'/r of about 1e-7 the frames' nu and tangent columns lose
+        # their orthogonality, and both routes refuse the model's own normal
+        if None in refs:
+            with pytest.raises(ValidationError, match="tangential component"):
+                eigen_grids(model, xis)
+            return
+        for grid, ref in zip(eigen_grids(model, xis), refs):
+            assert [m for *_, m in grid.pairs] == [m for *_, m in ref.pairs]
+            got = np.array(grid.pairs, dtype=float).reshape(-1, 3)[:, :2]
+            want = np.array(ref.pairs, dtype=float).reshape(-1, 3)[:, :2]
+            assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
 
 
 class TestStackedEigenGrids:

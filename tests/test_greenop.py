@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from focalis.errors import SingularOperatorError, ValidationError
-from focalis.greenop import (MAX_BOX_SAMPLES, OperatorMatrix, box_eigenvalues_1d,
+from focalis.greenop import (MAX_BOX_SAMPLES, SYMMETRY_TOL, OperatorMatrix, box_eigenvalues_1d,
                              box_operator_1d, green_apply, green_kernel, ls2_inner)
 
 
@@ -29,6 +31,34 @@ class TestOperatorMatrix:
         assert np.allclose(green_apply(op, np.array([big, big])), 1.0, rtol=1e-15)
         with pytest.raises(ValidationError, match="not symmetric"):
             OperatorMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: hnp.arrays(
+        float, (n, n), elements=st.one_of(st.just(0.0), st.floats(2.0 ** -1021, 8.9e307)
+                                          .flatmap(lambda x: st.sampled_from([x, -x]))))),
+        st.integers(-4, 4))
+    def test_mean_is_the_plain_mean_bit_for_bit(self, a, ulps):
+        # halving is exact for normal entries, so half + half.T is (m + m.T) / 2
+        m = np.triu(a) + np.triu(a, 1).T
+        m[np.tril_indices(len(m), -1)] *= 1.0 + ulps * 2.0 ** -52
+        assert np.array_equal(OperatorMatrix(m).entries, (m + m.T) / 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: hnp.arrays(float, (n, n), elements=st.sampled_from(
+        [s * 1.7e308 * (1.0 - k * 2.0 ** -52) for s in (1.0, -1.0) for k in range(3)]
+        + [0.0, 1.0, -3.5e295]))))
+    def test_entries_near_the_float_range_refused_as_before(self, m):
+        # the oracle forms m - m.T and m + m.T in full: an overflowed difference
+        # refuses, and an overflowed mean is taken in halves
+        with np.errstate(over="ignore"):
+            asymmetry, mean = np.max(np.abs(m - m.T)), (m + m.T) / 2.0
+        if asymmetry > SYMMETRY_TOL * (1.0 + np.abs(m).max()):
+            with pytest.raises(ValidationError, match="not symmetric"):
+                OperatorMatrix(m)
+        else:
+            entries = OperatorMatrix(m).entries
+            assert np.all(np.isfinite(entries))
+            assert np.array_equal(entries, np.where(np.isfinite(mean), mean, m / 2.0 + m.T / 2.0))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_nonfinite(self, value):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from focalis import algebras, roots
 from focalis.algebras import bracket, load_algebra
@@ -162,6 +163,24 @@ class TestDecomposition:
         with pytest.raises(ValidationError, match="eigen test"):
             restricted_root_decomposition("su3", "conj")
 
+    def test_redraws_an_h_on_a_wall(self, monkeypatch):
+        # the first draw of H lies on the wall alpha(H) = beta(H); the next one
+        # is the seeded generator's first draw, and gives A2
+        alpha, beta = restricted_root_decomposition("su3", "conj").roots[:2]
+        default_rng, draws = np.random.default_rng, [np.array([alpha[1] - beta[1],
+                                                               beta[0] - alpha[0]])]
+
+        def seeded(seed):
+            rng = default_rng(seed)
+            return rng if seed != 8 else SimpleNamespace(
+                normal=lambda size: draws.pop() if draws else rng.normal(size=size))
+
+        monkeypatch.setattr(np.random, "default_rng", seeded)
+        data = restricted_root_decomposition("su3", "conj")
+        assert draws == []
+        assert (data.n0, data.multiplicities) == (2, (2, 2, 2))
+        assert verify_bracket_pattern(data)["passed"]
+
     def test_rejects_trivial_pair(self):
         alg = load_algebra("su2")
         # conjugation by -id is the identity automorphism: empty p
@@ -207,6 +226,38 @@ class TestHelgasonTables:
         # the sign of a root vector is fixed by its first nonzero component
         assert all(r[np.flatnonzero(np.abs(r) > 1e-9)[0]] > 0 for r in data.roots)
         assert verify_bracket_pattern(data)["max_residual"] < 1e-9
+
+
+# Rank-one pairs in HELGASON's format: SU(2)/SO(2) is A1 with m = 1,
+# SU(3)/S(U_2 x U_1) is BC1 with m = 2 on e_1 and 1 on 2e_1, and
+# SO(5)/SO(4) is B1 with m = 3 on e_1.
+RANK_ONE = [
+    ("su2", "conj", 1, 1, {1: [2]}),
+    ("su3", "ad_diag", 1, 2, {1: [4], 4: [2]}),
+    ("so5", "ad_diag", 1, 4, {1: [6]}),
+]
+_ALGEBRAS = {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(HELGASON + RANK_ONE), seed=st.integers(0, 2 ** 64 - 1))
+@example(case=RANK_ONE[0], seed=116)
+@example(case=RANK_ONE[1], seed=116)
+@example(case=RANK_ONE[2], seed=116)
+@example(case=RANK_ONE[1], seed=491543)
+@example(case=RANK_ONE[2], seed=491543)
+@example(case=HELGASON[3], seed=1665)
+@example(case=HELGASON[5], seed=847)
+def test_any_seed_gives_the_tabulated_root_system(case, seed):
+    # the seeds draw h_gen and the weights of H in a; rank, n0 and the
+    # multiplicities depend on neither.  Seeds 116 and 491543 draw weights small
+    # enough to scale every root under an absolute root threshold; at 1665 and
+    # 847 a root nearly vanishes on the first H, which fails the eigen test
+    alg, theta, rank, n0, clusters = case
+    algebra = _ALGEBRAS.get(alg) or _ALGEBRAS.setdefault(alg, load_algebra(alg))
+    data = restricted_root_decomposition(algebra, theta, seed)
+    assert (len(data.a_basis), data.n0) == (rank, n0)
+    assert sorted(data.multiplicities) == sorted(sum(clusters.values(), []))
 
 
 # The report path's contractions are fixed-order matmul chains that replay

@@ -19,3 +19,23 @@ def test_no_einsum_path_search():
                     and any(k.arg == "optimize" for k in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_bound_is_read():
+    # a module-level tolerance or threshold that no line of src/ reads bounds
+    # nothing, yet a reader takes it for a check the library makes
+    bounds, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            bounds += [f"{path.name}:{t.id}" for t in targets if isinstance(t, ast.Name)
+                       and t.id.endswith(("_TOL", "_THRESHOLD", "_TOLERANCE"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    assert bounds, "no bound found: the rule reads nothing"
+    assert [b for b in bounds if b.split(":")[1] not in reads] == []
