@@ -11,10 +11,8 @@ from typing import List
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import AD_INVARIANCE_TOL, IDENTITY_TOL, ValidationError
 
-IDENTITY_TOL = 1e-12   # bracket and antisymmetry residuals of a loaded algebra
-AD_INVARIANCE_TOL = 1e-9  # ad-invariance residual of the gram, relative to 1 + its largest entry
 MAX_MATRIX_SIZE = 16   # su(n)'s bracket stack: (n^2 - 1)^2 n^2 complex entries, 0.25 GiB
 VERIFY_BLOCK_ENTRIES = 2 ** 18  # complex entries of one block of _verify's reconstruction
 

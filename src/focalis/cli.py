@@ -2,7 +2,8 @@
 
 Every command writes a versioned report ({"schema": 1, ...}) echoing the
 resolved configuration, as JSON or flattened CSV.  Exit codes: 0 success,
-1 a mathematical check failed, 2 input or usage error.
+1 the report's "passed" is false (a mathematical check failed), 2 input or
+usage error.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import orjson
 
 from . import __version__
 from . import focal, geomodel, greenop, hyperpolar, io, roots, spectral, transport
-from .errors import SingularOperatorError, ValidationError
+from .errors import (CHECK_TOL, FACTORIZATION_TOL, UNITARY_TOL, SingularOperatorError,
+                     ValidationError, verdict)
 from .focal import Window
 from .spectral import FOCAL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-FACTORIZATION_TOL = 1e-6  # holonomy passes below this factorization residual
 
 
 _JSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_NON_STR_KEYS
@@ -152,35 +153,31 @@ def _cmd_trace(args):
         result["tr_zeta"] = spectral.zeta_trace(spec)
     if args.square:
         result["tr_sq"] = square.as_trace()
-    return result, EXIT_OK
+    return result
 
 
 def _cmd_focal(args):
     grid = io.read_eigen_grid(args.grid)
     window = _parse_window(args.window)
     radii, mults = focal.focal_set(grid, window)
-    result = {
+    return {
         "label": grid.label,
         "window": [window.lo, window.hi],
         "radii": radii,
         "multiplicities": mults,
         "witness": focal.proper_fredholm_witness(radii, mults),
     }
-    return result, EXIT_OK
 
 
 def _cmd_parallel(args):
     grid = io.read_eigen_grid(args.grid)
     tg = focal.transformed_grid(grid, args.r)
-    result = {"label": grid.label, "r": args.r}
+    result = {"label": grid.label, "r": args.r, "focal_collision": tg is FOCAL,
+              **verdict(tg is not FOCAL)}
     if tg is FOCAL:
-        result["focal_collision"] = True
-        result["tr_r"] = None
-        return result, EXIT_CHECK_FAILED
-    result["focal_collision"] = False
-    result["pairs"] = [list(p) for p in tg.pairs]
-    result["tr_r"] = spectral.reg_trace(tg.shape_spectrum())
-    return result, EXIT_OK
+        return {**result, "tr_r": None}
+    return {**result, "pairs": [list(p) for p in tg.pairs],
+            "tr_r": spectral.reg_trace(tg.shape_spectrum())}
 
 
 def _read_grid_dir(path: str):
@@ -192,19 +189,14 @@ def _read_grid_dir(path: str):
 
 def _cmd_check(args):
     grids = _read_grid_dir(args.grids)
+    result = {"check": args.kind, "n_grids": len(grids)}
     if args.kind == "weak":
-        ok = focal.weakly_isoparametric_check(grids)
-        result = {"check": "weak", "n_grids": len(grids), "passed": ok}
-    elif args.kind == "iso":
-        report = focal.isoparametric_check(grids, _parse_radii(args.radii), tol=args.tol)
-        ok = report["passed"]
-        result = {"check": "iso", "n_grids": len(grids), **report}
-    else:
-        window = _parse_window(args.window)
-        ok = focal.equifocal_check(grids, window, tol=args.tol)
-        result = {"check": "equifocal", "n_grids": len(grids),
-                  "window": [window.lo, window.hi], "passed": ok}
-    return result, EXIT_OK if ok else EXIT_CHECK_FAILED
+        return {**result, **verdict(focal.weakly_isoparametric_check(grids))}
+    if args.kind == "iso":
+        return {**result, **focal.isoparametric_check(grids, _parse_radii(args.radii), args.tol)}
+    window = _parse_window(args.window)
+    return {**result, "window": [window.lo, window.hi],
+            **focal.equifocal_check(grids, window, tol=args.tol)}
 
 
 def _cmd_example41(args):
@@ -222,15 +214,14 @@ def _cmd_example41(args):
                   for g, lo, hi in zip(grids, bounds, bounds[1:])}
     iso = focal.isoparametric_check(grids, radii, tol=args.tol)
     adapted = geomodel.curvature_adapted_check(model, args.trials, args.seed + 2)
-    result = {
+    return {
         "n_points": args.points,
         "trace_constancy": iso,
         "curvature_adapted": adapted,
         "focal_sets": focal_sets,
         "closed_form_traces": geomodel.trace_closed_form(model, 0, xis[0]),
-        "passed": bool(iso["passed"] and adapted["passed"]),
+        **verdict(iso["passed"], adapted["passed"]),
     }
-    return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
 def _residual(compute, name: str) -> float:
@@ -247,11 +238,9 @@ def _cmd_transport(args):
     g1 = transport.transport(u, steps=args.steps)
     unit = _residual(lambda: np.max(np.abs(np.conj(g1.T) @ g1 - np.eye(g1.shape[0]))),
                      "unitarity residual")
-    result = {"steps": args.steps, "fine_steps": transport.fine_steps(args.steps, u),
-              "integrator": transport.INTEGRATOR, "endpoint": g1,
-              "unitarity_residual": unit, "unitarity_tol": transport.UNITARY_TOL,
-              "passed": unit <= transport.UNITARY_TOL}
-    return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
+    return {"steps": args.steps, "fine_steps": transport.fine_steps(args.steps, u),
+            "integrator": transport.INTEGRATOR, "endpoint": g1,
+            "unitarity_residual": unit, **verdict(unitarity=(unit, UNITARY_TOL))}
 
 
 def _cmd_holonomy(args):
@@ -261,31 +250,28 @@ def _cmd_holonomy(args):
     mu = transport.pullback_connection(omega, omega0, steps=args.steps)
     phi_mu = transport.transport(mu, steps=args.steps)
     agreement = _residual(lambda: np.max(np.abs(hol - phi_mu)), "factorization residual")
-    result = {"fine_steps": transport.fine_steps(args.steps, mu),
-              "integrator": transport.INTEGRATOR, "oracle": transport.ORACLE,
-              "holonomy": hol, "transport_of_pullback": phi_mu,
-              "factorization_residual": agreement, "factorization_tol": FACTORIZATION_TOL,
-              "passed": agreement < FACTORIZATION_TOL}
-    return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
+    return {"fine_steps": transport.fine_steps(args.steps, mu),
+            "integrator": transport.INTEGRATOR, "oracle": transport.ORACLE,
+            "holonomy": hol, "transport_of_pullback": phi_mu,
+            "factorization_residual": agreement,
+            **verdict(factorization=(agreement, FACTORIZATION_TOL))}
 
 
 def _cmd_roots(args):
     data = roots.restricted_root_decomposition(args.algebra, args.theta, seed=args.seed)
     report = roots.verify_bracket_pattern(data)
-    identity = report["dimension_identity"]
-    result = {
+    return {
         "algebra": data.algebra.name,
         "theta": args.theta,
         "rank": len(data.a_basis),
         "n0": data.n0,
         "roots": data.roots.tolist(),
         "multiplicities": list(data.multiplicities),
-        "dimension_identity": identity,
         "bracket_max_residual": report["max_residual"],
         "bracket_max_residual_sum_only": report["max_residual_sum_only"],
-        "passed": bool(report["passed"] and identity),
+        # the verdict verify_bracket_pattern built, with the identity it conjoined
+        **{k: report[k] for k in ("dimension_identity", "bracket_tol", "passed")},
     }
-    return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
 _INVOLUTIONS = {"u1diag": "ad_diag", "son": "conj"}
@@ -309,9 +295,8 @@ def _cmd_hyperpolar(args):
     theta = _INVOLUTIONS.get("son" if spec == _so_name(algebra) else spec)
     if theta is None:
         raise ValidationError(f"unknown subgroup spec '{args.k1}' for group '{args.group}'")
-    result = hyperpolar.section_orthogonality_check(
-        algebra, theta, n_samples=args.samples, seed=args.seed)
-    return result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
+    return hyperpolar.section_orthogonality_check(algebra, theta, n_samples=args.samples,
+                                                  seed=args.seed)
 
 
 def _cmd_green(args):
@@ -319,16 +304,14 @@ def _cmd_green(args):
     psi = io.read_vector(args.psi)
     sigma = greenop.green_apply(op, psi, project=args.project)
     residual = _residual(lambda: np.linalg.norm(op.apply(sigma) - psi), "residual")
-    result = {"sigma": sigma, "residual": residual,
-              "projected": bool(args.project)}
-    return result, EXIT_OK
+    return {"sigma": sigma, "residual": residual, "projected": bool(args.project)}
 
 
 def _cmd_box1d(args):
     op = greenop.box_operator_1d(args.samples, args.speed, periodic=args.periodic)
     eigenvalues = greenop.box_eigenvalues_1d(args.samples, args.speed,
                                             periodic=args.periodic)
-    result = {
+    return {
         "samples": args.samples,
         "speed": args.speed,
         "periodic": bool(args.periodic),
@@ -336,13 +319,12 @@ def _cmd_box1d(args):
         "largest_eigenvalue": float(eigenvalues[-1]),
         "matrix": op.entries,
     }
-    return result, EXIT_OK
 
 
 _REQUIRED = {"required": True}
 _FLAG = {"action": "store_true"}
 _WINDOW = ("--window", {"default": "0.001,10"})
-_TOL = ("--tol", {"type": _finite_float, "default": 1e-8})
+_TOL = ("--tol", {"type": _finite_float, "default": CHECK_TOL})
 _SEED = ("--seed", {"type": _non_negative_int, "default": 0})
 
 # name: (help, handler, its arguments as (name, add_argument keywords));
@@ -449,13 +431,13 @@ def main(argv=None) -> int:
     args = (argv and argv[0] in _COMMANDS and _plain_args(argv)) or build_parser().parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
     try:
-        result, code = args.func(args)
+        result = args.func(args)
         _emit({"schema": 1, "version": __version__, "config": config, "result": result},
               args.format, args.out)
     except (ValidationError, SingularOperatorError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    return code
+    return EXIT_CHECK_FAILED if result.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,16 +21,12 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import spectral
-from .errors import OracleUndefinedError, ValidationError
+from .errors import (CHECK_TOL, FOCAL_TOL, LINEAR_BRANCH_TOL, MERGE_TOL, SPEC_ABS_TOL,
+                     SPEC_REL_TOL, OracleUndefinedError, ValidationError, verdict)
 from .spectral import DIVERGENT, FOCAL, Sentinel, SpectralData, TraceValue
 
-FOCAL_TOL = 1e-9          # |Y(r)| < tol*(1+|Y'(r)|) gives the FOCAL sentinel
-MERGE_TOL = 1e-9          # radii closer than this merge, multiplicities summed
-SPEC_ABS_TOL = 1e-9       # multiset comparison tolerances
-SPEC_REL_TOL = 1e-12
 WITNESS_EPS = (0.1, 0.5, 1.0)  # lower ends of the gap scans in proper_fredholm_witness
 MAX_FOCAL_RADII = 2 ** 16  # periods of one arctan family a window may span
-_LINEAR_BRANCH = 1e-300   # |lam_r| below this is treated as exactly zero
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ def _amplitudes(lam_r, lam_a, s: float):
     q = np.sqrt(np.abs(lam_r))
     c, sn = np.ones(lam_r.shape), np.full(lam_r.shape, float(s))
     with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are refused below
-        for rows, cos, sin in ((lam_r > _LINEAR_BRANCH, np.cos, np.sin),
-                               (lam_r < -_LINEAR_BRANCH, np.cosh, np.sinh)):
+        for rows, cos, sin in ((lam_r > LINEAR_BRANCH_TOL, np.cos, np.sin),
+                               (lam_r < -LINEAR_BRANCH_TOL, np.cosh, np.sinh)):
             x = s * q[rows]
             c[rows], sn[rows] = cos(x), sin(x) / q[rows]
         y, yp = c - lam_a * sn, -lam_r * sn - lam_a * c
@@ -147,7 +143,7 @@ def _row_radii(lam_r, lam_a, window: Window):
     family spanning MAX_FOCAL_RADII periods of the window is refused first."""
     lam_r, lam_a = np.asarray(lam_r, dtype=float), np.asarray(lam_a, dtype=float)
     lo, hi = window.lo, window.hi
-    trig, hyp, q = lam_r > _LINEAR_BRANCH, lam_r < -_LINEAR_BRANCH, np.sqrt(np.abs(lam_r))
+    trig, hyp, q = lam_r > LINEAR_BRANCH_TOL, lam_r < -LINEAR_BRANCH_TOL, np.sqrt(np.abs(lam_r))
     flat = np.flatnonzero(~trig & ~hyp & (lam_a != 0.0))
     # lam_a > q: the root of cosh - lam_a sinh/q at positive s
     trig, hyp = np.flatnonzero(trig), np.flatnonzero(hyp & (lam_a > q))
@@ -348,47 +344,45 @@ def weakly_isoparametric_check(grids: Sequence[EigenGrid]) -> bool:
 
 
 def isoparametric_check(grids: Sequence[EigenGrid], radii: Sequence[float],
-                        tol: float = 1e-8) -> dict:
+                        tol: float = CHECK_TOL) -> dict:
     """Constancy of the parallel regularized mean curvature over base points.
 
-    Returns a report with per-(grid, r) values, the max spread per radius,
-    focal collisions, and the overall verdict.
+    Returns a report with per-(grid, r) values, the spread per radius (NaN
+    where no grid has a value), focal collisions, and the overall verdict.
     """
     _check_inputs(grids, tol)
-    report = {"radii": {}, "focal_collisions": [], "regularizable": True, "passed": True}
-    for g in grids:
-        # a finite-rank spectrum is regularizable; the others take the truncated route
-        if not (spectral._is_finite_rank(np.count_nonzero(g.lam_a))
-                or spectral.is_regularizable(g.shape_spectrum())):
-            report["regularizable"] = False
-            report["passed"] = False
+    # finite rank is regularizable; every grid is tried, as a later one may be refused
+    report = {"radii": {}, "focal_collisions": [], "regularizable": all([
+        spectral._is_finite_rank(np.count_nonzero(g.lam_a))
+        or spectral.is_regularizable(g.shape_spectrum()) for g in grids])}
     stack = _stack(grids)
     for r in radii:
         values = []
         for idx, (g, v) in enumerate(zip(grids, _parallel_traces(stack, len(grids), r))):
             if v is FOCAL:
                 report["focal_collisions"].append((g.label or idx, r))
-                report["passed"] = False
-                continue
-            if v is DIVERGENT:
+            elif v is DIVERGENT:
                 report["regularizable"] = False
-                report["passed"] = False
-                continue
-            values.append(float(v))
+            else:
+                values.append(float(v))
         spread = float(np.max(values) - np.min(values)) if values else float("nan")
         report["radii"][r] = {"values": values, "spread": spread}
-        if not values or spread > tol:
-            report["passed"] = False
-    return report
+    spreads = [entry["spread"] for entry in report["radii"].values()]
+    return {**report, **verdict(report["regularizable"], not report["focal_collisions"],
+                                spread=(spreads, tol))}
 
 
 def equifocal_check(grids: Sequence[EigenGrid], window: Window,
-                    tol: float = 1e-8) -> bool:
-    """Focal radii and multiplicities independent of the base point."""
+                    tol: float = CHECK_TOL) -> dict:
+    """Focal radii and multiplicities independent of the base point: a report
+    of the largest distance of a radius from the first grid's (NaN where the
+    grids' counts or multiplicities differ) and the verdict."""
     _check_inputs(grids, tol)
     radii, mults, bounds = focal_sets(grids, window)
     counts = np.diff(bounds)
-    if (counts != counts[0]).any():
-        return False
-    radii, mults = radii.reshape(len(grids), counts[0]), mults.reshape(len(grids), counts[0])
-    return bool(np.all(mults == mults[0]) and not np.any(np.abs(radii - radii[0]) > tol))
+    residual = math.nan
+    if (counts == counts[0]).all():
+        radii, mults = radii.reshape(len(grids), counts[0]), mults.reshape(len(grids), counts[0])
+        if (mults == mults[0]).all():
+            residual = float(np.max(np.abs(radii - radii[0]), initial=0.0))
+    return {"radii_residual": residual, **verdict(radii=(residual, tol))}

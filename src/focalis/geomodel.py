@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import COMMUTATOR_TOL, NORMAL_TOL, ValidationError, verdict
 from .focal import _eigen_grids
 
-NORMAL_TOL = 1e-9  # relative size of the tangential part a normal vector may carry
-COMMUTATOR_TOL = 1e-9  # curvature_adapted_check passes below this commutator norm
 MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
 TRIAL_CHUNK_ENTRIES = 2 ** 20  # floats of factors per chunk of commutator trials
 MAX_TRIALS = 2 ** 16  # commutator trials of one curvature_adapted_check
@@ -166,6 +164,10 @@ def _frames(cfg: SphereProductConfig, points: np.ndarray):
     projected height directions nu_j (constrained blocks) and the frozen odd
     slots.  Column order: per block its local tangent directions, then the
     free odd slots; normals nu_1 .. nu_k1, then the frozen odd slots.
+
+    A constrained block's point is (u, h) with |u| = r': its radial and height
+    directions span (u/|u|, 0) and e_h, orthogonal by construction, and nu is
+    (-h u/|u|, |u|) normalised, so no difference cancels at a small r'/r.
     """
     n_pts, n_amb = points.shape
     frozen, free = cfg.frozen_odd_indices(), cfg.free_odd_indices()
@@ -177,17 +179,15 @@ def _frames(cfg: SphereProductConfig, points: np.ndarray):
         idx = cfg.block_even_indices(k)
         m = len(idx)
         xk = points[:, idx]
-        radial = xk / np.linalg.norm(xk, axis=1, keepdims=True)
         if k < cfg.k1:
-            # nu = e_h - <e_h, radial> radial, normalised, on the block's slots
-            nu = -radial[:, -1:] * radial
-            nu[:, -1] += 1.0
-            normal[:, idx, k] = nu / np.linalg.norm(nu, axis=1, keepdims=True)
-            killed = np.zeros((n_pts, m, 2))     # columns: radial, e_h
-            killed[:, :, 0] = radial
+            size = np.linalg.norm(xk[:, :-1], axis=1, keepdims=True)     # |u|
+            killed = np.zeros((n_pts, m, 2))     # columns: (u/|u|, 0), e_h
+            killed[:, :-1, 0] = xk[:, :-1] / size
             killed[:, -1, 1] = 1.0
+            nu = np.hstack([-xk[:, -1:] * killed[:, :-1, 0], size])
+            normal[:, idx, k] = nu / np.linalg.norm(nu, axis=1, keepdims=True)
         else:
-            killed = radial[:, :, None]
+            killed = (xk / np.linalg.norm(xk, axis=1, keepdims=True))[:, :, None]
         q, _ = np.linalg.qr(killed, mode="complete")
         n_local = m - killed.shape[2]   # block-local tangent directions
         tangent[:, idx, col:col + n_local] = q[:, :, killed.shape[2]:]
@@ -346,13 +346,13 @@ def curvature_adapted_check(model: ModelSubmanifold, n_trials: int,
         xi_rows = (model.normal_bases[pis[:, None], rows, :] @ coeffs)[:, :, 0]
         worst = max(worst, float(_commutator_norms(model, pis, xi_rows).max()))
     return {"trials": n_trials, "max_commutator_norm": worst,
-            "passed": worst < COMMUTATOR_TOL}
+            **verdict(commutator=(worst, COMMUTATOR_TOL))}
 
 
 def trace_closed_form(model: ModelSubmanifold, point_index: int,
                       xi: np.ndarray) -> dict:
     """Shape-operator trace weighted by the slice spheres' dimensions m_j - 2,
-    plus the printed (m_j - 1)-weighted variant, flagging the mismatch."""
+    plus the printed (m_j - 1)-weighted variant."""
     cfg = model.config
     point_index = range(len(model.points))[point_index]
     _, dims, lam_a = _block_data(model, slice(point_index, point_index + 1), xi[None])
@@ -364,6 +364,5 @@ def trace_closed_form(model: ModelSubmanifold, point_index: int,
     return {
         "trace_from_block_dims": float(tr_actual),
         "trace_printed_weights": float(tr_printed),
-        "weights_match": bool(np.all(dims == np.array([m - 1 for m, _ in cfg.blocks[: cfg.k1]]))),
         "block_dims": dims.tolist(),
     }

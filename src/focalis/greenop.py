@@ -17,10 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularOperatorError, ValidationError
+from .errors import SINGULAR_TOL, SYMMETRY_TOL, SingularOperatorError, ValidationError
 
-SYMMETRY_TOL = 1e-12
-SINGULAR_TOL = 1e-12
 # box_operator_1d builds a dense S x S matrix (32 MiB at the cap)
 MAX_BOX_SAMPLES = 2048
 SPEED_RANGE = (2.0 ** -250, 2.0 ** 250)  # entries hold the speed to the power -2

@@ -12,14 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import LieAlgebraBasis, bracket, load_algebra
-from .errors import ValidationError
+from .errors import FLATNESS_TOL, ORTHOGONALITY_TOL, ValidationError, verdict
 from .roots import restricted_root_decomposition
 from .transport import expm_antiherm
 
 MAX_SAMPLES = 10_000  # sample points of one check: each costs one expm and two products
 _CHUNK = 256          # samples exponentiated and paired as one stack
-ORTHOGONALITY_TOL = 1e-8  # worst orbit-section inner product, relative to the largest |a_i|
-FLATNESS_TOL = 1e-10      # max |[a_i, a_j]| of a flat section
 
 
 def _hs_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -56,14 +54,14 @@ def section_orthogonality_check(algebra, theta: str, n_samples: int = 25,
         # rounding is monotone, so the extreme pairs give the extreme differences
         worst = max(worst, float(np.max(xa.max(0) - ya.min(1))),
                     float(np.max(ya.max(1) - xa.min(0))))
-    norm = max(np.linalg.norm(a) for a in a_mats)
+    worst /= max(np.linalg.norm(a) for a in a_mats)
     return {
         "algebra": alg.name,
         "involution": theta,
         "section_dim": len(a_mats),
         "subgroup_dim": len(k_mats),
         "n_samples": n_samples,
-        "max_orthogonality_residual": worst / norm,
+        "max_orthogonality_residual": worst,
         "flatness_residual": flat,
-        "passed": bool(worst / norm < ORTHOGONALITY_TOL and flat < FLATNESS_TOL),
+        **verdict(orthogonality=(worst, ORTHOGONALITY_TOL), flatness=(flat, FLATNESS_TOL)),
     }

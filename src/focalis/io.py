@@ -24,7 +24,7 @@ import re
 import numpy as np
 import orjson
 
-from .errors import ValidationError
+from .errors import PATH_END_TOL, PATH_SPACING_TOL, ValidationError
 from .focal import EigenGrid, _eigen_grids
 from .geomodel import SphereProductConfig
 from .spectral import SpectralData, TailModel, _as_array, _whole_numbers
@@ -109,10 +109,6 @@ def read_eigen_grids(paths) -> list:
 
 def read_eigen_grid(path: str) -> EigenGrid:
     return read_eigen_grids([path])[0]
-
-
-PATH_END_TOL = 1e-12       # the first and last sample times: 0 and 1 within this
-PATH_SPACING_TOL = 1e-9    # each step: 1/(n - 1) within this
 
 
 def read_path(path: str) -> AlgebraPath:

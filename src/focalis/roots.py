@@ -18,11 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .algebras import LieAlgebraBasis, decimal_number, load_algebra
-from .errors import ValidationError
+from .errors import (BRACKET_TOL, CENTRALIZER_TOL, CLUSTER_TOL, EIGEN_TOL, ROOT_MATCH_TOL,
+                     ROOT_TOL, SIGN_TOL, THETA_TOL, ValidationError, verdict)
 
-CLUSTER_TOL = 1e-8
-RESIDUAL_TOL = 1e-9
-ROOT_MATCH_TOL = 1e-7   # root vectors this close (up to sign) name the same space
 MAX_DRAWS = 8           # draws of a generic H in a before the eigen test refuses the pair
 
 
@@ -123,12 +121,12 @@ def _root_clusters(ad_a: np.ndarray, weights: np.ndarray):
             heads.append(j)
     bounds = np.array(heads + [n])
     c2 = np.maximum(w2[heads], 0.0)
-    is_root = np.sqrt(np.maximum(unit[heads], 0.0)) >= 1e-7
+    is_root = np.sqrt(np.maximum(unit[heads], 0.0)) >= ROOT_TOL
     # the root of a cluster from its head v: lam_i = <[H_i, v], [H, v]> / sqrt(c2)
     lams = np.array([(ad_a @ v2[:, i]) @ (Ag @ v2[:, i])
                      for i in bounds[:-1][is_root]]) / np.sqrt(c2[is_root])[:, None]
     # sign normalization: first nonzero component positive
-    big = np.abs(lams) > 1e-9
+    big = np.abs(lams) > SIGN_TOL
     lead = np.take_along_axis(lams, np.argmax(big, axis=1)[:, None], axis=1)
     lams *= np.where(big.any(axis=1, keepdims=True) & (lead < 0.0), -1.0, 1.0)
     # the eigen test, lambda_i^2 per column of v2 (0 on g_0): (rank, n)
@@ -136,7 +134,7 @@ def _root_clusters(ad_a: np.ndarray, weights: np.ndarray):
     lam2[is_root] = lams ** 2
     lam2 = np.repeat(lam2, np.diff(bounds), axis=0).T
     res = np.abs((ad_a @ ad_a) @ v2 + lam2[:, None] * v2).max(axis=1)
-    return None if np.any(res > 1e-9 * (1.0 + lam2)) else (v2, bounds, is_root, lams)
+    return None if np.any(res > EIGEN_TOL * (1.0 + lam2)) else (v2, bounds, is_root, lams)
 
 
 def restricted_root_decomposition(algebra, theta: str,
@@ -160,9 +158,9 @@ def restricted_root_decomposition(algebra, theta: str,
     # theta in onb coordinates, theta(onb_i) = sum_a tmat[a, i] onb_a: an
     # involution (T T = I) and an automorphism (theta[x, y] = [theta x, theta y])
     tmat = (alg.coefficients(th(onb)) @ l).T
-    if np.max(np.abs(tmat @ tmat - np.eye(n))) > 1e-10:
+    if np.max(np.abs(tmat @ tmat - np.eye(n))) > THETA_TOL:
         raise ValidationError("theta is not involutive")
-    if np.max(np.abs(_congruence(c, tmat) - c @ tmat.T)) > 1e-10:
+    if np.max(np.abs(_congruence(c, tmat) - c @ tmat.T)) > THETA_TOL:
         raise ValidationError("theta is not an automorphism")
 
     # k and p = the (+1)- and (-1)-eigenspaces of theta in coefficient space
@@ -176,15 +174,15 @@ def restricted_root_decomposition(algebra, theta: str,
     h_gen = p_c @ rng.normal(size=p_c.shape[1])
     # a = centralizer of the generic element inside p
     _, s, vt = np.linalg.svd(_ad(h_gen, c)[0] @ p_c)
-    rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > CENTRALIZER_TOL * (s[0] if len(s) else 1.0)))
     a_c = p_c @ vt[rank:].T
     # abelian + maximality checks, ad_a[i] @ x = coordinates of [a_i, x]
     ad_a = _ad(a_c, c)
-    if np.max(np.abs(ad_a @ a_c)) > 1e-10:
+    if np.max(np.abs(ad_a @ a_c)) > CENTRALIZER_TOL:
         raise ValidationError("candidate a is not abelian")
     # maximal: no direction of p outside a commutes with all of a
     dev = np.abs(ad_a @ (p_c @ vt[:rank].T)).max(axis=1)
-    if np.any(np.all(dev < 1e-10, axis=0)):
+    if np.any(np.all(dev < CENTRALIZER_TOL, axis=0)):
         raise ValidationError("candidate a is not maximal abelian")
 
     # a generic H in a: the seeded weights, drawn again while some cluster fails
@@ -242,6 +240,6 @@ def verify_bracket_pattern(data: RestrictedRootData) -> dict:
         worst = np.maximum.reduceat(np.maximum.reduceat(worst, starts, axis=0), starts, axis=1)
         report["residuals" + suffix] = np.sqrt(worst)
         report["max_residual" + suffix] = float(np.triu(report["residuals" + suffix]).max())
-    report["passed"] = report["max_residual"] < RESIDUAL_TOL
     report["dimension_identity"] = data.dimension_identity()
-    return report
+    return {**report, **verdict(report["dimension_identity"],
+                                bracket=(report["max_residual"], BRACKET_TOL))}

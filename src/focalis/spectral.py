@@ -23,15 +23,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CAUCHY_THRESHOLD, ZETA_TOLERANCE, ValidationError
 
 CAUCHY_WINDOW = 0.10       # fraction of trailing partial sums examined
-CAUCHY_THRESHOLD = 1e-6
 RATIO_MAX = 0.95           # increment ratio above which we refuse to extrapolate
 FINITE_RANK_MAX = 64       # at most this many stored entries reads as finite rank
 MAX_BRANCH_RANK = 2 ** 53  # a branch's total multiplicity stays below this
 INT64_BOUND = 2.0 ** 63    # whole numbers not read as int64 lie below this in magnitude
-ZETA_TOLERANCE = 1e-6      # relative tail bound above which the zeta trace diverges
 
 
 class Sentinel(enum.Enum):

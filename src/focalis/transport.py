@@ -18,10 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ANTIHERM_TOL, UNITARY_TOL, ValidationError
 
-ANTIHERM_TOL = 1e-12
-UNITARY_TOL = 1e-10
 # Cap on the fine-grid step count; each (n, n, steps) stack holds
 # 16 n^2 bytes per step, so the cap bounds what a user-given --steps allocates.
 MAX_STEPS = 2 ** 20

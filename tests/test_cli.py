@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from focalis import cli, focal, hyperpolar, io, spectral, transport
 from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
 from focalis.cli import build_parser, main
-from focalis.errors import ValidationError
+from focalis.errors import FACTORIZATION_TOL, UNITARY_TOL, ValidationError
 from focalis.focal import FOCAL, EigenGrid
 from focalis.geomodel import MAX_TRIALS
 from focalis.greenop import MAX_BOX_SAMPLES, box_operator_1d
@@ -1641,6 +1641,16 @@ class TestModelCommand:
         assert res["trace_constancy"]["regularizable"] is True
         assert res["closed_form_traces"]["block_dims"] == [68, 2]
 
+    def test_example41_slice_radius_far_below_its_sphere(self, capsys, tmp_path):
+        # r'/r = 1e-9: the model's own normals were refused as tangential
+        # (exit 2) while its frames lost nu and the slice direction to cancellation
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"blocks": [[4, 1.0]], "k1": 1, "rprime": [1e-9], "k2": 0,
+                                   "ambient_dim": 10}))
+        code, report = run_json(capsys, "example41", "--config", str(cfg))
+        assert code == 0
+        assert report["result"]["passed"] is True
+
     @pytest.mark.parametrize("argv", [
         ("--radii", "abc"), ("--radii", "0.05,inf"), ("--radii", "0.05,nan"),
         ("--radii", "0.05,"), ("--points", "0"), ("--points", "-2"),
@@ -1696,7 +1706,7 @@ class TestTransportCommands:
         assert report["result"]["passed"] is False
         assert report["result"]["unitarity_residual"] > residual
         # the report names the bound its verdict used
-        assert report["result"]["unitarity_tol"] == transport.UNITARY_TOL == 1e-10
+        assert report["result"]["unitarity_tol"] == UNITARY_TOL == 1e-10
 
     def test_holonomy_factorization(self, capsys, tmp_path):
         samples, _ = self.su2_sample(3, 21)
@@ -1708,7 +1718,7 @@ class TestTransportCommands:
                                 "--omega0", str(p0))
         assert code == 0
         assert report["result"]["factorization_residual"] < 1e-6
-        assert report["result"]["factorization_tol"] == cli.FACTORIZATION_TOL == 1e-6
+        assert report["result"]["factorization_tol"] == FACTORIZATION_TOL == 1e-6
         assert report["result"]["passed"] is True
 
     @pytest.mark.parametrize("steps", ["0", "-5"])
@@ -2028,3 +2038,109 @@ class TestGreenCommands:
         assert res["largest_eigenvalue"] == pytest.approx(exact.max(), rel=1e-15)
         assert np.linalg.eigvalsh(np.array(res["matrix"]))[-1] == pytest.approx(
             res["largest_eigenvalue"], rel=1e-12)
+
+
+def _holds(residual, tol) -> bool:
+    """The one rule of every verdict, on printed fields: each residual (a list
+    holds several) is at most its bound, and a null one (NaN in the report) fails."""
+    values = residual if isinstance(residual, list) else [residual]
+    return all(v is not None and v <= tol for v in values)
+
+
+def _iso_verdict(iso) -> bool:
+    return (_holds([entry["spread"] for entry in iso["radii"].values()], iso["spread_tol"])
+            and iso["regularizable"] and not iso["focal_collisions"])
+
+
+def _printed_verdict(result) -> bool:
+    """A report's verdict read off its printed (residual, *_tol) pairs and the
+    conditions it conjoins."""
+    if "trace_constancy" in result:           # example41, from its two blocks
+        adapted = result["curvature_adapted"]
+        blocks = (_iso_verdict(result["trace_constancy"]),
+                  _holds(adapted["max_commutator_norm"], adapted["commutator_tol"]))
+        assert blocks == (result["trace_constancy"]["passed"], adapted["passed"])
+        return all(blocks)
+    if "radii" in result:                     # check iso
+        return _iso_verdict(result)
+    if "focal_collision" in result:           # parallel
+        return not result["focal_collision"]
+    pairs = [(k[: -len("_tol")], k) for k in result if k.endswith("_tol")]
+    residual_names = {"unitarity": "unitarity_residual", "factorization": "factorization_residual",
+                      "bracket": "bracket_max_residual", "radii": "radii_residual",
+                      "orthogonality": "max_orthogonality_residual",
+                      "flatness": "flatness_residual"}
+    assert pairs, "a verdict with no printed bound"
+    return (all(_holds(result[residual_names[name]], result[tol]) for name, tol in pairs)
+            and result.get("dimension_identity", True))
+
+
+def _verdict_files(d):
+    """Input files of the verdict cases, written into the directory d."""
+    g = EigenGrid(((1.0, 0.5, 2), (0.0, 1.0, 1)), label="p")
+    spread = EigenGrid(((1.0, 0.5 + 2e-9, 2), (0.0, 1.0, 1)), label="q")
+    for name, grids in (("same", [g, g]), ("spread", [g, spread]),
+                        ("apart", [g, EigenGrid(((1.0, 2.0, 2),), label="q")])):
+        (d / name).mkdir()
+        for i, grid in enumerate(grids):
+            write_eigen_grid(str(d / name / f"g{i}.json"), grid)
+    write_eigen_grid(str(d / "grid.json"), EigenGrid(((1.0, 0.0, 2), (0.0, 2.0, 1))))
+    write_spectrum(str(d / "spec.json"), SpectralData([0.5, 0.25], [1, 1], [1.0], [1]))
+    x = load_algebra("su2").from_coefficients([0.3, -0.2, 0.5])
+    write_path(str(d / "u.json"), np.repeat(x[None], 11, axis=0))
+    step = [[[0, 2.0 ** 40]]]                 # i 2^40: its endpoint is unitary to 1e-4 only
+    (d / "big.json").write_text(json.dumps({"samples": [[0, step], [1, step]]}))
+    (d / "om.json").write_text(json.dumps({"samples": [
+        [0, [[[0, 1.0], [0, 0]], [[0, 0], [0, -1.0]]]],
+        [1, [[[0, 5.0], [3, 0]], [[-3, 0], [0, -5.0]]]]]}))
+    (d / "op.json").write_text(json.dumps([[2.0, 0.0], [0.0, 4.0]]))
+    (d / "psi.json").write_text(json.dumps([2.0, 4.0]))
+
+
+# a command line ({d}: the files' directory), its expected "passed" (None:
+# the report has no verdict), and a bound of the table set to 0 for it, where
+# no real input makes the report fail
+_VERDICT_CASES = [
+    ("trace --spec {d}/spec.json", None, None),
+    ("focal --grid {d}/grid.json", None, None),
+    ("green --op {d}/op.json --psi {d}/psi.json", None, None),
+    ("box1d --samples 8 --speed 1.5", None, None),
+    ("parallel --grid {d}/grid.json --r 0.3", True, None),
+    ("parallel --grid {d}/grid.json --r 1.5707963267948966", False, None),
+    ("check weak --grids {d}/same", True, None),
+    ("check weak --grids {d}/apart", False, None),
+    ("check iso --grids {d}/same --radii 0.1,0.2", True, None),
+    ("check iso --grids {d}/spread --radii 0.1,0.2 --tol 0", False, None),
+    ("check iso --grids {d}/same --radii 0.5,1.0", False, None),         # focal at 1.0
+    ("check equifocal --grids {d}/same", True, None),
+    ("check equifocal --grids {d}/spread --tol 0", False, None),
+    ("check equifocal --grids {d}/apart", False, None),                   # counts differ
+    ("example41 --points 4 --trials 4", True, None),
+    ("example41 --points 4 --trials 4 --tol 0", False, None),
+    ("transport --path {d}/u.json", True, None),
+    ("transport --path {d}/big.json --steps 1", False, None),
+    ("holonomy --omega {d}/om.json", True, None),
+    ("holonomy --omega {d}/om.json --steps 1", False, None),
+    ("roots --algebra su3", True, None),
+    ("roots --algebra su3", False, "roots.BRACKET_TOL"),
+    ("hyperpolar --group SU2 --k1 SO2 --k2 SO2 --samples 4", True, None),
+    ("hyperpolar --group SU2 --k1 SO2 --k2 SO2 --samples 4", False, "hyperpolar.ORTHOGONALITY_TOL"),
+]
+
+
+@pytest.mark.parametrize("argv,want,zeroed", _VERDICT_CASES,
+                         ids=[f"{i}-{c[0].split(' --')[0]}" for i, c in enumerate(_VERDICT_CASES)])
+def test_passed_is_the_printed_verdicts_and_sets_the_exit_code(
+        capsys, tmp_path, monkeypatch, argv, want, zeroed):
+    if zeroed:
+        module, name = zeroed.split(".")
+        monkeypatch.setattr(f"focalis.{module}.{name}", 0.0)
+    _verdict_files(tmp_path)
+    code, report = run_json(capsys, *argv.format(d=tmp_path).split())
+    result = report["result"]
+    assert result.get("passed") is want
+    assert code == (1 if want is False else 0)
+    # the weak check compares spectra entry by entry, with a bound of its own
+    # per entry, and prints no residual: its verdict is a condition alone
+    if want is not None and not argv.startswith("check weak"):
+        assert _printed_verdict(result) is want

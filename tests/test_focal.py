@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from focalis import focal, spectral
-from focalis.errors import OracleUndefinedError, ValidationError
-from focalis.focal import (FOCAL, MAX_FOCAL_RADII, MERGE_TOL, EigenGrid, Window,
+from focalis.errors import (LINEAR_BRANCH_TOL, MERGE_TOL, OracleUndefinedError,
+                            ValidationError)
+from focalis.focal import (FOCAL, MAX_FOCAL_RADII, EigenGrid, Window,
                            equifocal_check, focal_radii_pair, focal_set, focal_sets,
                            isoparametric_check, jacobi_amplitude, parallel_reg_mean_curvature,
                            parallel_shape_eigenvalue, proper_fredholm_witness,
@@ -136,7 +137,7 @@ class TestJacobiAmplitude:
         y, yp = focal._amplitudes(lam_r, lam_a, s)
         for i, row in enumerate(zip(lam_r.tolist(), lam_a.tolist(), [s] * len(lam_r))):
             want_y, want_yp, scale_y, scale_yp = scalar_amplitudes(*row)
-            if row[0] < -focal._LINEAR_BRANCH:
+            if row[0] < -LINEAR_BRANCH_TOL:
                 assert abs(y[i] - want_y) <= 4 * EPS * scale_y
                 assert abs(yp[i] - want_yp) <= 4 * EPS * scale_yp
             else:
@@ -535,19 +536,19 @@ class TestChecks:
         assert not report["passed"]
 
     def test_equifocal_identical(self):
-        assert equifocal_check(self.grids(), Window(0.01, 5.0))
+        assert equifocal_check(self.grids(), Window(0.01, 5.0))["passed"]
 
     def test_equifocal_arctan_shift(self):
         a = EigenGrid(((1.0, 1.0, 1),))
         b = EigenGrid(((1.0, 2.0, 1),))
-        assert not equifocal_check([a, b], Window(0.01, 5.0))
+        assert not equifocal_check([a, b], Window(0.01, 5.0))["passed"]
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_tol_that_decides_every_comparison_rejected(self, tol):
         # NaN and inf pass these differing grids, a negative tol fails even equal ones
         grids, window = [EigenGrid(((1, 0.5, 2),)), EigenGrid(((1, 0.9, 2),))], Window(0.01, 5.0)
         assert not isoparametric_check(grids, [0.1])["passed"]
-        assert not equifocal_check(grids, window)
+        assert not equifocal_check(grids, window)["passed"]
         with pytest.raises(ValidationError, match="tol"):
             isoparametric_check(grids, [0.1], tol=tol)
         with pytest.raises(ValidationError, match="tol"):
@@ -555,7 +556,7 @@ class TestChecks:
 
     def test_zero_tol_accepted(self):
         assert isoparametric_check(self.grids(), [0.1], tol=0.0)["passed"]
-        assert equifocal_check(self.grids(), Window(0.01, 5.0), tol=0.0)
+        assert equifocal_check(self.grids(), Window(0.01, 5.0), tol=0.0)["passed"]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
@@ -582,7 +583,7 @@ def test_weakly_iso_implies_equifocal(pairs, copies):
     # identical joint spectra at every point force identical focal data
     grids = [EigenGrid(pairs, label=f"x{i}") for i in range(copies)]
     if weakly_isoparametric_check(grids):
-        assert equifocal_check(grids, Window(0.05, 6.0))
+        assert equifocal_check(grids, Window(0.05, 6.0))["passed"]
 
 
 def _expanded_multisets_close(a, b):
@@ -621,7 +622,8 @@ def transformed_grid_loop(grid, r):
 def isoparametric_check_loop(grids, radii, tol=1e-8):
     """Per-grid reference for isoparametric_check: a SpectralData and a
     reg_trace for every (grid, radius)."""
-    report = {"radii": {}, "focal_collisions": [], "regularizable": True, "passed": True}
+    report = {"radii": {}, "focal_collisions": [], "regularizable": True, "spread_tol": tol,
+              "passed": True}
     for g in grids:
         if not spectral.is_regularizable(g.shape_spectrum()):
             report["regularizable"] = False
@@ -825,7 +827,7 @@ def test_focal_sets_match_per_pair_route(case):
             assert focal_radii_pair(lam_r, lam_a, window) == focal_radii_pair_loop(
                 lam_r, lam_a, window)
     ref = want[0]
-    assert equifocal_check(grids, window) == all(
+    assert equifocal_check(grids, window)["passed"] == all(
         len(e) == len(ref) and all(m == n and abs(r - s) <= 1e-8
                                    for (r, m), (s, n) in zip(e, ref)) for e in want)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from focalis.errors import SingularOperatorError, ValidationError
-from focalis.greenop import (MAX_BOX_SAMPLES, SYMMETRY_TOL, OperatorMatrix, box_eigenvalues_1d,
+from focalis.errors import SYMMETRY_TOL, SingularOperatorError, ValidationError
+from focalis.greenop import (MAX_BOX_SAMPLES, OperatorMatrix, box_eigenvalues_1d,
                              box_operator_1d, green_apply, green_kernel, ls2_inner)
 
 

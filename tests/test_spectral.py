@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from focalis import spectral
-from focalis.errors import ValidationError
-from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, MAX_BRANCH_RANK, ZETA_TOLERANCE,
+from focalis.errors import ZETA_TOLERANCE, ValidationError
+from focalis.spectral import (DIVERGENT, FINITE_RANK_MAX, MAX_BRANCH_RANK,
                               SpectralData, TailModel, TraceInfo, align_runs,
                               is_regularizable, reg_trace, reg_trace_info,
                               trace_square, trace_square_info,
