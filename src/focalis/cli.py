@@ -207,7 +207,8 @@ def _cmd_example41(args):
     coeffs = rng.normal(size=cfg.k1)
     window = _parse_window(args.window)
     radii = _parse_radii(args.radii)
-    xis = model.normal_bases[:, :, : cfg.k1] @ coeffs
+    xis = np.zeros((args.points, cfg.ambient_dim))
+    xis[:, cfg.curved_indices()] = model.normal_bases[:, :, : cfg.k1] @ coeffs
     grids = geomodel.eigen_grids(model, xis)
     focal_radii, focal_mults, bounds = focal.focal_sets(grids, window)
     focal_sets = {g.label: {"radii": focal_radii[lo:hi], "multiplicities": focal_mults[lo:hi]}

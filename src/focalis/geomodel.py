@@ -29,7 +29,10 @@ import numpy as np
 from .errors import COMMUTATOR_TOL, NORMAL_TOL, ValidationError, verdict
 from .focal import _eigen_grids
 
-MAX_FRAME_ENTRIES = 2 ** 24  # P N (d + c) frame floats: 100 points at N = 512, 5 at 2000
+# P N (d + c), the floats of dense frames: 100 points at N = 512, 5 at 2000.
+# The model stores P n_c (d + c - free odd) frame floats on its n_c curved rows
+# and the P N points, each at most that; dense_operators' d x d (d <= N) fits too.
+MAX_FRAME_ENTRIES = 2 ** 24
 TRIAL_CHUNK_ENTRIES = 2 ** 20  # floats of factors per chunk of commutator trials
 MAX_TRIALS = 2 ** 16  # commutator trials of one curvature_adapted_check
 RADIUS_RANGE = (2.0 ** -250, 2.0 ** 250)  # commutators hold radii to the power -4
@@ -43,6 +46,7 @@ class SphereProductConfig:
     k2: int                        # number of frozen odd slots
     ambient_dim: int               # truncation dimension N
     _block_idx: tuple = field(init=False, repr=False, compare=False)
+    _curved_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k1 > len(self.blocks):
@@ -75,6 +79,9 @@ class SphereProductConfig:
             idx.setflags(write=False)
             table.append(idx)
         object.__setattr__(self, "_block_idx", tuple(table))
+        curved = np.concatenate([*table, np.arange(0, 2 * self.k2, 2)])
+        curved.setflags(write=False)
+        object.__setattr__(self, "_curved_idx", curved)
 
     @property
     def n_blocks(self) -> int:
@@ -87,6 +94,12 @@ class SphereProductConfig:
     def block_even_indices(self, k: int) -> np.ndarray:
         """Ambient (0-based) indices of block k's even coordinates (read-only)."""
         return self._block_idx[k]
+
+    def curved_indices(self) -> np.ndarray:
+        """Ambient indices of the rows the model's frames are stored on
+        (read-only): every block's even slots, block after block, then the
+        frozen odd slots."""
+        return self._curved_idx
 
     def odd_indices(self) -> np.ndarray:
         n_odd = self.ambient_dim - self.ambient_dim // 2
@@ -112,14 +125,18 @@ def default_config() -> SphereProductConfig:
 
 @dataclass(eq=False)
 class ModelSubmanifold:
+    """Sampled points and their frames on the n_c curved rows of
+    config.curved_indices() only.  The tangent frame's other columns are the
+    free odd slots, implied as trailing identity columns; every other slot
+    (the unused even slots) lies outside both frames."""
     config: SphereProductConfig
     points: np.ndarray              # (n_points, N)
-    tangent_bases: np.ndarray       # (n_points, N, d), orthonormal columns per point
-    normal_bases: np.ndarray        # (n_points, N, c), orthonormal columns per point
+    tangent_bases: np.ndarray       # (n_points, n_c, d - free odd), orthonormal columns
+    normal_bases: np.ndarray        # (n_points, n_c, c), orthonormal columns per point
 
     @property
     def tangent_dim(self) -> int:
-        return self.tangent_bases.shape[2]
+        return self.tangent_bases.shape[2] + len(self.config.free_odd_indices())
 
     @property
     def normal_dim(self) -> int:
@@ -157,50 +174,48 @@ def _sample_points(cfg: SphereProductConfig, rng: np.random.Generator,
 
 def _frames(cfg: SphereProductConfig, points: np.ndarray):
     """Tangent/normal orthonormal frames of M inside the ambient product manifold,
-    for every point of the (P, N) stack at once.
+    for every point of the (P, N) stack at once, on the curved rows
+    cfg.curved_indices(): (P, n_c, d - free odd) and (P, n_c, c).
 
     The ambient manifold's own tangent space excludes each block's radial
     direction and the unused even slots; within it, M's normals are the
     projected height directions nu_j (constrained blocks) and the frozen odd
-    slots.  Column order: per block its local tangent directions, then the
-    free odd slots; normals nu_1 .. nu_k1, then the frozen odd slots.
+    slots.  Column order: per block its local tangent directions (the free
+    odd slots follow, implied); normals nu_1 .. nu_k1, then the frozen odd
+    slots.
 
     A constrained block's point is (u, h) with |u| = r': its radial and height
     directions span (u/|u|, 0) and e_h, orthogonal by construction, and nu is
     (-h u/|u|, |u|) normalised, so no difference cancels at a small r'/r.
     """
-    n_pts, n_amb = points.shape
-    frozen, free = cfg.frozen_odd_indices(), cfg.free_odd_indices()
-    d, c = _frame_dims(cfg)
-    tangent = np.zeros((n_pts, n_amb, d))
-    normal = np.zeros((n_pts, n_amb, c))
-    col = 0
-    for k in range(cfg.n_blocks):
-        idx = cfg.block_even_indices(k)
-        m = len(idx)
-        xk = points[:, idx]
+    n_pts, n_rows = len(points), len(cfg.curved_indices())
+    tangent = np.zeros((n_pts, n_rows, sum(m - 1 for m, _ in cfg.blocks) - cfg.k1))
+    normal = np.zeros((n_pts, n_rows, cfg.k1 + cfg.k2))
+    row = col = 0
+    for k, (m, _) in enumerate(cfg.blocks):
+        xk = points[:, cfg.block_even_indices(k)]
         if k < cfg.k1:
             size = np.linalg.norm(xk[:, :-1], axis=1, keepdims=True)     # |u|
             killed = np.zeros((n_pts, m, 2))     # columns: (u/|u|, 0), e_h
             killed[:, :-1, 0] = xk[:, :-1] / size
             killed[:, -1, 1] = 1.0
             nu = np.hstack([-xk[:, -1:] * killed[:, :-1, 0], size])
-            normal[:, idx, k] = nu / np.linalg.norm(nu, axis=1, keepdims=True)
+            normal[:, row:row + m, k] = nu / np.linalg.norm(nu, axis=1, keepdims=True)
         else:
             killed = (xk / np.linalg.norm(xk, axis=1, keepdims=True))[:, :, None]
         q, _ = np.linalg.qr(killed, mode="complete")
         n_local = m - killed.shape[2]   # block-local tangent directions
-        tangent[:, idx, col:col + n_local] = q[:, :, killed.shape[2]:]
-        col += n_local
-    tangent[:, free, np.arange(col, d)] = 1.0
-    normal[:, frozen, np.arange(cfg.k1, normal.shape[2])] = 1.0
+        tangent[:, row:row + m, col:col + n_local] = q[:, :, killed.shape[2]:]
+        row, col = row + m, col + n_local
+    normal[:, row:, cfg.k1:] = np.eye(cfg.k2)     # the frozen odd slots
     return tangent, normal
 
 
 def build_model(config: SphereProductConfig, n_points: int,
                 seed: int) -> ModelSubmanifold:
-    """Seeded random sample of the submanifold with per-point frames; frame
-    stacks beyond MAX_FRAME_ENTRIES floats are refused before allocation."""
+    """Seeded random sample of the submanifold with per-point frames; a model
+    whose dense frames would hold more than MAX_FRAME_ENTRIES floats is
+    refused before allocation."""
     if n_points < 1:
         raise ValidationError(f"need at least one point, got {n_points}")
     entries = n_points * config.ambient_dim * sum(_frame_dims(config))
@@ -212,16 +227,29 @@ def build_model(config: SphereProductConfig, n_points: int,
     return ModelSubmanifold(config, points, tangent, normal)
 
 
-def _check_normal(t: np.ndarray, n: np.ndarray, xis: np.ndarray):
-    """Refuse any row of xis (P, N) that leaves the span of its point's normal
-    frame n (P, N, c) or has a component along its tangent frame t (P, N, d)."""
+def _normal_rows(model: ModelSubmanifold, points, xis: np.ndarray) -> np.ndarray:
+    """The rows of xis (P, N) on the curved rows (P, n_c), for the points
+    model.points[points]; any row that leaves the span of its point's normal
+    frame or has a component along its tangent frame is refused.  Off the
+    curved rows a normal vanishes: the free odd slots are tangent, the
+    unused even slots outside both frames."""
+    cfg = model.config
+    t, n = model.tangent_bases[points], model.normal_bases[points]
+    if xis.shape != (len(t), cfg.ambient_dim):
+        raise ValidationError(f"normal vectors of shape {xis.shape} for {len(t)} points "
+                              f"at ambient dimension {cfg.ambient_dim}")
     bound = NORMAL_TOL * (1.0 + np.linalg.norm(xis, axis=1))
-    rows = xis[:, None, :]
+    rows = xis[:, None, cfg.curved_indices()]
+    off = np.ones(cfg.ambient_dim, dtype=bool)
+    off[cfg.curved_indices()] = False
     in_span = (rows @ n) @ np.swapaxes(n, 1, 2)
-    if not (np.linalg.norm((rows - in_span)[:, 0], axis=1) <= bound).all():
+    if not (np.hypot(np.linalg.norm((rows - in_span)[:, 0], axis=1),
+                     np.linalg.norm(xis[:, off], axis=1)) <= bound).all():
         raise ValidationError("xi is not a normal vector at this point")
-    if not (np.linalg.norm((rows @ t)[:, 0], axis=1) <= bound).all():
+    if not (np.hypot(np.linalg.norm((rows @ t)[:, 0], axis=1),
+                     np.linalg.norm(xis[:, cfg.free_odd_indices()], axis=1)) <= bound).all():
         raise ValidationError("xi has a tangential component")
+    return rows[:, 0]
 
 
 def _block_data(model: ModelSubmanifold, points: slice, xis: np.ndarray):
@@ -230,11 +258,8 @@ def _block_data(model: ModelSubmanifold, points: slice, xis: np.ndarray):
     tangent columns of _frames on its slots) and lam_a,j = sqrt(1/rprime_j^2 -
     1/r_j^2) <xi, nu_j>."""
     cfg = model.config
-    t, n = model.tangent_bases[points], model.normal_bases[points]
-    if len(t) != len(xis):
-        raise ValidationError(f"{len(xis)} normal vectors for {len(t)} points")
-    _check_normal(t, n, xis)
-    comps = (xis[:, None, :] @ n[:, :, : cfg.k1])[:, 0]        # <xi, nu_j>
+    rows = _normal_rows(model, points, xis)
+    comps = (rows[:, None, :] @ model.normal_bases[points, :, : cfg.k1])[:, 0]  # <xi, nu_j>
     dims = np.broadcast_to(np.array([m - 2 for m, _ in cfg.blocks[: cfg.k1]], dtype=int),
                            comps.shape)
     lam_a = np.array([np.sqrt(1.0 / rp ** 2 - 1.0 / r ** 2)
@@ -257,14 +282,9 @@ def eigen_grids(model: ModelSubmanifold, xis: np.ndarray) -> list:
     return _eigen_grids(rows[keep], keep.sum(axis=1), [f"x{p}" for p in range(len(xis))])
 
 
-def _block_rows(cfg: SphereProductConfig) -> np.ndarray:
-    """Ambient indices of every block's even slots, block after block."""
-    return np.concatenate(cfg._block_idx) if cfg.blocks else np.empty(0, dtype=int)
-
-
 def _factors(model: ModelSubmanifold, pis: np.ndarray, xi_rows: np.ndarray):
     """Factors of the normal Jacobi and shape operators on T_x M for normals
-    xi at the points pis, given on _block_rows as xi_rows (T, n_rows).
+    xi at the points pis, given on the curved rows as xi_rows (T, n_c).
 
     Independent of the block eigenvalue formulas: the Jacobi operator comes
     from the full constant-curvature tensor on the tangent frame, the shape
@@ -280,11 +300,12 @@ def _factors(model: ModelSubmanifold, pis: np.ndarray, xi_rows: np.ndarray):
     of 2 x_k in the least-squares expansion of xi in the constraint gradients;
     the others (heights e_h, frozen odd and free even slots) have slots of
     their own, so it is a one-column solve on the block's slots but the
-    height.  Only the block rows of the frames are gathered.
+    height.  Only the block rows (the first n_rows curved rows) are read, and B
+    has a row per stored tangent column: the free odd directions are flat.
     """
     cfg = model.config
-    n_rows, n_blocks = xi_rows.shape[1], cfg.n_blocks
-    r_t = np.swapaxes(model.tangent_bases[pis[:, None], _block_rows(cfg), :], 1, 2)
+    n_rows, n_blocks = sum(m for m, _ in cfg.blocks), cfg.n_blocks
+    r_t = np.swapaxes(model.tangent_bases[pis, :n_rows], 1, 2)
     scaled = np.zeros((len(pis), n_rows, n_blocks))   # xi_k / r_k in column k
     m_j = np.full((len(pis), n_rows + n_blocks), -1.0)
     m_s = np.zeros((len(pis), n_rows + n_blocks))
@@ -303,13 +324,13 @@ def _factors(model: ModelSubmanifold, pis: np.ndarray, xi_rows: np.ndarray):
 
 def dense_operators(model: ModelSubmanifold, point_index: int,
                     xi: np.ndarray):
-    """Dense matrices of the normal Jacobi and shape operators on T_x M:
-    the products of the factors of _factors."""
-    _check_normal(model.tangent_bases[point_index][None],
-                  model.normal_bases[point_index][None], xi[None])
-    b, m_j, m_s = _factors(model, np.array([point_index]),
-                           xi[None, _block_rows(model.config)])
-    return (b[0] * m_j[0]) @ b[0].T, (b[0] * m_s[0]) @ b[0].T
+    """Dense d x d matrices of the normal Jacobi and shape operators on T_x M:
+    the products of the factors of _factors, whose B gains a zero row per
+    free odd direction (the tangent frame's trailing columns)."""
+    xi_rows = _normal_rows(model, [point_index], xi[None])
+    b, m_j, m_s = _factors(model, np.array([point_index]), xi_rows)
+    b = np.vstack([b[0], np.zeros((model.tangent_dim - b.shape[1], b.shape[2]))])
+    return (b * m_j[0]) @ b.T, (b * m_s[0]) @ b.T
 
 
 def _commutator_norms(model: ModelSubmanifold, pis: np.ndarray,
@@ -330,20 +351,21 @@ def curvature_adapted_check(model: ModelSubmanifold, n_trials: int,
     """Max commutator norm of the operator pair over random (point, xi).
 
     Each xi is drawn in the span of its point's normal frame.  Trials run
-    in chunks whose factors hold about TRIAL_CHUNK_ENTRIES floats.
+    in chunks of about TRIAL_CHUNK_ENTRIES floats of factors spanning all d
+    tangent directions (the stored factors hold fewer), which fixes the split
+    of the seeded draws.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValidationError(f"need 1 to {MAX_TRIALS} trials, got {n_trials}")
     rng = np.random.default_rng(seed)
-    rows = _block_rows(model.config)
-    width = len(rows) + model.config.n_blocks
+    width = sum(m for m, _ in model.config.blocks) + model.config.n_blocks
     chunk = max(1, TRIAL_CHUNK_ENTRIES // max(1, width * (model.tangent_dim + width)))
     worst = 0.0
     for done in range(0, n_trials, chunk):
         n = min(chunk, n_trials - done)
         pis = rng.integers(len(model.points), size=n)
         coeffs = rng.normal(size=(n, model.normal_dim, 1))
-        xi_rows = (model.normal_bases[pis[:, None], rows, :] @ coeffs)[:, :, 0]
+        xi_rows = (model.normal_bases[pis] @ coeffs)[:, :, 0]
         worst = max(worst, float(_commutator_norms(model, pis, xi_rows).max()))
     return {"trials": n_trials, "max_commutator_norm": worst,
             **verdict(commutator=(worst, COMMUTATOR_TOL))}

@@ -197,7 +197,9 @@ def test_criterion_4_sphere_product_trace_constancy(announce):
     model = geomodel.build_model(cfg, 100, seed=41)
     coeffs = np.random.default_rng(42).normal(size=cfg.k1)
     radii = (0.05, 0.1, 0.2)
-    grids = geomodel.eigen_grids(model, model.normal_bases[:, :, : cfg.k1] @ coeffs)
+    xis = np.zeros((100, cfg.ambient_dim))
+    xis[:, cfg.curved_indices()] = model.normal_bases[:, :, : cfg.k1] @ coeffs
+    grids = geomodel.eigen_grids(model, xis)
     worst_spread = 0.0
     closed_values = {}
     for r in radii:
@@ -217,7 +219,8 @@ def test_criterion_4_sphere_product_trace_constancy(announce):
     model_big = geomodel.build_model(cfg_big, 5, seed=44)
     worst_dense = 0.0
     for pi in range(5):
-        xi = model_big.normal_bases[pi][:, : cfg.k1] @ coeffs
+        xi = np.zeros(cfg_big.ambient_dim)
+        xi[cfg_big.curved_indices()] = model_big.normal_bases[pi][:, : cfg.k1] @ coeffs
         grid = _dense_eigen_grid(model_big, pi, xi)
         for r in radii:
             v = focal.parallel_reg_mean_curvature(grid, r)

@@ -21,7 +21,7 @@ from focalis.algebras import MAX_MATRIX_SIZE, load_algebra
 from focalis.cli import build_parser, main
 from focalis.errors import FACTORIZATION_TOL, UNITARY_TOL, ValidationError
 from focalis.focal import FOCAL, EigenGrid
-from focalis.geomodel import MAX_TRIALS
+from focalis.geomodel import MAX_TRIALS, default_config
 from focalis.greenop import MAX_BOX_SAMPLES, box_operator_1d
 from focalis.spectral import DIVERGENT, SpectralData, TailModel
 
@@ -1650,6 +1650,48 @@ class TestModelCommand:
         code, report = run_json(capsys, "example41", "--config", str(cfg))
         assert code == 0
         assert report["result"]["passed"] is True
+
+    @pytest.mark.parametrize("ambient_dim,argv,bound", [
+        (512, ("--points", "20", "--trials", "20"), 4 << 20), (None, (), 3 << 20)])
+    def test_example41_stores_no_dense_frame_stack(self, capsys, tmp_path, ambient_dim,
+                                                   argv, bound):
+        # the model's frames live on the 16 curved rows; a (P, N, d) tangent
+        # stack of the 512-dimensional model alone would take 21 MB
+        if ambient_dim:
+            cfg = default_config()
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"blocks": cfg.blocks, "k1": cfg.k1,
+                                        "rprime": cfg.rprime, "k2": cfg.k2,
+                                        "ambient_dim": ambient_dim}))
+            argv = ("--config", str(path), *argv)
+        tracemalloc.start()
+        try:
+            code, _ = run(capsys, "example41", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < bound
+
+    @pytest.mark.parametrize("cfg,block_dims", [
+        ({"blocks": [[4, 1.0], [3, 0.7]], "k1": 0, "rprime": [], "k2": 1,
+          "ambient_dim": 20}, []),
+        ({"blocks": [[2, 1.0], [4, 0.8]], "k1": 2, "rprime": [0.5, 0.6], "k2": 1,
+          "ambient_dim": 16}, [0, 2]),
+        ({"blocks": [[4, 1.0], [3, 0.7]], "k1": 2, "rprime": [0.8, 0.5], "k2": 10,
+          "ambient_dim": 20}, [2, 1]),
+        ({"blocks": [], "k1": 0, "rprime": [], "k2": 1, "ambient_dim": 8}, [])],
+        ids=["no_constrained_block", "two_slot_block", "every_odd_slot_frozen", "no_block"])
+    def test_example41_edge_configs(self, capsys, tmp_path, cfg, block_dims):
+        # a config with no stored tangent column, no free odd slot or no
+        # curved row at all still passes
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(capsys, "example41", "--config", str(path),
+                                "--points", "3", "--trials", "5")
+        res = report["result"]
+        assert code == 0 and res["passed"] is True
+        assert res["trace_constancy"]["passed"] is res["curvature_adapted"]["passed"] is True
+        assert res["closed_form_traces"]["block_dims"] == block_dims
 
     @pytest.mark.parametrize("argv", [
         ("--radii", "abc"), ("--radii", "0.05,inf"), ("--radii", "0.05,nan"),

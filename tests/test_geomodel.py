@@ -19,9 +19,30 @@ def sample_point(cfg, rng):
     return _sample_points(cfg, rng, 1)[0]
 
 
+def dense_frames(model, pi):
+    """Point pi's frames as full-length columns (N, d) and (N, c): the stored
+    curved rows, then the free odd slots' identity columns."""
+    cfg = model.config
+    t = np.zeros((cfg.ambient_dim, model.tangent_dim))
+    n = np.zeros((cfg.ambient_dim, model.normal_dim))
+    stored = model.tangent_bases.shape[2]
+    t[cfg.curved_indices(), :stored] = model.tangent_bases[pi]
+    t[cfg.free_odd_indices(), np.arange(stored, model.tangent_dim)] = 1.0
+    n[cfg.curved_indices()] = model.normal_bases[pi]
+    return t, n
+
+
 def random_normal_vector(model, point_index, rng):
-    basis = model.normal_bases[point_index]
+    basis = dense_frames(model, point_index)[1]
     return basis @ rng.normal(size=basis.shape[1])
+
+
+def normal_fields(model, coeffs):
+    """(P, N) normals with the same coefficients on every point's first
+    len(coeffs) normal columns, as example41 builds them."""
+    xis = np.zeros((len(model.points), model.config.ambient_dim))
+    xis[:, model.config.curved_indices()] = model.normal_bases[:, :, : len(coeffs)] @ coeffs
+    return xis
 
 
 def constraint_residual(cfg: SphereProductConfig, x: np.ndarray) -> float:
@@ -76,7 +97,7 @@ def eigen_grid_loop(model, pi, xi):
     """Per-point reference for the stacked eigen grids: a normality check,
     <xi, nu_j> and one small SVD rank per constrained block."""
     cfg = model.config
-    t, n = model.tangent_bases[pi], model.normal_bases[pi]
+    t, n = dense_frames(model, pi)
     bound = 1e-9 * (1.0 + np.linalg.norm(xi))
     if np.linalg.norm(xi - n @ (n.T @ xi)) > bound or np.linalg.norm(t.T @ xi) > bound:
         raise ValidationError("not a normal vector")
@@ -172,7 +193,7 @@ def dense_operators_per_column(model, pi, xi):
     shape operator from one least-squares solve over every constraint gradient."""
     cfg = model.config
     x = model.points[pi]
-    t = model.tangent_bases[pi]
+    t = dense_frames(model, pi)[0]
     d = t.shape[1]
     jac = np.empty((d, d))
     for a in range(d):
@@ -262,7 +283,7 @@ class TestBuildModel:
 
     def test_frames_orthonormal_and_complementary(self):
         model = build_model(two_block_config(), 5, seed=3)
-        for t, n in zip(model.tangent_bases, model.normal_bases):
+        for t, n in (dense_frames(model, pi) for pi in range(5)):
             assert np.allclose(t.T @ t, np.eye(t.shape[1]), atol=1e-12)
             assert np.allclose(n.T @ n, np.eye(n.shape[1]), atol=1e-12)
             assert np.max(np.abs(t.T @ n)) < 1e-12
@@ -287,7 +308,8 @@ class TestBuildModel:
         # the frames span the reference's spaces; a block's tangent columns
         # may be another basis of them, so the projectors t t^T, n n^T compare
         model = build_model(cfg, 6, seed=22)
-        for x, t, n in zip(model.points, model.tangent_bases, model.normal_bases):
+        for pi, x in enumerate(model.points):
+            t, n = dense_frames(model, pi)
             t_ref, n_ref = frames_per_point(cfg, x)
             assert t.shape == t_ref.shape and n.shape == n_ref.shape
             assert np.max(np.abs(t @ t.T - t_ref @ t_ref.T)) < 1e-13
@@ -353,9 +375,8 @@ class TestOperators:
     def test_circle_block_eigenvalues(self):
         cfg = circle_config()
         model = build_model(cfg, 3, seed=5)
-        nb = model.normal_bases[0]
         # block normal with unit even part
-        xi = nb[:, 0]
+        xi = dense_frames(model, 0)[1][:, 0]
         rows = eigen_grids(model, xi[None])[0].pairs
         block = [row for row in rows if row[0] > 1e-12]
         assert len(block) == 1
@@ -366,9 +387,32 @@ class TestOperators:
 
     def test_nonnormal_xi_rejected(self):
         model = build_model(two_block_config(), 2, seed=6)
-        xi = model.tangent_bases[0][:, 0]
+        xi = dense_frames(model, 0)[0][:, 0]
         with pytest.raises(ValidationError):
             eigen_grids(model, xi[None])
+
+    @pytest.mark.parametrize("slot", ["block tangent", "block radial", "free odd",
+                                      "unused even"])
+    def test_component_off_the_normal_frame_rejected(self, slot):
+        # only the curved rows are stored: a component on a free odd slot (an
+        # implied tangent column) or on an unused even slot (outside both
+        # frames) is refused as before, like one along a stored column
+        cfg = two_block_config()
+        model = build_model(cfg, 3, seed=6)
+        xis = normal_fields(model, np.array([0.7, -1.2]))
+        eigen_grids(model, xis)
+        idx = cfg.block_even_indices(1)
+        slots = {"free odd": cfg.free_odd_indices()[-1], "unused even": idx[-1] + 2}
+        if slot == "block tangent":
+            xis[1] += 1e-6 * dense_frames(model, 1)[0][:, 0]
+        elif slot == "block radial":
+            xis[1, idx] += 1e-6 * model.points[1, idx]
+        else:
+            xis[1, slots[slot]] += 1e-6
+        with pytest.raises(ValidationError, match="not a normal vector"):
+            eigen_grids(model, xis)
+        with pytest.raises(ValidationError, match="not a normal vector"):
+            dense_operators(model, 1, xis[1])
 
     def test_grid_multiplicities_partition_tangent(self):
         model = build_model(default_config(), 4, seed=7)
@@ -380,8 +424,7 @@ class TestOperators:
     def test_spectra_depend_only_on_block_norms(self):
         model = build_model(default_config(), 6, seed=10)
         cfg = model.config
-        coeffs = np.array([0.7, -0.3, 1.1, 0.4])
-        xis = model.normal_bases[:, :, : cfg.k1] @ coeffs
+        xis = normal_fields(model, np.array([0.7, -0.3, 1.1, 0.4]))
         rows = [np.array(grid.pairs) for grid in eigen_grids(model, xis)]
         for r in rows[1:]:
             assert r.shape == rows[0].shape
@@ -400,7 +443,7 @@ class TestBlockDimensions:
         # eigen_grids reads m_j - 2 from the config; the rank of each block's
         # rows of the tangent frame measures it (m_j - 1 on a free block)
         model = build_model(cfg, 3, seed)
-        for t in model.tangent_bases:
+        for t, _ in (dense_frames(model, pi) for pi in range(3)):
             ranks = [np.linalg.matrix_rank(t[cfg.block_even_indices(j)], tol=1e-9)
                      for j in range(cfg.n_blocks)]
             assert ranks == [m - 2 if j < cfg.k1 else m - 1
@@ -438,13 +481,21 @@ class TestStackedEigenGrids:
         rng = np.random.default_rng(33)
         xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(4)])
         if bad == "tangent":
-            xis[2] += 1e-3 * model.tangent_bases[2][:, 0]
+            xis[2] += 1e-3 * dense_frames(model, 2)[0][:, 0]
         elif bad == "outside":
             xis[2, model.config.block_even_indices(0)[0]] += 1e-3 * (1.0 + xis[2, 0])
         else:
             xis[2, 0] = np.nan
         with pytest.raises(ValidationError):
             eigen_grids(model, xis)
+
+    @pytest.mark.parametrize("shape", [(5, 20), (4, 19), (4, 21)])
+    def test_normals_of_another_shape_refused(self, shape):
+        # one normal per point, of the ambient dimension; a narrower or wider
+        # stack raised matmul's ValueError
+        model = build_model(two_block_config(), 4, seed=32)
+        with pytest.raises(ValidationError, match="normal vectors of shape"):
+            eigen_grids(model, np.zeros(shape))
 
 
 def dense_commutator_norm(jac, shape):
@@ -453,16 +504,17 @@ def dense_commutator_norm(jac, shape):
 
 def rotated_model(cfg, n_points, seed):
     """The model with each point's block tangent directions and normals
-    rotated into one another, the flat odd directions kept: the operator
-    pair then no longer commutes, by a margin of the operators' size."""
+    rotated into one another on the curved rows, the flat free odd
+    directions kept: the operator pair then no longer commutes, by a margin
+    of the operators' size."""
     model = build_model(cfg, n_points, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    d_blocks = sum(m - 1 for m, _ in cfg.blocks) - cfg.k1
+    d_blocks = model.tangent_bases.shape[2]
     tangent, normal = model.tangent_bases.copy(), model.normal_bases.copy()
     for t, n in zip(tangent, normal):
         q, _ = np.linalg.qr(rng.normal(size=(d_blocks + n.shape[1],) * 2))
-        rotated = np.hstack([t[:, :d_blocks], n]) @ q
-        t[:, :d_blocks], n[:] = rotated[:, :d_blocks], rotated[:, d_blocks:]
+        rotated = np.hstack([t, n]) @ q
+        t[:], n[:] = rotated[:, :d_blocks], rotated[:, d_blocks:]
     return ModelSubmanifold(cfg, model.points, tangent, normal)
 
 
@@ -474,7 +526,7 @@ class TestFactoredCommutator:
         rng = np.random.default_rng(35)
         pis = np.array([0, 2, 1, 2])
         xis = np.stack([random_normal_vector(model, pi, rng) for pi in pis])
-        norms = geomodel._commutator_norms(model, pis, xis[:, geomodel._block_rows(cfg)])
+        norms = geomodel._commutator_norms(model, pis, xis[:, cfg.curved_indices()])
         for pi, xi, got in zip(pis, xis, norms):
             jac, shape = dense_operators_per_column(model, pi, xi)
             want = dense_commutator_norm(jac, shape)
@@ -498,8 +550,7 @@ class TestFactoredCommutator:
         assert not report["passed"] and report["max_commutator_norm"] > 1e-3
         pis = np.array([1, 3])
         xis = np.stack([random_normal_vector(model, pi, rng) for pi in pis])
-        norms = geomodel._commutator_norms(model, pis,
-                                           xis[:, geomodel._block_rows(model.config)])
+        norms = geomodel._commutator_norms(model, pis, xis[:, model.config.curved_indices()])
         for pi, xi, got in zip(pis, xis, norms):
             want = dense_commutator_norm(*dense_operators(model, pi, xi))
             assert abs(got - want) <= 1e-12 * want
@@ -540,19 +591,14 @@ class TestDenseAgreement:
     def test_blockwise_matches_per_column_on_rotated_frames(self, cfg):
         # On the model's own frames T_k^T xi_k vanishes for every normal xi, so
         # the curvature's outer-product term is only seen on a frame pair that
-        # mixes tangent and normal directions of the ambient product.
-        model = build_model(cfg, 2, seed=27)
+        # mixes block tangent and normal directions on the curved rows.
+        mixed = rotated_model(cfg, 2, seed=27)
         rng = np.random.default_rng(28)
-        d = model.tangent_dim
-        tangent, normal = [], []
-        for t, n in zip(model.tangent_bases, model.normal_bases):
-            q, _ = np.linalg.qr(rng.normal(size=(d + n.shape[1],) * 2))
-            rotated = np.hstack([t, n]) @ q
-            tangent.append(rotated[:, :d])
-            normal.append(rotated[:, d:])
-        mixed = ModelSubmanifold(cfg, model.points, np.stack(tangent), np.stack(normal))
         for pi in range(2):
             xi = random_normal_vector(mixed, pi, rng)
+            t = dense_frames(mixed, pi)[0]
+            assert max(np.linalg.norm(t[idx].T @ xi[idx])
+                       for idx in map(cfg.block_even_indices, range(cfg.n_blocks))) > 0.1
             jac, shape = dense_operators(mixed, pi, xi)
             jac_ref, shape_ref = dense_operators_per_column(mixed, pi, xi)
             assert np.max(np.abs(jac - jac_ref)) < 1e-13
@@ -577,6 +623,7 @@ class TestDenseAgreement:
         xis = np.stack([random_normal_vector(model, pi, rng) for pi in range(3)])
         for pi, grid in enumerate(eigen_grids(model, xis)):
             jac, shape = dense_operators(model, pi, xis[pi])
+            assert jac.shape == shape.shape == (model.tangent_dim,) * 2
             rows = grid.pairs
             mults = [m for _, _, m in rows]
             jr = np.sort(np.repeat([lr for lr, _, _ in rows], mults))
@@ -748,7 +795,7 @@ class TestClosedFormTrace:
     def test_reports_both_weights(self):
         model = build_model(default_config(), 1, seed=20)
         cfg = model.config
-        xi = model.normal_bases[0][:, : cfg.k1] @ np.ones(cfg.k1)
+        xi = normal_fields(model, np.ones(cfg.k1))[0]
         report = trace_closed_form(model, 0, xi)
         # slice tangent dimension is m_j - 2; the printed weights use m_j - 1
         assert report["block_dims"] == [m - 2 for m, _ in cfg.blocks[: cfg.k1]]
