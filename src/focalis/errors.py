@@ -30,7 +30,7 @@ CENTRALIZER_TOL = 1e-10    # pure: rank cut of ad(h) on p; abelian and maximalit
 IDENTITY_TOL = 1e-12       # pure: bracket and antisymmetry residuals of a loaded algebra
 AD_INVARIANCE_TOL = 1e-9   # pure: ad-invariance residual of the gram over 1 + max |gram|
 ANTIHERM_TOL = 1e-12       # pure: refuses max |s + s^H| of samples above it over 1 + max |s|
-NORMAL_TOL = 1e-9          # length: refuses xi's tangential or off-span part over 1 + |xi|
+NORMAL_TOL = 1e-9          # length: refuses xi's part off the normal span over 1 + |xi|
 SYMMETRY_TOL = 1e-12       # pure: refuses max |m - m^T| / 2 above it over 0.5 + max |m| / 2
 SINGULAR_TOL = 1e-12       # eigenvalue: a mode at or below it over max(1, max |eigenvalue|)
 PATH_END_TOL = 1e-12       # time: a path's first and last sample times from 0 and 1

@@ -230,13 +230,14 @@ def build_model(config: SphereProductConfig, n_points: int,
 def _normal_rows(model: ModelSubmanifold, points, xis: np.ndarray) -> np.ndarray:
     """The rows of xis (P, N) on the curved rows (P, n_c), for the points
     model.points[points]; any row that leaves the span of its point's normal
-    frame or has a component along its tangent frame is refused.  Off the
-    curved rows a normal vanishes: the free odd slots are tangent, the
-    unused even slots outside both frames."""
+    frame is refused.  Off the curved rows a normal vanishes: the free odd
+    slots are tangent, the unused even slots outside both frames.  A
+    component along the tangent frame leaves that span too, as the frames are
+    orthonormal and complementary, so it is refused by the same bound."""
     cfg = model.config
-    t, n = model.tangent_bases[points], model.normal_bases[points]
-    if xis.shape != (len(t), cfg.ambient_dim):
-        raise ValidationError(f"normal vectors of shape {xis.shape} for {len(t)} points "
+    n = model.normal_bases[points]
+    if xis.shape != (len(n), cfg.ambient_dim):
+        raise ValidationError(f"normal vectors of shape {xis.shape} for {len(n)} points "
                               f"at ambient dimension {cfg.ambient_dim}")
     bound = NORMAL_TOL * (1.0 + np.linalg.norm(xis, axis=1))
     rows = xis[:, None, cfg.curved_indices()]
@@ -246,9 +247,6 @@ def _normal_rows(model: ModelSubmanifold, points, xis: np.ndarray) -> np.ndarray
     if not (np.hypot(np.linalg.norm((rows - in_span)[:, 0], axis=1),
                      np.linalg.norm(xis[:, off], axis=1)) <= bound).all():
         raise ValidationError("xi is not a normal vector at this point")
-    if not (np.hypot(np.linalg.norm((rows @ t)[:, 0], axis=1),
-                     np.linalg.norm(xis[:, cfg.free_odd_indices()], axis=1)) <= bound).all():
-        raise ValidationError("xi has a tangential component")
     return rows[:, 0]
 
 

@@ -1,8 +1,9 @@
 """JSON readers for spectra, eigen grids, paths, matrices and model configs.
 
 io only reads; the CLI writes every report, through orjson.  Files are
-decoded by orjson, strictly to RFC 8259, and spectra by the stdlib json
-module.  Numbers must be JSON numbers, not strings, booleans or nulls, and
+decoded by orjson, strictly to RFC 8259: a spectrum one slice of
+SLICE_ENTRIES entries at a time (read_spectrum), every other file whole.
+Numbers must be JSON numbers, not strings, booleans or nulls, and
 multiplicities and sizes whole numbers below 2**63 in magnitude.
 
 Formats:
@@ -18,8 +19,7 @@ Formats:
 
 from __future__ import annotations
 
-import json
-import re
+import contextlib
 
 import numpy as np
 import orjson
@@ -34,60 +34,186 @@ from .transport import AlgebraPath
 # depth limit of its own, and overflows the C stack some 10^5 levels down;
 # deeper files are refused before it reads them.
 MAX_NESTING = 1024
-# every byte but brackets and quotes, which decide how deep a text nests
-_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+# entries of a spectrum file's array decoded by one orjson call: the dicts
+# of one slice are alive at a time, not those of the file
+SLICE_ENTRIES = 4096
+# bytes the structure scan takes at a time, so that its arrays stay small
+_BLOCK = 1 << 17
+# the bytes the structure scan stops at: quotes and backslashes, which
+# decide what lies in a string, and brackets and commas
+_MARKS = np.zeros(256, dtype=bool)
+_MARKS[list(b'"\\[]{},')] = True
 # +1 where an array or object opens, -1 where one closes
 _STEP = np.zeros(256, dtype=np.int64)
 _STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
+_QUOTE, _BACKSLASH, _OPEN, _CLOSE, _COMMA = b'"\\[],'
+
+
+def _unescaped(pos, marks, slash, escaped: bool, size: int):
+    """pos and marks of one block less its backslashes and the marks they
+    escape, and whether its last byte escapes the next block's first.  A run
+    of backslashes escapes the byte after each of its 1st, 3rd, ... members;
+    escaped stands for an escaping backslash just before the block."""
+    slashes = pos[slash]
+    if escaped:
+        slashes = np.concatenate(([-1], slashes))
+    index = np.arange(len(slashes))
+    first = np.maximum.accumulate(np.where(np.diff(slashes, prepend=-3) != 1, index, 0))
+    hits = slashes[(index - first) % 2 == 0] + 1
+    keep = ~slash & ~np.isin(pos, hits)
+    return pos[keep], marks[keep], bool(len(hits)) and hits[-1] == size
+
+
+def _structure(raw: bytes):
+    """Yields, one block of raw at a time, the positions of its brackets and
+    commas outside strings, those bytes, and the depth after each; exact for
+    well-formed JSON text, the only kind orjson builds objects from."""
+    text = np.frombuffer(raw, np.uint8)
+    escaped, quoted, depth = False, 0, 0
+    for lo in range(0, len(text), _BLOCK):
+        block = text[lo:lo + _BLOCK]
+        pos = np.flatnonzero(_MARKS.take(block))
+        marks = block[pos]
+        slash = marks == _BACKSLASH
+        if escaped or slash.any():
+            pos, marks, escaped = _unescaped(pos, marks, slash, escaped, len(block))
+        quote = (marks == _QUOTE).view(np.uint8)
+        inside = np.bitwise_xor.accumulate(quote) ^ quoted   # a closing quote reads 0
+        keep = (inside | quote) == 0
+        quoted = inside[-1] if len(inside) else quoted
+        pos, marks = pos[keep], marks[keep]
+        after = np.cumsum(_STEP[marks]) + depth
+        depth = after[-1] if len(after) else depth
+        yield lo + pos, marks, after
 
 
 def _nesting(raw: bytes) -> int:
-    """How deep the JSON text raw nests, exact for well-formed text (the only
-    kind orjson builds objects from); any number <= MAX_NESTING stands for
-    "not deeper than MAX_NESTING"."""
+    """How deep the JSON text raw nests, exact for well-formed text; any
+    number <= MAX_NESTING stands for "not deeper than MAX_NESTING"."""
     text = np.frombuffer(raw, np.uint8)
     opens = np.count_nonzero(text == ord("[")) + np.count_nonzero(text == ord("{"))
     if opens <= MAX_NESTING:
         return opens
-    if b"\\" in raw:     # drop escapes, so that every quote left opens or closes a string
-        raw = re.sub(rb"\\.", b"", raw, flags=re.DOTALL)
-    marks = np.frombuffer(raw.translate(None, _NOT_MARKS), np.uint8)
-    in_string = np.cumsum(marks == ord('"')) % 2 == 1
-    return int(np.cumsum(np.where(in_string, 0, _STEP[marks])).max())
+    return max((int(after.max()) for _, _, after in _structure(raw) if len(after)), default=0)
 
 
-def _load_json(path: str, stdlib: bool = False):
-    """The JSON value of a UTF-8 file, decoded strictly to RFC 8259 by orjson
-    or, with stdlib, by the json module.  A file that is not UTF-8 text or
-    nests deeper than MAX_NESTING (orjson) or the recursion limit (json) is
-    refused like malformed JSON."""
+@contextlib.contextmanager
+def _json_bytes(path: str):
+    """The bytes of the file at path; a file that cannot be read, or whose
+    decoding in the block raises a ValueError (orjson's JSONDecodeError), is
+    refused as a JSON file."""
     try:
-        if stdlib:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
         with open(path, "rb") as fh:
             raw = fh.read()
-        if _nesting(raw) > MAX_NESTING:
-            raise ValueError(f"nesting deeper than {MAX_NESTING}")
-        return orjson.loads(raw)
-    # ValueError: JSONDecodeError (both decoders) and UnicodeDecodeError
-    except (OSError, ValueError, RecursionError) as exc:
+        yield raw
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read JSON file '{path}': {exc}") from exc
 
 
+def _load_json(path: str):
+    """The JSON value of a UTF-8 file, decoded strictly to RFC 8259 by
+    orjson.  A file that is not UTF-8 text or nests deeper than MAX_NESTING
+    is refused like malformed JSON."""
+    with _json_bytes(path) as raw:
+        if _nesting(raw) > MAX_NESTING:
+            raise ValueError(f"nesting deeper than {MAX_NESTING}")
+        return orjson.loads(raw)
+
+
+def _split(raw: bytes):
+    """raw with each array directly inside its top-level value replaced by
+    [i], i its index, and those arrays as lists of the byte ranges of their
+    slices of SLICE_ENTRIES entries, cut at item commas.  A text nesting
+    deeper than MAX_NESTING, or with such an array not closed by a "]", is
+    refused; the scan is exact on well-formed text, so it refuses no other."""
+    found, deepest = ([], [], []), 0
+    for pos, marks, after in _structure(raw):
+        deepest = max(deepest, after.max(initial=0))
+        for parts, hit in zip(found, ((marks == _OPEN) & (after == 2),
+                                      (_STEP[marks] < 0) & (after == 1),
+                                      (marks == _COMMA) & (after == 2))):
+            parts.append(pos[hit])
+    if deepest > MAX_NESTING:
+        raise ValueError(f"nesting deeper than {MAX_NESTING}")
+    opens, closes, commas = (np.concatenate([np.empty(0, np.intp), *parts]) for parts in found)
+    # an array closes where the depth first falls back to 1 after it
+    at = np.searchsorted(closes, opens)
+    if (at == len(closes)).any() or (np.frombuffer(raw, np.uint8)[closes[at]] != _CLOSE).any():
+        raise ValueError("unbalanced brackets")
+    view, pieces, arrays, last = memoryview(raw), [], [], 0
+    for i, (lo, hi) in enumerate(zip(opens.tolist(), closes[at].tolist())):
+        items = commas[np.searchsorted(commas, lo):np.searchsorted(commas, hi)]
+        cuts = items[SLICE_ENTRIES - 1::SLICE_ENTRIES].tolist()
+        arrays.append(list(zip([lo + 1] + [c + 1 for c in cuts], cuts + [hi])))
+        pieces += [view[last:lo], b"[%d]" % i]
+        last = hi + 1
+    return b"".join(pieces + [view[last:]]), arrays
+
+
+def _decode_slice(view: memoryview, count: int) -> list:
+    """The entries of one of count slices of an array: an empty one is
+    refused unless it is the array's only slice (orjson reads "[1, ]")."""
+    entries = orjson.loads(b"[%b]" % view)
+    if not entries and count > 1:
+        raise ValueError("empty array entry")
+    return entries
+
+
+class _Branch:
+    """The values and multiplicities of a branch's entries, read a slice at
+    a time; error is the KeyError or TypeError of the first entry without a
+    "value" (or of entries that are no list), after which none is read."""
+
+    def __init__(self, entries=()):
+        self.values, self.mults, self.error = [], [], None
+        self.extend(entries)
+
+    def extend(self, entries):
+        if self.error is None:
+            try:
+                self.values += [e["value"] for e in entries]
+                # an entry whose "value" reads is an object, so .get cannot fail
+                self.mults += [e.get("mult", 1) for e in entries]
+            except (KeyError, TypeError) as exc:
+                self.error = exc
+
+
+def _load_spectrum_json(path: str):
+    """The JSON value of a spectrum file, decoded by orjson without the dicts
+    of all its entries at once: the text with each top-level array replaced
+    by its index, then every slice of every such array, those under keys no
+    reader reads too.  A branch's array reads as a _Branch, whose values and
+    multiplicities of a slice are taken before the next is decoded.  The file
+    is refused where _load_json refuses it."""
+    with _json_bytes(path) as raw:
+        skeleton, arrays = _split(raw)
+        data = orjson.loads(skeleton)
+        adds = {}    # where the slices of each array go, by its index
+        for key, value in data.items() if isinstance(data, dict) else ():
+            if isinstance(value, list) and key in ("positives", "negatives", "tail"):
+                data[key] = _Branch() if key != "tail" else []
+                adds[value[0]] = data[key].extend
+        view = memoryview(raw)
+        for i, ranges in enumerate(arrays):
+            add = adds.get(i, len)   # len: a slice no reader reads is dropped
+            for lo, hi in ranges:
+                add(_decode_slice(view[lo:hi], len(ranges)))
+        return data
+
+
 def read_spectrum(path: str) -> SpectralData:
-    # the stdlib decoder: orjson would hold the text and its own tree of the
-    # entries until the Python objects exist, 12 MB more at 100k entries
-    data = _load_json(path, stdlib=True)
+    data = _load_spectrum_json(path)
     try:
         branches = []
         for key in ("positives", "negatives"):
-            entries = data.get(key, [])
-            # an entry whose "value" reads is an object, so .get cannot fail
-            branches += [[e["value"] for e in entries], [e.get("mult", 1) for e in entries]]
+            branch = data.get(key, [])       # AttributeError: not an object
+            branch = branch if isinstance(branch, _Branch) else _Branch(branch)
+            if branch.error:
+                raise branch.error
+            branches += [branch.values, branch.mults]
         tail = data.get("tail")
         model = TailModel(tail["ratio"], tail["scale"]) if tail else None
-    except (KeyError, TypeError, AttributeError) as exc:   # AttributeError: not an object
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed spectrum file '{path}': {exc}") from exc
     return SpectralData(*branches, model)
 

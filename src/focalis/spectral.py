@@ -104,8 +104,8 @@ def _whole_numbers(x, name: str) -> np.ndarray:
     """x as int64 whole numbers: a fractional one is refused, where a cast
     would truncate 2.7 to 2, and so is one outside the int64 range, where a
     cast would wrap or overflow (and _as_array refuses booleans and nulls).
-    An int beyond 64 bits reads as a Python int from the stdlib decoder and
-    as a float from orjson; both get the range message."""
+    An int beyond 64 bits reads as a float from a file (orjson) and stays a
+    Python int from a library caller; both get the range message."""
     raw = _as_array(x, None, name)
     if raw.dtype.kind == "i":
         return raw.astype(np.int64, copy=False)

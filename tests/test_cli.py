@@ -989,10 +989,9 @@ class TestCheckCommand:
 
 # Grid-file fuzz: JSON values of every kind where a grid file holds numbers,
 # kept small (a few rows of small multiplicities or single huge ones).  orjson
-# refuses NaN and Infinity tokens at decoding (tests/test_io.py runs them
-# through every reader), so the fuzzes of the files it decodes draw finite
-# numbers, which reach the readers' own checks; only spectrum files, which
-# the stdlib decoder reads, hold the tokens.
+# refuses NaN, Infinity and out-of-range tokens at decoding (tests/test_io.py
+# runs them through every reader), so every file fuzz draws finite numbers,
+# which reach the readers' own checks, and gives the tokens as examples.
 def _fuzz_numbers(finite: bool):
     return st.one_of(
         st.floats(allow_nan=not finite, allow_infinity=not finite),
@@ -1009,7 +1008,6 @@ def _fuzz_values(number):
 _FUZZ_NUMBER = _fuzz_numbers(finite=True)
 _FUZZ_VALUE = _fuzz_values(_FUZZ_NUMBER)
 _ANY_NUMBER = _fuzz_numbers(finite=False)
-_ANY_VALUE = _fuzz_values(_ANY_NUMBER)
 _CLEAN_PAIR = st.fixed_dictionaries({"lambdaR": st.floats(-5, 5), "lambdaA": st.floats(-5, 5),
                                      "mult": st.integers(1, 4)})
 _FUZZ_PAIR = st.one_of(
@@ -1035,12 +1033,12 @@ def _report_or_input_error(argv):
     return json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
-def _fuzz_document(draw, key, number=_FUZZ_NUMBER, value=_FUZZ_VALUE):
+def _fuzz_document(draw, key):
     """A JSON document that is not a well-formed input file, or malformed JSON."""
     if draw(st.booleans()):
         return draw(st.sampled_from(["", "{", f'{{"{key}": [', "nul", f'{{"{key}": [1,]}}']))
-    return json.dumps(draw(st.one_of(value, st.lists(number, max_size=3),
-                                     st.fixed_dictionaries({key: value}))))
+    return json.dumps(draw(st.one_of(_FUZZ_VALUE, st.lists(_FUZZ_NUMBER, max_size=3),
+                                     st.fixed_dictionaries({key: _FUZZ_VALUE}))))
 
 
 @st.composite
@@ -1076,14 +1074,14 @@ def test_grid_files_give_a_report_or_an_input_error(texts, r):
             _report_or_input_error(argv)
 
 
-# Spectrum-file fuzz: the grid fuzz's numbers with NaN and infinities among
-# them, and values in entries, multiplicities and tails, with sorted branches
+# Spectrum-file fuzz: the grid fuzz's numbers and values in entries,
+# multiplicities and tails, with sorted branches
 # of up to 100 entries each so that both the finite-rank route (<= 64
 # entries) and the truncated one run.
 _FUZZ_ENTRY = st.one_of(
-    st.fixed_dictionaries({"value": _ANY_NUMBER}, optional={"mult": _ANY_NUMBER}),
-    st.dictionaries(st.sampled_from(["value", "mult"]), _ANY_VALUE, max_size=2),
-    _ANY_VALUE)
+    st.fixed_dictionaries({"value": _FUZZ_NUMBER}, optional={"mult": _FUZZ_NUMBER}),
+    st.dictionaries(st.sampled_from(["value", "mult"]), _FUZZ_VALUE, max_size=2),
+    _FUZZ_VALUE)
 _FUZZ_MULT = st.one_of(st.just(1), st.integers(1, 10 ** 6),
                        st.sampled_from([2 ** 40, 2 ** 52, 2 ** 53 - 1]))
 
@@ -1107,22 +1105,27 @@ def spectrum_file_texts(draw):
     """The text of one spectrum file: sorted or fuzzed branches with or
     without a fuzzed tail, other JSON documents or malformed JSON."""
     if draw(st.integers(0, 4)) >= 3:
-        return _fuzz_document(draw, "positives", _ANY_NUMBER, _ANY_VALUE)
+        return _fuzz_document(draw, "positives")
     doc = {"positives": draw(_spectrum_branch()), "negatives": draw(_spectrum_branch())}
     if draw(st.booleans()):
         doc["tail"] = draw(st.one_of(
-            st.fixed_dictionaries({"ratio": st.one_of(st.floats(0.0, 1.0), _ANY_NUMBER),
-                                   "scale": st.one_of(st.floats(0.0, 1e-3), _ANY_NUMBER)}),
+            st.fixed_dictionaries({"ratio": st.one_of(st.floats(0.0, 1.0), _FUZZ_NUMBER),
+                                   "scale": st.one_of(st.floats(0.0, 1e-3), _FUZZ_NUMBER)}),
             st.fixed_dictionaries({"ratio": st.floats(0.5, 0.999), "scale": st.just(0.0)}),
-            st.dictionaries(st.sampled_from(["ratio", "scale"]), _ANY_VALUE, max_size=2),
-            _ANY_VALUE))
-    return json.dumps(doc)     # NaN and Infinity as the tokens json.load reads
+            st.dictionaries(st.sampled_from(["ratio", "scale"]), _FUZZ_VALUE, max_size=2),
+            _FUZZ_VALUE))
+    return json.dumps(doc)
 
 
 @given(spectrum_file_texts())
 @settings(max_examples=300, deadline=None)
 # a file that is not a JSON object ended in an AttributeError traceback
 @example("null")
+# NaN, Infinity and out-of-range tokens are refused at decoding
+@example('{"positives": [{"value": NaN}]}')
+@example('{"positives": [{"value": 0.5}], "negatives": [{"value": Infinity}]}')
+@example('{"positives": [{"value": 0.5, "mult": 1e400}]}')
+@example('{"positives": [{"value": 0.5}], "tail": {"ratio": 0.5, "scale": -Infinity}}')
 def test_spectrum_files_give_a_report_or_an_input_error(text):
     with tempfile.TemporaryDirectory() as d:
         with open(f"{d}/s.json", "w") as fh:
@@ -1131,6 +1134,8 @@ def test_spectrum_files_give_a_report_or_an_input_error(text):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["trace", "--spec", f"{d}/s.json", "--zeta", "--square"])
     assert code in (0, 1, 2)
+    if any(token in text for token in ("NaN", "Infinity", "1e400")):
+        assert code == 2 and err.getvalue().startswith("error: cannot read JSON file")
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
         return

@@ -1,5 +1,6 @@
-"""The JSON readers: orjson against the stdlib decoder, the nesting limit,
-null and out-of-range whole numbers, and the package's declared dependencies."""
+"""The JSON readers: orjson against the stdlib decoder, spectrum files read a
+slice at a time against the whole file, the nesting limit, null and
+out-of-range whole numbers, and the package's declared dependencies."""
 
 import ast
 import contextlib
@@ -11,7 +12,11 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from focalis import io
 from focalis.cli import main
 from focalis.errors import ValidationError
+from focalis.spectral import SpectralData, TailModel
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -91,7 +97,7 @@ def test_orjson_matches_the_stdlib_decoder(text):
 
 
 # ---------------------------------------------------- the edge table, every reader
-def _stdlib_load_json(path, stdlib=False):
+def _stdlib_load_json(path):
     """The reader every file went through before orjson: the stdlib decoder
     on the UTF-8 text."""
     try:
@@ -99,6 +105,21 @@ def _stdlib_load_json(path, stdlib=False):
             return json.load(fh)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read JSON file '{path}': {exc}") from exc
+
+
+def _spectrum_of(data, path):
+    """The spectrum of a spectrum file's whole decoded value, read as
+    read_spectrum read it before it decoded the file a slice at a time."""
+    try:
+        branches = []
+        for key in ("positives", "negatives"):
+            entries = data.get(key, [])
+            branches += [[e["value"] for e in entries], [e.get("mult", 1) for e in entries]]
+        tail = data.get("tail")
+        model = TailModel(tail["ratio"], tail["scale"]) if tail else None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed spectrum file '{path}': {exc}") from exc
+    return SpectralData(*branches, model)
 
 
 _Z = "[0.0, 0.0]"
@@ -145,6 +166,7 @@ def test_edge_inputs_read_as_before_or_exit_2(tmp_path, monkeypatch, reader, edg
     argv = [a.format(**files) for a in argv]
     got = _run(argv)
     monkeypatch.setattr(io, "_load_json", _stdlib_load_json)
+    monkeypatch.setattr(io, "read_spectrum", lambda path: _spectrum_of(_stdlib_load_json(path), path))
     before = _run(argv)
     if got[0] == 2 and got[1] == "":
         return
@@ -214,6 +236,132 @@ def test_deep_file_is_refused_where_orjson_would_crash(tmp_path):
                           env={"PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: cannot read JSON file '{f}': nesting deeper than 1024\n"
+
+
+# ------------------------------------------- spectrum files a slice at a time
+# strings full of brackets, quotes, backslashes and commas, and other JSON
+# values under keys no reader reads
+_NOISE = st.text('[]{}"\\,: a\n\u00e9', max_size=6)
+_OTHER = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, -0.0, 1e300]),
+              _NOISE),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_NOISE, inner, max_size=3),
+    max_leaves=10)
+_ENTRY = st.fixed_dictionaries({"value": st.sampled_from([4.0, 2.0, 1.0, 0.5, 5e-324, 0.0])},
+                               optional={"mult": st.integers(1, 3), 'k[\\"{': _NOISE})
+_TAIL = st.one_of(st.none(), st.just([]), _OTHER,
+                  st.fixed_dictionaries({"ratio": st.floats(0.5, 0.9), "scale": st.just(0.0)}))
+_SORTED = st.lists(_ENTRY, max_size=9).map(lambda entries: sorted(entries,
+                                                                  key=lambda e: -e["value"]))
+_BRANCH = st.one_of(_SORTED, _SORTED, _SORTED, _OTHER)
+# what a mutation inserts, or puts in a byte's place: structure, number and
+# literal starts, a byte that is no UTF-8 and one that leads a two-byte character
+_INSERTS = [b"[", b"]", b"{", b"}", b'"', b"\\", b",", b":", b" ", b"0", b"-", b"e", b"n",
+            b"NaN", b"1e400", b'"\\ud800"', b"\xff", b"\xc3"]
+
+
+@st.composite
+def spectrum_texts(draw):
+    """The bytes of a spectrum file: key-value pairs (keys repeated, and keys
+    no reader reads, among them) under a top-level object or another value,
+    written compact or spaced, then up to three bytes inserted, deleted or replaced."""
+    keys = st.sampled_from(["positives", "positives", "negatives", "tail", 'x[\\"', "n"])
+    pairs = [(key, draw(_TAIL if key == "tail" else _BRANCH if key in ("positives", "negatives")
+                        else _OTHER)) for key in draw(st.lists(keys, max_size=5))]
+    gap = draw(st.sampled_from(["", " ", "\n  "]))
+    text = "{" + ",".join(f"{gap}{json.dumps(k)}:{gap}{json.dumps(v)}" for k, v in pairs) + "}"
+    if draw(st.integers(0, 9)) == 0:
+        text = json.dumps(draw(_OTHER))
+    raw = text.encode()
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at, kept = draw(st.integers(0, len(raw))), draw(st.integers(0, 1))
+        raw = raw[:at] + draw(st.sampled_from([b"", *_INSERTS])) + raw[at + 1 - kept:]
+    return raw
+
+
+def _read(reader, path):
+    """The arrays (dtype and bytes) and tail reader gives path, or None where
+    it refuses the file."""
+    try:
+        spec = reader(path)
+    except ValidationError:
+        return None
+    arrays = (spec.positives, spec.pos_mults, spec.negatives, spec.neg_mults)
+    tail = spec.tail and (_bits(spec.tail.ratio), _bits(spec.tail.scale))
+    return [(a.dtype.str, a.tobytes()) for a in arrays], tail
+
+
+@given(spectrum_texts(), st.integers(1, 3), st.integers(1, 9))
+@settings(max_examples=1500, deadline=None)
+# a trailing comma on a slice boundary leaves an empty last slice
+@example(b'{"positives": [{"value": 0.5}, {"value": 0.25},]}', 2, 4)
+@example(b'{"positives": [{"value": 0.5},]}', 1, 9)
+@example(b'{"positives": [,{"value": 0.5}]}', 1, 9)
+@example(b'{"positives": [{"value": 0.5},, {"value": 0.25}]}', 1, 9)
+# unbalanced and mismatched brackets
+@example(b'{"positives": [{"value": 0.5}}', 1, 9)
+@example(b'{"positives": [{"value": 0.5}}}', 1, 9)
+@example(b'{"positives": [{"value": 0.5}]]}', 1, 9)
+@example(b'{"positives": [[{"value": 0.5}]}', 1, 9)
+@example(b'{"positives": [{"value": 0.5}]', 1, 9)
+@example(b'{"positives": 1[{"value": 0.5}]}', 1, 9)
+@example(b'{"negatives": [0} "x": [1]}', 1, 9)
+# top levels that are not an object
+@example(b'[{"value": 0.5}]', 1, 9)
+@example(b'[[1, 2], [3]]', 1, 9)
+@example(b'"positives"', 1, 9)
+@example(b"", 1, 9)
+# duplicate keys: orjson keeps the last value
+@example(b'{"positives": [{"value": 0.5}], "positives": [{"value": 0.25}]}', 1, 9)
+@example(b'{"positives": [{"value": 0.5}], "positives": 5}', 1, 9)
+@example(b'{"positives": 5, "positives": [{"value": 0.5}]}', 1, 9)
+# a malformed token inside an array under a key no reader reads
+@example(b'{"po,sitives": [{"value": 0.47:116}], "positives": [{"value": 0.5}]}', 1, 9)
+@example(b'{"x": [1, NaN], "positives": []}', 1, 9)
+@example(b'{"x": [1, "\\ud800"]}', 2, 9)
+# escapes and brackets in strings, across block boundaries
+@example(b'{"positives": [{"value": 0.5, "\\\\": "[\\"]\\\\"}], "n\\"": "]"}', 1, 1)
+@example(b'{"positives": [{"value": 0.5, "k": "\\\\\\"["}]}', 2, 2)
+# nesting just past MAX_NESTING and just within it
+@example(b'{"positives": [], "x": ' + b"[" * 1024 + b"]" * 1024 + b"}", 2, 9)
+@example(b'{"positives": [], "x": ' + b"[" * 1023 + b"]" * 1023 + b"}", 2, 9)
+@example(b'{"tail": []}', 1, 9)
+@example(b'{"tail": [1]}', 1, 9)
+@example(b'{"tail": {"ratio": 0.5, "scale": 0.0}, "positives": [{"value": 1.0}, {"value": 0.5}]}',
+         1, 3)
+def test_slices_read_as_the_whole_file(text, slice_entries, block):
+    """read_spectrum refuses exactly the texts that whole-file orjson (with the
+    nesting limit) and the entry reading refuse, and gives every other one
+    bit-identical arrays and tail, at slices of 1 to 3 entries and scan blocks
+    of 1 to 9 bytes."""
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/s.json"
+        with open(path, "wb") as fh:
+            fh.write(text)
+        want = _read(lambda p: _spectrum_of(io._load_json(p), p), path)
+        with mock.patch.multiple(io, SLICE_ENTRIES=slice_entries, _BLOCK=block):
+            got = _read(io.read_spectrum, path)
+    assert got == want
+
+
+def test_spectrum_of_100k_entries_peaks_below_20_mib(tmp_path):
+    # perfbench's 100k-entry spectrum file: two geometric branches and a tail,
+    # written by json.dump; the stdlib decoder peaked at 25.0 MiB on it
+    n = 100_000
+    q = math.exp(-60.0 / n)
+    powers = (q ** np.arange(n // 2)).tolist()
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({"positives": [{"value": 1.5 * v, "mult": 1} for v in powers],
+                             "negatives": [{"value": 0.75 * v, "mult": 1} for v in powers],
+                             "tail": {"ratio": q, "scale": 0.375}}))
+    tracemalloc.start()
+    try:
+        spec = io.read_spectrum(str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.rank == n
+    assert peak < 20 * 2 ** 20
 
 
 # ------------------------------------------------ null and whole numbers in files

@@ -91,11 +91,25 @@ def small_literals_in_comparisons(srcs: dict) -> list:
             and 0.0 < abs(node.value) < 1e-6]
 
 
+def stdlib_json_decodes(srcs: dict) -> list:
+    # every input file is decoded by orjson, strictly to RFC 8259 and with the
+    # nesting limit; a json.load or json.loads call would be a second decoder
+    # (the encoder's encode_basestring_ascii is not one)
+    return [f"{name}:{node.lineno}" for name, text in srcs.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"
+            and any(a.name in ("load", "loads") for a in node.names)]
+
+
 PLANTED = {
     einsum_path_searches: "np.einsum('ij,jk', a, b, optimize=True)\n",
     unread_or_stray_bounds: "SPREAD_TOL = 1e-9\n",
     passed_outside_verdict: "report['passed'] = residual < bound\n",
     small_literals_in_comparisons: "ok = residual <= 1e-9 * (1.0 + scale)\n",
+    stdlib_json_decodes: "import json\ndata = json.loads(text)\n",
 }
 
 
@@ -115,9 +129,16 @@ def test_no_small_literal_in_a_comparison():
     assert small_literals_in_comparisons(sources()) == []
 
 
+def test_one_json_decoder():
+    assert stdlib_json_decodes(sources()) == []
+
+
 def test_every_rule_finds_a_planted_violation():
     for rule, planted in PLANTED.items():
         assert rule({**sources(), "planted.py": planted}) != [], rule.__name__
     # a row no line reads
     table = sources()[TABLE] + "\nUNREAD_TOL = 1e-9  # pure: nothing\n"
     assert unread_or_stray_bounds({**sources(), TABLE: table}) == [f"{TABLE}:UNREAD_TOL unread"]
+    # a decoder imported by name
+    planted = "from json import loads\n"
+    assert stdlib_json_decodes({**sources(), "planted.py": planted}) == ["planted.py:1"]
